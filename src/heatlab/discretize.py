@@ -177,16 +177,22 @@ def _pair_factor_and_points(grid, alpha, parity_match):
 
 @dataclass
 class DiscreteOperator:
-    """Grid, h^n-weighted symmetric form matrix, optional sampled potential."""
+    """Grid, h^n-weighted symmetric form matrix, optional sampled potential.
+
+    ``bandwidth`` is the largest offset |i - j| of a stored entry of the form
+    as assembled, so the lower ``bandwidth + 1`` diagonals carry all of it.
+    """
 
     grid: Grid
     m: int
     form_matrix: np.ndarray
     potential: np.ndarray | None
     spec: SymbolSpec
+    bandwidth: int
     provenance: str = ""
 
     _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _lowest: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mass(self):
@@ -198,6 +204,13 @@ class DiscreteOperator:
         if self._operator is None:
             self._operator = self.form_matrix / self.mass
         return self._operator
+
+    def lowest_eigenvalue(self):
+        """Smallest eigenvalue of the operator matrix, computed once."""
+        if self._lowest is None:
+            self._lowest = sla.eigh(self.operator_matrix(), eigvals_only=True,
+                                    subset_by_index=(0, 0), driver="evr")[0]
+        return self._lowest
 
     def quadratic_form(self, u):
         return float(u @ self.form_matrix @ u)
@@ -218,9 +231,7 @@ class DiscreteOperator:
             f"symmetry defect: {self.symmetry_defect():.3e}",
             f"provenance: {self.provenance}",
         ]
-        ew = sla.eigh(self.operator_matrix(), eigvals_only=True,
-                      subset_by_index=(0, 0), driver="evr")
-        lines.append(f"lowest eigenvalue: {ew[0]:.6e}")
+        lines.append(f"lowest eigenvalue: {self.lowest_eigenvalue():.6e}")
         return "\n".join(lines)
 
 
@@ -253,6 +264,8 @@ def assemble(spec, grid, potential=None, lower_order=None):
         piece = (fa.T @ sp.diags(cvals) @ fb) * vol
         form = piece if form is None else form + piece
 
+    rows, cols = form.nonzero()
+    bandwidth = int(np.max(np.abs(rows - cols)))
     form = form.toarray()
     vvals = None
     if potential is not None:
@@ -280,6 +293,7 @@ def assemble(spec, grid, potential=None, lower_order=None):
         form_matrix=form,
         potential=vvals,
         spec=spec,
+        bandwidth=bandwidth,
         provenance=f"assembled m={spec.m} n={spec.n} N={grid.npts}",
     )
 

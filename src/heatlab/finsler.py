@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import Grid
-from .symbols import eval_symbol, sphere_directions
+from .symbols import _golden_min, eval_symbol, sphere_directions
 
 
 class LengthElement:
@@ -73,7 +73,7 @@ class LengthElement:
             th0 = 2 * np.pi * i / len(dirs)
             w = 2 * np.pi / len(dirs)
             f = lambda th: -self._ratio_2d(x, unit_eta, th)
-            best = max(best, -_golden(f, th0 - w, th0 + w))
+            best = max(best, -_golden_min(f, th0 - w, th0 + w))
         self._cache[key] = best
         return best
 
@@ -83,22 +83,6 @@ class LengthElement:
         if a <= 0.0:
             return -math.inf
         return float(np.dot(xi, unit_eta)) / a ** (1.0 / (2 * self.spec.m))
-
-
-def _golden(f, a, b, iters=60):
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return min(fc, fd)
 
 
 def length_element(spec, x, eta):

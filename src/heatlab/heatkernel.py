@@ -37,9 +37,6 @@ class SpectralData:
     grid: object
     mass: float
 
-    def residual_bound(self, k):
-        return 1e-8 * (abs(self.eigenvalues[k]) + 1.0)
-
     def validate(self, operator_matrix, rtol=1e-8):
         """Residual and weighted-orthonormality checks.
 
@@ -98,13 +95,6 @@ def kernel_matrix(spectral, t):
     w = np.exp(-spectral.eigenvalues * t)
     V = spectral.eigenvectors
     return (V * w[None, :]) @ V.T
-
-
-def kernel_row(spectral, t, i):
-    if t <= 0:
-        raise ValueError("t must be positive")
-    w = np.exp(-spectral.eigenvalues * t)
-    return (spectral.eigenvectors * w[None, :]) @ spectral.eigenvectors[i]
 
 
 def semigroup_apply(spectral, t, u):

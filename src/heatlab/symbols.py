@@ -397,6 +397,7 @@ def ellipticity_constant(spec, sample_points, sphere_samples=512):
 
 
 def _golden_min(f, a, b, iters=60):
+    """Golden-section estimate of the minimum of a unimodal f on [a, b]."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)

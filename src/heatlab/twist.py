@@ -3,14 +3,16 @@ resulting lower bounds.
 
 Conjugating the operator matrix by ``E = diag(exp(l * phi))`` multiplies
 entry (i, j) by ``exp(l (phi_j - phi_i))``; for banded matrices only
-differences of phi across the band enter, so the transform is evaluated
-entrywise on the sparsity pattern and never forms ``exp(l phi)`` itself
-(conjugation by scalars is trivial, so only differences matter).  The
-symmetric part realizes the real part of the twisted form for real vectors,
-and ``k(l) = -lambda_min`` of that symmetric part.  Sweeping l over a decade
-and fitting ``k(l) = kappa l^(2m) + c`` measures the growth coefficient,
-to be compared with the sharp constant k_m; combining k(l) with a distance
-and optimizing over l assembles the Gaussian bound.
+differences of phi across the band enter (conjugation by scalars is
+trivial), so the symmetric part is built diagonal by diagonal in LAPACK
+band storage, entry ``H_ij cosh(l (phi_i - phi_j))``, and neither
+``exp(l phi)`` nor a dense twisted matrix is formed.  The symmetric part
+realizes the real part of the twisted form for real vectors, and
+``k(l) = -lambda_min`` of that symmetric part, from the banded eigensolver.
+Sweeping l over a decade and fitting ``k(l) = kappa l^(2m) + c`` measures
+the growth coefficient, to be compared with the sharp constant k_m;
+combining k(l) with a distance and optimizing over l assembles the
+Gaussian bound.
 """
 
 from __future__ import annotations
@@ -82,57 +84,37 @@ class TwistProfile:
 
 def twisted_form(op, profile, lam):
     """Symmetric part of E^{-1} H E with E = diag(exp(lam * phi)), in operator
-    units; the minimal eigenvalue is -k(lam)."""
+    units; its minimal eigenvalue is -k(lam).
+
+    Returned in LAPACK lower band storage, shape ``(op.bandwidth + 1, N)``:
+    row k holds the k-th subdiagonal in its first N - k entries, zero-padded.
+    """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     H = op.operator_matrix()
     phi = np.asarray(profile.values, dtype=float)
-    if phi.shape[0] != H.shape[0]:
+    n = H.shape[0]
+    if phi.shape[0] != n:
         raise ValueError("profile does not match the grid")
-    rows, cols = np.nonzero(H)
-    expo = lam * (phi[cols] - phi[rows])
-    worst = float(np.max(np.abs(expo))) if expo.size else 0.0
+    expos = [lam * (phi[:-k] - phi[k:]) for k in range(1, op.bandwidth + 1)]
+    worst = max((float(np.max(np.abs(x))) for x in expos), default=0.0)
     if worst > OVERFLOW_GUARD:
         raise OverflowGuardError(
             f"lam * phi-difference reaches {worst:.1f} > {OVERFLOW_GUARD} across the band"
         )
-    T = np.zeros_like(H)
-    T[rows, cols] = H[rows, cols] * np.exp(expo)
-    return 0.5 * (T + T.T)
-
-
-def twisted_matrix_full(op, profile, lam):
-    """Non-symmetrized twisted matrix (same spectrum as H)."""
-    H = op.operator_matrix()
-    phi = np.asarray(profile.values, dtype=float)
-    rows, cols = np.nonzero(H)
-    expo = lam * (phi[cols] - phi[rows])
-    if expo.size and float(np.max(np.abs(expo))) > OVERFLOW_GUARD:
-        raise OverflowGuardError("overflow guard")
-    T = np.zeros_like(H)
-    T[rows, cols] = H[rows, cols] * np.exp(expo)
-    return T
+    bands = np.zeros((op.bandwidth + 1, n))
+    bands[0] = np.diagonal(H)
+    for k, x in enumerate(expos, start=1):
+        hk = np.diagonal(H, -k)
+        bands[k, : n - k] = 0.5 * (hk * np.exp(x) + hk * np.exp(-x))
+    return bands
 
 
 def lower_bound_k(op, profile, lam):
     """k(lam) = -lambda_min of the symmetrized twisted form (no clipping)."""
-    T = twisted_form(op, profile, lam)
-    return -_lowest_eigenvalue(T)
-
-
-def _lowest_eigenvalue(T):
-    # 1D assemblies are banded; the band solver is much faster on sweeps
-    n = T.shape[0]
-    rows, cols = np.nonzero(T)
-    bw = int(np.max(np.abs(rows - cols))) if rows.size else 0
-    if 0 < bw <= 8 and n > 64:
-        bands = np.zeros((bw + 1, n))
-        for k in range(bw + 1):
-            bands[k, : n - k] = np.diagonal(T, -k)
-        w = sla.eig_banded(bands, lower=True, eigvals_only=True,
-                           select="i", select_range=(0, 0))
-        return float(w[0])
-    return float(sla.eigh(T, eigvals_only=True, subset_by_index=(0, 0), driver="evr")[0])
+    w = sla.eig_banded(twisted_form(op, profile, lam), lower=True, eigvals_only=True,
+                       select="i", select_range=(0, 0))
+    return -float(w[0])
 
 
 @dataclass
@@ -150,12 +132,6 @@ class TwistReport:
 
     def model(self, lam):
         return self.kappa * np.asarray(lam) ** (2 * self.m) + self.intercept
-
-
-def default_lambda_grid(decades=(1.0, 2.5), per_decade=40):
-    lo, hi = decades
-    count = max(2, int(round((hi - lo) * per_decade)))
-    return np.geomspace(10.0**lo, 10.0**hi, count)
 
 
 def growth_fit(op, profile, lambdas, residual_flag=0.05):
@@ -188,15 +164,6 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05):
         reliable=residual <= residual_flag,
         k_zero=lower_bound_k(op, profile, 0.0),
     )
-
-
-def growth_fit_with_potential(op_v, op0, profile, lambdas, **kw):
-    """Same sweep on the operator with potential; the leading coefficient is
-    expected to match the free fit (diagonal potentials commute with the
-    conjugation), only the constant term shifts."""
-    rep_v = growth_fit(op_v, profile, lambdas, **kw)
-    rep_0 = growth_fit(op0, profile, lambdas, **kw)
-    return rep_v, rep_0
 
 
 @dataclass

@@ -99,6 +99,16 @@ def test_assemble_m2_biharmonic_row():
     assert np.allclose(interior[2:7] * h**4, [1, -4, 6, -4, 1])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_assemble_records_bandwidth(m):
+    spec = SymbolSpec.isotropic(m, 1, 1.0, domain=[(0, 1)])
+    op = assemble(spec, Grid.make((0.0, 1.0), 40))
+    assert op.bandwidth == m
+    H = op.operator_matrix()
+    assert np.any(np.diagonal(H, -m))
+    assert not np.any(np.tril(H, -m - 1))
+
+
 def test_assemble_mixed_parity_pair_2d():
     # a cross pair (2,0)x(1,1) has mismatched per-axis parities and takes the
     # node-centered fallback; the assembled form stays symmetric and elliptic

@@ -112,8 +112,16 @@ def test_kato_curve_type_rejects_increasing():
 
 
 def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
+    op = unit_m1_400_op
     with pytest.raises(ValueError):
-        kato_norm(unit_m1_400_op, np.ones(400), -1e9)
+        kato_norm(op, np.ones(400), -1e9)
+    lo = op.lowest_eigenvalue()
+    ref = sla.eigh(op.operator_matrix(), eigvals_only=True, subset_by_index=(0, 0))[0]
+    assert lo == pytest.approx(ref, rel=1e-12)
+    for lam in (-lo, -lo - 1.0):
+        with pytest.raises(ValueError, match="not above"):
+            kato_norm(op, np.ones(400), lam)
+    assert kato_norm(op, np.ones(400), -lo + 1.0) > 0.0
 
 
 def test_weighted_l2_bounded_by_kato_norm(unit_m1_400_op, singular_vminus):
@@ -121,6 +129,7 @@ def test_weighted_l2_bounded_by_kato_norm(unit_m1_400_op, singular_vminus):
         status, wnorm, kn = weighted_l2_check(unit_m1_400_op, singular_vminus, lam)
         assert status == "pass"
         assert wnorm <= kn + 1e-8
+        assert kn == kato_norm(unit_m1_400_op, singular_vminus, lam)
 
 
 def test_weighted_l2_unit_weight_and_half_support(unit_m1_400_op):

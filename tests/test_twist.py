@@ -11,11 +11,9 @@ from heatlab.twist import (
     TwistProfile,
     assemble_gaussian_bound,
     growth_fit,
-    growth_fit_with_potential,
     lower_bound_k,
     perturbation_stability,
     twisted_form,
-    twisted_matrix_full,
 )
 
 
@@ -41,7 +39,13 @@ def test_profile_derivatives_and_feasibility(unit_m1):
 
 def test_zero_twist_returns_operator(unit_m1):
     op, prof = unit_m1
-    assert np.array_equal(twisted_form(op, prof, 0.0), op.operator_matrix())
+    H = op.operator_matrix()
+    bands = twisted_form(op, prof, 0.0)
+    assert bands.shape == (op.bandwidth + 1, H.shape[0])
+    for k in range(op.bandwidth + 1):
+        n = H.shape[0] - k
+        assert np.array_equal(bands[k, :n], np.diagonal(H, -k))
+        assert not np.any(bands[k, n:])
 
 
 def test_constant_profile_conjugation_is_trivial(unit_m1):
@@ -95,25 +99,51 @@ def test_growth_fit_with_potential_shifts_only_intercept(unit_m1):
     op_v = make_line_operator(1, n_pts=400, bounds=(0.0, 1.0),
                               potential=np.full(400, -5.0))
     lambdas = np.geomspace(2.0, 20.0, 40)
-    rep_v, rep_0 = growth_fit_with_potential(op_v, op0, prof, lambdas)
+    # the diagonal potential commutes with the conjugation: only c shifts
+    rep_v = growth_fit(op_v, prof, lambdas)
+    rep_0 = growth_fit(op0, prof, lambdas)
     assert rep_v.kappa == pytest.approx(rep_0.kappa, abs=1e-9)
     assert rep_v.intercept - rep_0.intercept == pytest.approx(5.0, abs=1e-6)
 
     x = op0.grid.node_coordinates()[:, 0]
     vsing = -np.minimum(x**-0.5, 1e6)
     op_s = make_line_operator(1, n_pts=400, bounds=(0.0, 1.0), potential=vsing)
-    rep_s, _ = growth_fit_with_potential(op_s, op0, prof, lambdas)
+    rep_s = growth_fit(op_s, prof, lambdas)
     assert rep_s.kappa == pytest.approx(1.0, rel=0.05)
+
+
+def _dense_conjugate(op, prof, lam):
+    """Reference E^{-1} H E with E = diag(exp(lam * phi)), formed densely."""
+    e = np.exp(lam * prof.values)
+    return op.operator_matrix() * e[None, :] / e[:, None]
 
 
 def test_twisted_spectrum_invariant_under_conjugation():
     op = make_line_operator(1, n_pts=120, bounds=(0.0, 1.0))
     prof = TwistProfile.from_expression(op.grid, "x", 1)
     lam = 4.0
-    T = twisted_matrix_full(op, prof, lam)
+    T = _dense_conjugate(op, prof, lam)
     got = np.sort(np.linalg.eigvals(T).real)
     ref = np.sort(np.linalg.eigvalsh(op.operator_matrix()))
     assert np.allclose(got, ref, rtol=1e-8, atol=1e-8 * np.max(np.abs(ref)))
+
+    S = 0.5 * (T + T.T)
+    bands = twisted_form(op, prof, lam)
+    for k in range(op.bandwidth + 1):
+        n = S.shape[0] - k
+        assert np.allclose(bands[k, :n], np.diagonal(S, -k), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m, n_pts", [(1, 48), (2, 40), (3, 64)])
+def test_lower_bound_k_small_grid_matches_dense(m, n_pts):
+    # small grids (N <= 64) against a dense reference; abs is the eps*||H|| floor
+    op = make_line_operator(m, n_pts=n_pts, bounds=(0.0, 1.0))
+    prof = TwistProfile.from_expression(op.grid, "x", m)
+    for lam in (0.0, 3.0, 9.0):
+        T = _dense_conjugate(op, prof, lam)
+        w = np.linalg.eigvalsh(0.5 * (T + T.T))
+        got = lower_bound_k(op, prof, lam)
+        assert got == pytest.approx(-w[0], rel=1e-12, abs=1e-12 * np.max(np.abs(w)))
 
 
 def test_k_even_in_profile_sign(unit_m1):
