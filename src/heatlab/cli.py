@@ -22,8 +22,9 @@ from .experiments import verify_perturbed_bound, verify_sharp_bound
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, fourier_oracle, spectral_field
 from .kato import (
+    KatoCurve,
     form_bound_report,
-    kato_norm_curve,
+    kato_norm,
     miyadera_ratio,
     sample_potential,
     weighted_l2_check,
@@ -188,11 +189,12 @@ def run_kato(cfg, outdir, manifest):
               list(zip(fb.epsilons, fb.c_eps)))
 
     manifest.start("resolvent curve")
-    curve = kato_norm_curve(op0, vminus, kc.lambdas)
     rows = []
-    for lam, kn in zip(curve.lambdas, curve.norms):
-        status, wnorm, _ = weighted_l2_check(op0, vminus, lam)
-        rows.append((lam, kn, wnorm if status != "vacuous" else 0.0))
+    for lam in kc.lambdas:
+        kn = kato_norm(op0, vminus, lam)
+        _, wnorm, _ = weighted_l2_check(op0, vminus, lam)  # reuses the resolvent
+        rows.append((lam, kn, wnorm))
+    KatoCurve([r[0] for r in rows], [r[1] for r in rows])  # non-increasing in lambda
     manifest.stop()
     write_csv(os.path.join(outdir, "kato_curve.csv"),
               ("lambda", "kato_norm", "weighted_l2_norm"), rows)

@@ -193,6 +193,7 @@ class DiscreteOperator:
 
     _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _lowest: float | None = field(default=None, init=False, repr=False, compare=False)
+    _resolvent: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mass(self):
@@ -211,6 +212,22 @@ class DiscreteOperator:
             self._lowest = sla.eigh(self.operator_matrix(), eigvals_only=True,
                                     subset_by_index=(0, 0), driver="evr")[0]
         return self._lowest
+
+    def resolvent(self, lam):
+        """Dense (H + lam)^-1 for lam above -lambda_min, read-only.  The last
+        one is kept, so the Kato norm and the weighted-L2 check at one lambda
+        share a solve."""
+        if self._resolvent is None or self._resolvent[0] != lam:
+            lo = self.lowest_eigenvalue()
+            if lam <= -lo:
+                raise ValueError(f"lambda = {lam} is not above -lambda_min = {-lo}")
+            self._resolvent = None  # free the old matrix before solving
+            H = self.operator_matrix()
+            eye = np.eye(H.shape[0])
+            R = np.linalg.solve(H + lam * eye, eye)
+            R.flags.writeable = False
+            self._resolvent = (lam, R)
+        return self._resolvent[1]
 
     def quadratic_form(self, u):
         return float(u @ self.form_matrix @ u)

@@ -247,6 +247,15 @@ def verify_perturbed_bound(cfg: RunConfig):
     """Stability pipeline: measure the growth-coefficient drift per unit of
     coefficient perturbation, degrade the target constant accordingly, and
     run the sharp pipeline against the degraded target."""
+    target, note = _perturbed_target(cfg)
+    verdict = _verdict_pipeline(cfg, sigma_target=target, label="perturbed")
+    verdict.notes.append(note)
+    return verdict
+
+
+def _perturbed_target(cfg):
+    """Degraded target constant and its note; the two stability operators
+    are freed on return, before the verdict pipeline builds its own."""
     v = cfg.verify
     if v.delta_coeff <= 0:
         raise ValueError("perturbed target needs delta_coeff > 0")
@@ -271,12 +280,11 @@ def verify_perturbed_bound(cfg: RunConfig):
     sig_pert = decay_constant_from_growth(pstab.kappa_pert, opcfg.m)
     c_emp = abs(sig_pert - sig_ref) / v.delta_coeff
     target = sharp_constants(opcfg.m).sigma_m - c_emp * v.delta_coeff
-    verdict = _verdict_pipeline(cfg, sigma_target=target, label="perturbed")
-    verdict.notes.append(
+    note = (
         f"kappa_ref={pstab.kappa_ref!r} kappa_pert={pstab.kappa_pert!r} "
         f"c_emp={c_emp!r} delta={v.delta_coeff!r}"
     )
-    return verdict
+    return target, note
 
 
 def _verdict_pipeline(cfg, sigma_target, label):

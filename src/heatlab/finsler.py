@@ -9,11 +9,11 @@ from above as the mesh refines, within the anisotropy bound of the
 16-direction stencil (2.8% worst direction for a Euclidean metric).
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
-``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  The solver seeds
-with the M-Lipschitz lower envelope of the slope caps (optimal in the
-continuum for m = 2), restores feasibility by cyclic projections onto the
-constraint slabs, and polishes with projected gradient ascent on the linear
-objective.
+``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
+sparse linear program in the node values, solved by the HiGHS simplex
+through ``scipy.optimize.linprog``; the result reports HiGHS optimality, the
+largest row violation, the relative primal-dual gap and the simplex
+iteration count, so each value comes with its certificate.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discretize import Grid
 from .symbols import _golden_min, eval_symbol, sphere_directions
@@ -206,6 +207,7 @@ class DmResult:
     converged: bool
     feasibility_defect: float
     iterations: int
+    dual_gap: float = 0.0
 
 
 def _slope_caps(spec, xs):
@@ -213,16 +215,7 @@ def _slope_caps(spec, xs):
     svals = np.array([reciprocal_root(spec, x) for x in xs])
     mids = 0.5 * (xs[:-1] + xs[1:])
     smid = np.array([reciprocal_root(spec, x) for x in mids])
-    return np.minimum(np.minimum(svals[:-1], svals[1:]), smid), svals
-
-
-def _lipschitz_envelope(svals, h, M):
-    g = svals.copy()
-    for i in range(1, len(g)):
-        g[i] = min(g[i], g[i - 1] + M * h)
-    for i in range(len(g) - 2, -1, -1):
-        g[i] = min(g[i], g[i + 1] + M * h)
-    return g
+    return np.minimum(np.minimum(svals[:-1], svals[1:]), smid)
 
 
 def _derivative_stencil(k):
@@ -230,47 +223,30 @@ def _derivative_stencil(k):
     return np.array([(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)], dtype=float)
 
 
-def _project_feasible(phi, caps, h, M, m, sweeps, tol):
-    """Cyclic projections onto the slope slabs and the k-th derivative slabs."""
-    N = len(phi)
-    stencils = {k: _derivative_stencil(k) for k in range(2, m + 1)}
-    defect = math.inf
-    for _ in range(sweeps):
-        defect = 0.0
-        for par in (0, 1):
-            idx = np.arange(par, N - 1, 2)
-            d = (phi[idx + 1] - phi[idx]) / h
-            over = np.maximum(d - caps[idx], 0.0) - np.maximum(-caps[idx] - d, 0.0)
-            phi[idx + 1] -= 0.5 * over * h
-            phi[idx] += 0.5 * over * h
-            if over.size:
-                defect = max(defect, float(np.max(np.abs(over))))
-        for k, st in stencils.items():
-            nn = st @ st  # squared norm of the stencil (in units of h^-k after scaling)
-            for par in range(k + 1):
-                idx = np.arange(par, N - k, k + 1)
-                if idx.size == 0:
-                    continue
-                vals = sum(st[j] * phi[idx + j] for j in range(k + 1)) / h**k
-                over = np.maximum(vals - M, 0.0) - np.maximum(-M - vals, 0.0)
-                corr = over * h**k / nn
-                for j in range(k + 1):
-                    phi[idx + j] -= st[j] * corr
-                if over.size:
-                    defect = max(defect, float(np.max(np.abs(over))))
-        if defect <= tol:
-            break
-    return phi, defect
+def _cap_rows(caps, h, M, m):
+    """Rows of ``A phi <= b``: the slope slabs, then the k-th difference slabs."""
+    N = len(caps) + 1
+    blocks, bounds = [], []
+    for k in range(1, m + 1):
+        D = sp.diags(list(_derivative_stencil(k)), list(range(k + 1)), shape=(N - k, N))
+        cap = caps * h if k == 1 else np.full(N - k, M * h**k)
+        blocks += [D, -D]
+        bounds += [cap, cap]
+    return sp.vstack(blocks, format="csr"), np.concatenate(bounds)
 
 
-def distance_dm_1d(spec, M, y1, y2, npoints=201, max_iter=10000, step_scale=0.5,
-                   feas_tol=1e-8):
-    """Capped distance d_M(y1, y2) in 1D by projected gradient ascent.
+def distance_dm_1d(spec, M, y1, y2, npoints=201):
+    """Capped distance d_M(y1, y2) in 1D as one linear program.
 
-    Monotone non-decreasing in M and never above the uncapped distance (the
-    slope caps are per-interval minima, a lower Riemann sum of the exact
-    density).  Returns the best feasible value found, with a convergence
-    flag.
+    The node values ``phi_0 = 0, ..., phi_{N-1}`` maximize ``phi_{N-1}``
+    subject to ``|phi_{i+1} - phi_i| <= caps_i h`` and ``|D^k phi| <= M h^k``
+    for 2 <= k <= m, solved by HiGHS.  The result carries the LP's own
+    certificate: ``converged`` is HiGHS optimality, ``feasibility_defect``
+    the largest row violation of the returned nodes, ``dual_gap`` the
+    relative gap between the primal and dual objectives, and ``iterations``
+    the simplex iterations.  Monotone non-decreasing in M and never above
+    the uncapped distance (the slope caps are per-interval minima, a lower
+    Riemann sum of the exact density).
     """
     if spec.n != 1:
         raise ValueError("distance_dm_1d needs a 1D spec")
@@ -282,40 +258,29 @@ def distance_dm_1d(spec, M, y1, y2, npoints=201, max_iter=10000, step_scale=0.5,
         return DmResult(0.0, True, 0.0, 0)
     xs = np.linspace(lo, hi, npoints)
     h = xs[1] - xs[0]
-    caps, svals = _slope_caps(spec, xs)
+    caps = _slope_caps(spec, xs)
 
     if spec.m == 1:
         # no derivative caps beyond the slope constraint: saturate exactly
         return DmResult(float(sgn * np.sum(caps * h)), True, 0.0, 0)
 
-    env = _lipschitz_envelope(svals, h, M)
-    slope = np.minimum(np.minimum(env[:-1], env[1:]), caps)
-    phi = np.concatenate([[0.0], np.cumsum(slope * h)])
+    # imported here: loading scipy.optimize would slow every CLI start-up
+    from scipy.optimize import linprog
 
-    phi, defect = _project_feasible(phi, caps, h, M, spec.m, sweeps=400, tol=feas_tol)
-    best = phi[-1] - phi[0] if defect <= feas_tol else -math.inf
-    step = step_scale * h
-    iterations = 0
-    stall = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        phi[-1] += step
-        phi[0] -= step
-        phi, defect = _project_feasible(phi, caps, h, M, spec.m, sweeps=40, tol=feas_tol)
-        if defect <= feas_tol:
-            val = phi[-1] - phi[0]
-            if val > best + 1e-12:
-                best = val
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall += 1
-        if stall >= 25:
-            break
-    converged = math.isfinite(best)
-    return DmResult(float(sgn * best) if converged else math.nan,
-                    converged, float(defect), iterations)
+    A, b = _cap_rows(caps, h, M, spec.m)
+    c = np.zeros(npoints)
+    c[-1] = -1.0
+    bounds = [(0.0, 0.0)] + [(None, None)] * (npoints - 1)
+    # the k-th difference rows bound D^k phi by M h^k (down to 1e-7), so
+    # HiGHS's default 1e-7 feasibility tolerance would let them overshoot
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        return DmResult(math.nan, False, math.inf, int(res.nit), math.inf)
+    defect = max(0.0, float(np.max(A @ res.x - b)))
+    dual = float(b @ res.ineqlin.marginals)
+    gap = abs(res.fun - dual) / abs(res.fun)
+    return DmResult(float(sgn * res.x[-1]), True, defect, int(res.nit), gap)
 
 
 def dm_convergence_check(spec, pairs, M_list, npoints=201, ratio_tol=1e-3):

@@ -94,14 +94,6 @@ class KatoCurve:
             raise ValueError("Kato norm curve must be non-increasing in lambda")
 
 
-def _resolvent(op0, lam):
-    H = op0.operator_matrix()
-    lo = op0.lowest_eigenvalue()
-    if lam <= -lo:
-        raise ValueError(f"lambda = {lam} is not above -lambda_min = {-lo}")
-    return np.linalg.solve(H + lam * np.eye(H.shape[0]), np.eye(H.shape[0]))
-
-
 def _column_mass(R, vminus):
     """Max column mass of the resolvent kernel weighted by V_-."""
     return float(np.max(np.sum(vminus[:, None] * np.abs(R), axis=0)))
@@ -111,13 +103,13 @@ def kato_norm(op0, vminus, lam):
     """Discrete ||V_-(H0+lambda)^{-1}||_{L1->L1}: max column mass of the
     weighted resolvent kernel."""
     vminus = _check_vminus(vminus)
-    return _column_mass(_resolvent(op0, lam), vminus)
+    return _column_mass(op0.resolvent(lam), vminus)
 
 
 def kato_norm_dual(op0, vminus, lam):
     """Same norm computed as ||(H0+lambda)^{-1} V_-||_{Linf->Linf} (max row sum)."""
     vminus = _check_vminus(vminus)
-    R = _resolvent(op0, lam)
+    R = op0.resolvent(lam)
     return float(np.max(np.sum(np.abs(R) * vminus[None, :], axis=1)))
 
 
@@ -136,7 +128,7 @@ def weighted_l2_check(op0, vminus, lam, slack=1e-8):
     support = vminus > 0
     if not np.any(support):
         return "vacuous", 0.0, 0.0
-    R = _resolvent(op0, lam)
+    R = op0.resolvent(lam)
     sq = np.sqrt(vminus[support])
     Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
     wnorm = float(np.max(np.abs(sla.eigh(Mw, eigvals_only=True))))

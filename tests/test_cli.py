@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 
+import heatlab
 from heatlab.cli import constants_table, main
 
 KERNEL_CFG = """
@@ -211,3 +214,12 @@ def test_seed_override_recorded(tmp_path):
     out = str(tmp_path / "out")
     assert main(["kernel", "--config", cfg, "--out", out, "--seed", "99"]) == 0
     assert "seed: 99" in open(os.path.join(out, "manifest.txt")).read()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the d_M solver imports linprog on first use; loading scipy.optimize
+    # with the CLI would slow the start-up of every command
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    code = "import heatlab.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,6 +6,7 @@ from heatlab.finsler import (
     distance_1d,
     distance_dm_1d,
     distance_lattice_2d,
+    _slope_caps,
     dm_convergence_check,
     length_element,
 )
@@ -87,10 +88,16 @@ def test_dm_m1_has_no_derivative_caps():
 
 
 def test_dm_variable_coefficient_converges_up():
+    xs = np.linspace(0.0, 1.0, 201)
+    row_tol = 1e-12 * float(np.max(_slope_caps(SPEC_VAR, xs))) * (xs[1] - xs[0])
     vals = {}
     for M in (0.1, 0.5, 1.0, 5.0):
         r = distance_dm_1d(SPEC_VAR, M, 0.0, 1.0)
         assert r.converged
+        assert r.iterations > 0
+        # the LP certificate: rows hold to round-off, primal equals dual
+        assert r.feasibility_defect <= row_tol
+        assert r.dual_gap <= 1e-9
         vals[M] = r.value
     assert vals[0.1] < vals[0.5] < vals[1.0] - 1e-9
     assert vals[1.0] == pytest.approx(vals[5.0], abs=1e-6)
@@ -106,6 +113,30 @@ def test_dm_variable_coefficient_converges_up():
 def test_dm_sign_convention():
     r = distance_dm_1d(SPEC_VAR, 1.0, 1.0, 0.0)
     assert r.value == pytest.approx(-distance_dm_1d(SPEC_VAR, 1.0, 0.0, 1.0).value)
+
+
+SPEC_M3 = SymbolSpec.isotropic(3, 1, "2+cos(3*x)", domain=[(-4, 4)])
+
+
+def test_dm_m3_tight_cap_solved():
+    # the projected-gradient solver this LP replaced returned nan here
+    r = distance_dm_1d(SPEC_M3, 1.0, -1.5, 0.3)
+    assert r.converged
+    assert r.value == pytest.approx(1.62982199593664, rel=1e-12)
+    assert r.dual_gap <= 1e-9
+
+
+@pytest.mark.parametrize("pair, d", [
+    ((-0.5, 0.5), 0.8500108790036942),
+    ((-1.5, 0.3), 1.6321236574380833),
+    ((0.2, 1.7), 1.3905410627705224),
+    ((-2.0, -1.0), 0.9138145035074923),
+])
+def test_dm_m3_values_pinned(pair, d):
+    # values of the projected-gradient solver, which converged at M = 5
+    r = distance_dm_1d(SPEC_M3, 5.0, *pair)
+    assert r.converged
+    assert r.value == pytest.approx(d, rel=1e-12)
 
 
 def test_dm_convergence_table():

@@ -124,6 +124,18 @@ def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
     assert kato_norm(op, np.ones(400), -lo + 1.0) > 0.0
 
 
+def test_resolvent_kept_for_the_last_lambda(unit_m1_400_op):
+    op = unit_m1_400_op
+    H, eye = op.operator_matrix(), np.eye(400)
+    R = op.resolvent(10.0)
+    assert op.resolvent(10.0) is R
+    assert not R.flags.writeable
+    assert np.max(np.abs((H + 10.0 * eye) @ R - eye)) <= 1e-8
+    R2 = op.resolvent(100.0)
+    assert R2 is not R
+    assert np.max(np.abs((H + 100.0 * eye) @ R2 - eye)) <= 1e-8
+
+
 def test_weighted_l2_bounded_by_kato_norm(unit_m1_400_op, singular_vminus):
     for lam in (1.0, 10.0, 1000.0):
         status, wnorm, kn = weighted_l2_check(unit_m1_400_op, singular_vminus, lam)
