@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .discretize import Grid, assemble
-from .experiments import verify_perturbed_bound, verify_sharp_bound
+from .discretize import assemble
+from .experiments import operator_pieces, verify_perturbed_bound, verify_sharp_bound
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, fourier_oracle, spectral_field
 from .kato import (
@@ -30,7 +30,7 @@ from .kato import (
     weighted_l2_check,
 )
 from .reporting import Manifest, ensure_outdir, format_float_17, write_csv, write_text
-from .symbols import SymbolSpec, sharp_constants
+from .symbols import sharp_constants
 from .twist import TwistProfile, growth_fit
 
 
@@ -113,18 +113,8 @@ def constants_table(m):
     return "".join(f"{name:<{width}}  {format_float_17(v)}\n" for name, v in rows)
 
 
-def _operator_pieces(cfg, with_potential=True):
-    o = cfg.operator
-    spec = SymbolSpec.isotropic(o.m, o.n, o.a, domain=o.domain)
-    grid = Grid.make(o.domain, o.grid_n)
-    vvals = None
-    if with_potential and o.potential is not None:
-        vvals = sample_potential(o.potential, grid)
-    return spec, grid, vvals
-
-
 def run_kernel(cfg, outdir, manifest):
-    spec, grid, vvals = _operator_pieces(cfg)
+    spec, grid, vvals = operator_pieces(cfg.operator)
     manifest.start("assemble")
     op = assemble(spec, grid, potential=vvals)
     manifest.stop()
@@ -146,7 +136,7 @@ def run_kernel(cfg, outdir, manifest):
 
 
 def run_distance(cfg, outdir, manifest):
-    spec, grid, _ = _operator_pieces(cfg, with_potential=False)
+    spec, grid, _ = operator_pieces(cfg.operator, with_potential=False)
     d = cfg.distance
     manifest.start(f"distance {d.method}")
     if d.method == "lattice":
@@ -170,7 +160,7 @@ def run_distance(cfg, outdir, manifest):
 
 
 def run_kato(cfg, outdir, manifest):
-    spec, grid, vvals = _operator_pieces(cfg)
+    spec, grid, vvals = operator_pieces(cfg.operator)
     kc = cfg.kato
     if kc.vminus is not None:
         vminus = np.maximum(sample_potential(kc.vminus, grid), 0.0)
@@ -211,7 +201,7 @@ def run_kato(cfg, outdir, manifest):
 
 
 def run_twist(cfg, outdir, manifest):
-    spec, grid, vvals = _operator_pieces(cfg)
+    spec, grid, vvals = operator_pieces(cfg.operator)
     tc = cfg.twist
     manifest.start("assemble")
     op0 = assemble(spec, grid)

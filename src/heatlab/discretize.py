@@ -1,9 +1,11 @@
 """Finite-difference quadratic forms on uniform grids with Dirichlet ends.
 
-The assembled object is the form matrix of ``Q(u) = sum (D^a)^T a_ab D^b h^n
-+ diag(V) h^n`` on interior nodes, with values outside the grid treated as
-zero.  The form-based construction guarantees symmetry and mirrors the
-variational definition of the operator.
+The assembled object is the sparse (CSR) form matrix of ``Q(u) = sum
+(D^a)^T a_ab D^b h^n + diag(V) h^n`` on interior nodes, with values outside
+the grid treated as zero.  The form-based construction guarantees symmetry
+and mirrors the variational definition of the operator.  Extreme
+eigenvalues come from the operator's LAPACK band; a dense matrix is built
+only for full spectra and resolvents.
 
 Stencil conventions:
 
@@ -175,25 +177,46 @@ def _pair_factor_and_points(grid, alpha, parity_match):
     return op.tocsr(), pts
 
 
+def band_eigenvalue(band, index):
+    """Eigenvalue number ``index`` (ascending, from 0) of the symmetric matrix
+    held in LAPACK lower band storage."""
+    w = sla.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                       select_range=(index, index))
+    return float(w[0])
+
+
 @dataclass
 class DiscreteOperator:
-    """Grid, h^n-weighted symmetric form matrix, optional sampled potential.
+    """Grid, sparse h^n-weighted symmetric form matrix, optional sampled
+    potential.
 
-    ``bandwidth`` is the largest offset |i - j| of a stored entry of the form
-    as assembled, so the lower ``bandwidth + 1`` diagonals carry all of it.
+    ``band`` is the operator matrix ``form_matrix / mass`` in LAPACK lower
+    band storage: row k holds the k-th subdiagonal in its first N - k
+    entries, zero-padded, for k up to the largest offset of a stored entry.
+    Every extreme eigenvalue is read from it; ``operator_matrix()`` is the
+    dense copy, built on first use, for full spectra and resolvents.
     """
 
     grid: Grid
     m: int
-    form_matrix: np.ndarray
+    form_matrix: sp.csr_matrix
     potential: np.ndarray | None
     spec: SymbolSpec
-    bandwidth: int
     provenance: str = ""
 
+    band: np.ndarray = field(init=False, repr=False, compare=False)
     _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _lowest: float | None = field(default=None, init=False, repr=False, compare=False)
     _resolvent: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        F = self.form_matrix
+        rows, cols = F.nonzero()
+        n = F.shape[0]
+        self.band = np.zeros((int(np.max(np.abs(rows - cols))) + 1, n))
+        for k in range(self.band.shape[0]):
+            self.band[k, : n - k] = F.diagonal(-k) / self.mass
+        self.band.flags.writeable = False
 
     @property
     def mass(self):
@@ -201,16 +224,15 @@ class DiscreteOperator:
         return self.grid.cell_volume
 
     def operator_matrix(self):
-        """Form matrix in operator normalization (eigenvalues of H)."""
+        """Dense form matrix in operator normalization (eigenvalues of H)."""
         if self._operator is None:
-            self._operator = self.form_matrix / self.mass
+            self._operator = self.form_matrix.toarray() / self.mass
         return self._operator
 
     def lowest_eigenvalue(self):
-        """Smallest eigenvalue of the operator matrix, computed once."""
+        """Smallest eigenvalue of the operator, from the band, computed once."""
         if self._lowest is None:
-            self._lowest = sla.eigh(self.operator_matrix(), eigvals_only=True,
-                                    subset_by_index=(0, 0), driver="evr")[0]
+            self._lowest = band_eigenvalue(self.band, 0)
         return self._lowest
 
     def resolvent(self, lam):
@@ -236,8 +258,9 @@ class DiscreteOperator:
         return float(self.mass * np.dot(u, u))
 
     def symmetry_defect(self):
-        scale = max(1.0, float(np.max(np.abs(self.form_matrix))))
-        return float(np.max(np.abs(self.form_matrix - self.form_matrix.T))) / scale
+        F = self.form_matrix
+        scale = max(1.0, float(abs(F).max()))
+        return float(abs(F - F.T).max()) / scale
 
     def manifest_summary(self):
         lines = [
@@ -281,9 +304,6 @@ def assemble(spec, grid, potential=None, lower_order=None):
         piece = (fa.T @ sp.diags(cvals) @ fb) * vol
         form = piece if form is None else form + piece
 
-    rows, cols = form.nonzero()
-    bandwidth = int(np.max(np.abs(rows - cols)))
-    form = form.toarray()
     vvals = None
     if potential is not None:
         if isinstance(potential, np.ndarray):
@@ -301,16 +321,15 @@ def assemble(spec, grid, potential=None, lower_order=None):
                 "integrable potential" % float(np.max(np.abs(vvals))),
                 RuntimeWarning,
             )
-        form = form + np.diag(vvals) * vol
+        form = form + sp.diags(vvals * vol)
 
-    form = 0.5 * (form + form.T)
+    form = (0.5 * (form + form.T)).tocsr()
     return DiscreteOperator(
         grid=grid,
         m=spec.m,
         form_matrix=form,
         potential=vvals,
         spec=spec,
-        bandwidth=bandwidth,
         provenance=f"assembled m={spec.m} n={spec.n} N={grid.npts}",
     )
 
@@ -336,10 +355,10 @@ class GardingReport:
 
 
 def seminorm_gram(grid, m):
-    """Form matrix of the H^m seminorm plus L^2 term (unit isotropic symbol)."""
+    """Sparse form matrix of the H^m seminorm plus L^2 term (unit isotropic symbol)."""
     unit = SymbolSpec.isotropic(m, grid.n, 1.0, domain=grid.bounds)
     sem = assemble(unit, grid).form_matrix
-    return sem + grid.cell_volume * np.eye(grid.node_count)
+    return sem + grid.cell_volume * sp.identity(grid.node_count, format="csr")
 
 
 def garding_check(op):
@@ -353,7 +372,7 @@ def garding_check(op):
         raise ValueError("garding_check expects the free form (V = 0)")
     c1 = 0.5 * ellipticity_constant(op.spec, op.grid.node_coordinates(), 128)
     S = seminorm_gram(op.grid, op.m)
-    M = op.form_matrix - c1 * S
+    M = (op.form_matrix - c1 * S).toarray()
     lo = sla.eigh(M, eigvals_only=True, subset_by_index=(0, 0), driver="evr")[0]
     c2 = max(0.0, -lo / op.mass)
     return GardingReport(c1=c1, c2=c2, notes="c1 = ellipticity/2; c2 from eigenvalue shift")

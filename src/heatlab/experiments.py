@@ -183,12 +183,14 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _build_spec(opcfg):
-    return SymbolSpec.isotropic(opcfg.m, opcfg.n, opcfg.a, domain=opcfg.domain)
-
-
-def _build_grid(opcfg):
-    return Grid.make(opcfg.domain, opcfg.grid_n)
+def operator_pieces(opcfg, with_potential=True):
+    """Symbol, grid and sampled potential (None if absent) of an operator config."""
+    spec = SymbolSpec.isotropic(opcfg.m, opcfg.n, opcfg.a, domain=opcfg.domain)
+    grid = Grid.make(opcfg.domain, opcfg.grid_n)
+    vvals = None
+    if with_potential and opcfg.potential is not None:
+        vvals = sample_potential(opcfg.potential, grid)
+    return spec, grid, vvals
 
 
 def _center_pairs(domain, pair_min, pair_max, count):
@@ -261,8 +263,7 @@ def _perturbed_target(cfg):
         raise ValueError("perturbed target needs delta_coeff > 0")
     opcfg = cfg.operator
     spec_ref = SymbolSpec.isotropic(opcfg.m, opcfg.n, v.reference_a, domain=opcfg.domain)
-    spec_pert = _build_spec(opcfg)
-    grid = _build_grid(opcfg)
+    spec_pert, grid, _ = operator_pieces(opcfg, with_potential=False)
     op_ref = assemble(spec_ref, grid)
     op_pert = assemble(spec_pert, grid)
 
@@ -291,17 +292,14 @@ def _verdict_pipeline(cfg, sigma_target, label):
     opcfg, v = cfg.operator, cfg.verify
     if opcfg.n != 1:
         raise ValueError("verdict pipelines are 1D")
-    spec = _build_spec(opcfg)
-    grid = _build_grid(opcfg)
+    spec, grid, vvals = operator_pieces(opcfg)
 
     conv = is_strongly_convex(spec, [[x] for x in grid.axis_nodes(0)[:: max(1, grid.npts[0] // 16)]])
     if not conv.strongly_convex:
         raise ValueError(f"symbol is not strongly convex (min eig {conv.min_eigenvalue:.3e})")
 
     notes = [f"strong convexity: min eigenvalue {conv.min_eigenvalue!r}"]
-    vvals = None
-    if opcfg.potential is not None:
-        vvals = sample_potential(opcfg.potential, grid)
+    if vvals is not None:
         vminus = np.maximum(-vvals, 0.0)
         if np.any(vminus > 0):
             op0 = assemble(spec, grid)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .discretize import band_eigenvalue
 from .heatkernel import semigroup_apply
 
 CLIP_THRESHOLD = 1e12
@@ -55,15 +56,15 @@ class FormBoundReport:
 def form_bound(op0, vminus, eps):
     """Smallest c with  sum V_- |u|^2 h^n <= eps Q0(u) + c ||u||^2  on the grid.
 
-    Characterized exactly as max(0, lambda_max(diag(V_-) - eps * H0)).
+    Characterized exactly as max(0, lambda_max(diag(V_-) - eps * H0)), the top
+    eigenvalue of the band ``-eps * op0.band`` with V_- added to its diagonal.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     vminus = _check_vminus(vminus)
-    M = np.diag(vminus) - eps * op0.operator_matrix()
-    top = sla.eigh(M, eigvals_only=True,
-                   subset_by_index=(M.shape[0] - 1, M.shape[0] - 1), driver="evr")[0]
-    return max(0.0, float(top))
+    band = -eps * op0.band
+    band[0] += vminus
+    return max(0.0, band_eigenvalue(band, band.shape[1] - 1))
 
 
 def form_bound_report(op0, vminus, epsilons):
@@ -104,13 +105,6 @@ def kato_norm(op0, vminus, lam):
     weighted resolvent kernel."""
     vminus = _check_vminus(vminus)
     return _column_mass(op0.resolvent(lam), vminus)
-
-
-def kato_norm_dual(op0, vminus, lam):
-    """Same norm computed as ||(H0+lambda)^{-1} V_-||_{Linf->Linf} (max row sum)."""
-    vminus = _check_vminus(vminus)
-    R = op0.resolvent(lam)
-    return float(np.max(np.sum(np.abs(R) * vminus[None, :], axis=1)))
 
 
 def kato_norm_curve(op0, vminus, lambdas):

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from .discretize import band_eigenvalue
 from .symbols import as_field, eval_symbol, sharp_constants, decay_constant_from_growth
 
 OVERFLOW_GUARD = 600.0
@@ -86,35 +86,32 @@ def twisted_form(op, profile, lam):
     """Symmetric part of E^{-1} H E with E = diag(exp(lam * phi)), in operator
     units; its minimal eigenvalue is -k(lam).
 
-    Returned in LAPACK lower band storage, shape ``(op.bandwidth + 1, N)``:
-    row k holds the k-th subdiagonal in its first N - k entries, zero-padded.
+    Returned in the LAPACK lower band storage of ``op.band``, which it twists
+    row by row: row k holds the k-th subdiagonal in its first N - k entries,
+    zero-padded.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    H = op.operator_matrix()
     phi = np.asarray(profile.values, dtype=float)
-    n = H.shape[0]
+    bands = op.band.copy()
+    n = bands.shape[1]
     if phi.shape[0] != n:
         raise ValueError("profile does not match the grid")
-    expos = [lam * (phi[:-k] - phi[k:]) for k in range(1, op.bandwidth + 1)]
+    expos = [lam * (phi[:-k] - phi[k:]) for k in range(1, bands.shape[0])]
     worst = max((float(np.max(np.abs(x))) for x in expos), default=0.0)
     if worst > OVERFLOW_GUARD:
         raise OverflowGuardError(
             f"lam * phi-difference reaches {worst:.1f} > {OVERFLOW_GUARD} across the band"
         )
-    bands = np.zeros((op.bandwidth + 1, n))
-    bands[0] = np.diagonal(H)
     for k, x in enumerate(expos, start=1):
-        hk = np.diagonal(H, -k)
+        hk = bands[k, : n - k]
         bands[k, : n - k] = 0.5 * (hk * np.exp(x) + hk * np.exp(-x))
     return bands
 
 
 def lower_bound_k(op, profile, lam):
     """k(lam) = -lambda_min of the symmetrized twisted form (no clipping)."""
-    w = sla.eig_banded(twisted_form(op, profile, lam), lower=True, eigvals_only=True,
-                       select="i", select_range=(0, 0))
-    return -float(w[0])
+    return -band_eigenvalue(twisted_form(op, profile, lam), 0)
 
 
 @dataclass
@@ -162,7 +159,7 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05):
         k_m=km,
         eps_report=max(0.0, kappa - km),
         reliable=residual <= residual_flag,
-        k_zero=lower_bound_k(op, profile, 0.0),
+        k_zero=-op.lowest_eigenvalue(),
     )
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heatlab.discretize import (
+    DiscreteOperator,
     Grid,
     assemble,
     difference_operator,
@@ -11,7 +12,9 @@ from heatlab.discretize import (
     sobolev_trial_ratio,
 )
 from heatlab.heatkernel import eigendecompose
+from heatlab.kato import form_bound
 from heatlab.symbols import ExprField, SymbolSpec
+from heatlab.twist import TwistProfile, growth_fit, lower_bound_k
 
 SPEC_M1 = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0, 1)])
 SPEC_M2 = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
@@ -55,7 +58,7 @@ def test_assemble_m1_tridiagonal_oracle():
     op = assemble(SPEC_M1, g)
     expected = (np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, -1.0], 1)
                 + np.diag([-1.0, -1.0], -1)) / h**2 * h
-    assert np.allclose(op.form_matrix, expected, atol=1e-13)
+    assert np.allclose(op.form_matrix.toarray(), expected, atol=1e-13)
     assert op.symmetry_defect() == 0.0
 
 
@@ -75,7 +78,7 @@ def test_assemble_variable_coefficient_hand_oracle():
     W = np.diag([a(x) for x in g.axis_midpoints(0)])
     hand = D.T @ W @ D * h
     op = assemble(spec, g)
-    assert np.allclose(op.form_matrix, hand, atol=1e-13)
+    assert np.allclose(op.form_matrix.toarray(), hand, atol=1e-13)
 
 
 def test_assemble_potential_additivity_exact():
@@ -83,19 +86,21 @@ def test_assemble_potential_additivity_exact():
     h = g.h[0]
     base = assemble(SPEC_M1, g)
     shifted = assemble(SPEC_M1, g, potential=3.0)
-    assert np.array_equal(shifted.form_matrix, base.form_matrix + 3.0 * h * np.eye(9))
+    assert np.array_equal(shifted.form_matrix.toarray(),
+                          base.form_matrix.toarray() + 3.0 * h * np.eye(9))
     v1 = np.linspace(0, 1, 9)
     v2 = np.linspace(2, -1, 9)
     both = assemble(SPEC_M1, g, potential=v1 + v2)
     first = assemble(SPEC_M1, g, potential=v1)
-    assert np.allclose(both.form_matrix, first.form_matrix + np.diag(v2) * h, atol=1e-15)
+    assert np.allclose(both.form_matrix.toarray(), first.form_matrix.toarray() + np.diag(v2) * h,
+                       atol=1e-15)
 
 
 def test_assemble_m2_biharmonic_row():
     g = Grid.make((0.0, 1.0), 9)
     h = g.h[0]
     op = assemble(SPEC_M2, g)
-    interior = op.form_matrix[4] / h
+    interior = op.form_matrix.toarray()[4] / h
     assert np.allclose(interior[2:7] * h**4, [1, -4, 6, -4, 1])
 
 
@@ -103,10 +108,27 @@ def test_assemble_m2_biharmonic_row():
 def test_assemble_records_bandwidth(m):
     spec = SymbolSpec.isotropic(m, 1, 1.0, domain=[(0, 1)])
     op = assemble(spec, Grid.make((0.0, 1.0), 40))
-    assert op.bandwidth == m
+    assert op.band.shape[0] - 1 == m
     H = op.operator_matrix()
     assert np.any(np.diagonal(H, -m))
     assert not np.any(np.tril(H, -m - 1))
+
+
+def test_extreme_eigenvalues_never_densify(monkeypatch):
+    # assembly, the twist sweep and the form bound all work on the sparse
+    # form and its band; only full spectra and resolvents go dense
+    def refuse(self):
+        raise AssertionError("dense operator matrix requested")
+
+    monkeypatch.setattr(DiscreteOperator, "operator_matrix", refuse)
+    g = Grid.make((0.0, 1.0), 60)
+    op = assemble(SPEC_M2, g, potential="10*x^2")
+    assert not op.band.flags.writeable
+    prof = TwistProfile.from_expression(g, "x", 2)
+    rep = growth_fit(op, prof, np.geomspace(2.0, 20.0, 6))
+    assert rep.k_zero == lower_bound_k(op, prof, 0.0) == -op.lowest_eigenvalue()
+    assert lower_bound_k(op, prof, 20.0) == rep.k_values[-1]
+    assert form_bound(op, np.full(60, 1e4), 0.5) > 0.0
 
 
 def test_assemble_mixed_parity_pair_2d():
@@ -202,7 +224,7 @@ def test_seminorm_gram_matches_free_form_plus_identity():
     g = Grid.make((0.0, 1.0), 20)
     S = seminorm_gram(g, 1)
     F = assemble(SPEC_M1, g).form_matrix
-    assert np.allclose(S, F + g.cell_volume * np.eye(20))
+    assert np.allclose(S.toarray(), F.toarray() + g.cell_volume * np.eye(20))
 
 
 def test_sobolev_ratio_ground_state_oracle():

@@ -9,7 +9,6 @@ from heatlab.kato import (
     form_bound_report,
     kato_norm,
     kato_norm_curve,
-    kato_norm_dual,
     miyadera_integral,
     miyadera_ratio,
     sample_potential,
@@ -53,6 +52,23 @@ def test_form_bound_exactness_as_matrix_inequality(unit_m1_400_op, singular_vmin
     assert lo >= -1e-10 * scale
 
 
+@pytest.mark.parametrize("m, n_pts", [(1, 48), (2, 40), (3, 64)])
+def test_form_bound_matches_dense_top_eigenvalue(m, n_pts):
+    # dense reference top eigenvalue of diag(V_-) - eps H; the allowance is the
+    # double-precision floor 8 eps ||M|| of backward-stable eigensolvers
+    op = make_line_operator(m, n_pts=n_pts, bounds=(0.0, 1.0))
+    x = op.grid.node_coordinates()[:, 0]
+    singular = np.minimum(x**-0.5, 1e6)
+    rng = np.random.default_rng(m)
+    lam0 = op.lowest_eigenvalue()
+    for vminus in (singular, 2.0 * lam0 * singular, rng.uniform(0.0, 3.0 * lam0, n_pts)):
+        for eps in (0.1, 0.5, 0.9):
+            M = np.diag(vminus) - eps * op.operator_matrix()
+            ref = max(0.0, float(np.linalg.eigvalsh(M)[-1]))
+            floor = 8 * np.finfo(float).eps * float(np.max(np.abs(M)))
+            assert abs(form_bound(op, vminus, eps) - ref) <= floor
+
+
 def test_form_bound_rejects_bad_eps(unit_m1_400_op):
     with pytest.raises(ValueError):
         form_bound(unit_m1_400_op, np.zeros(400), 0.0)
@@ -82,7 +98,8 @@ def test_kato_norm_zero_and_duality(unit_m1_400_op, singular_vminus):
     assert kato_norm(unit_m1_400_op, np.zeros(400), 10.0) == 0.0
     for lam in (1.0, 100.0):
         a = kato_norm(unit_m1_400_op, singular_vminus, lam)
-        b = kato_norm_dual(unit_m1_400_op, singular_vminus, lam)
+        R = unit_m1_400_op.resolvent(lam)  # dual form: max row sum of R V_-
+        b = float(np.max(np.sum(np.abs(R) * singular_vminus[None, :], axis=1)))
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, a))
 
 

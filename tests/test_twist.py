@@ -41,8 +41,8 @@ def test_zero_twist_returns_operator(unit_m1):
     op, prof = unit_m1
     H = op.operator_matrix()
     bands = twisted_form(op, prof, 0.0)
-    assert bands.shape == (op.bandwidth + 1, H.shape[0])
-    for k in range(op.bandwidth + 1):
+    assert bands.shape == (op.band.shape[0], H.shape[0])
+    for k in range(op.band.shape[0]):
         n = H.shape[0] - k
         assert np.array_equal(bands[k, :n], np.diagonal(H, -k))
         assert not np.any(bands[k, n:])
@@ -129,7 +129,7 @@ def test_twisted_spectrum_invariant_under_conjugation():
 
     S = 0.5 * (T + T.T)
     bands = twisted_form(op, prof, lam)
-    for k in range(op.bandwidth + 1):
+    for k in range(op.band.shape[0]):
         n = S.shape[0] - k
         assert np.allclose(bands[k, :n], np.diagonal(S, -k), rtol=1e-12, atol=0.0)
 
