@@ -141,7 +141,7 @@ def run_distance(cfg, outdir, manifest):
     manifest.start(f"distance {d.method}")
     if d.method == "lattice":
         fldist = distance_lattice_2d(spec, d.source, npts=d.lattice_n)
-        rows = [(p[0], p[1], v) for p, v in zip(fldist.points, fldist.values)]
+        rows = ((p[0], p[1], v) for p, v in zip(fldist.points, fldist.values))
         write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"), rows)
     else:
         rows = []

@@ -8,6 +8,15 @@ with edge weight ``p(midpoint, edge)``; it converges to the true distance
 from above as the mesh refines, within the anisotropy bound of the
 16-direction stencil (2.8% worst direction for a Euclidean metric).
 
+The lattice's edge weights form one ``(nodes, 16)`` table, filled by one
+batched ``LengthElement`` call per move family: isotropic symbols
+``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
+symbols a direction search on arrays.  Dijkstra is a ``heapq`` loop over
+that table (34 MB at 512 x 512 nodes).  ``scipy.sparse.csgraph.dijkstra``
+needs the graph in CSR besides, about 50 MB more (4.2 million float64
+weights and int32 columns); built from the table it took the peak memory of
+the 512 x 512 benchmark run from 126 MB to 174 MB.
+
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
 sparse linear program in the node values, solved by the HiGHS simplex
@@ -26,64 +35,105 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretize import Grid
-from .symbols import _golden_min, eval_symbol, sphere_directions
+from .symbols import _golden_min, add_indices, eval_symbol, monomial, sphere_directions
 
 
 class LengthElement:
-    """p(x, eta) = sup_xi <xi, eta> / A(x, xi)^(1/2m), degree-1 homogeneous."""
+    """p(x, eta) = sup_xi <xi, eta> / A(x, xi)^(1/2m), degree-1 homogeneous.
+
+    One point ``x`` (shape ``(n,)``) gives a float; a ``(k, n)`` array of
+    points gives k values, with ``eta`` one vector for all points or one row
+    per point.  Where ``A = a(x) |xi|^(2m)`` (isotropic specs and every 1D
+    spec) p is ``a(x)^(-1/2m) |eta|`` exactly.  Otherwise each coefficient
+    is evaluated once per point, A is summed at the sampled unit directions
+    from precomputed direction monomials, and in 2D the best angle of every
+    point is refined by golden section on arrays.  Every operation is
+    elementwise, so a batch gives exactly the values of one call per point.
+    """
+
+    _CHUNK = 4096  # points per direction search: (chunk, directions) arrays
 
     def __init__(self, spec, directions=512):
         self.spec = spec
-        self.directions = directions
-        self._cache = {}
+        self._radial = spec.scalar_field() if spec.n == 1 else spec.isotropic_coefficient
+        if self._radial is None:
+            self._dirs = sphere_directions(spec.n, directions)
+            self._fields = list({id(f): f for f in spec.coefficients.values()}.values())
+            owner = {id(f): i for i, f in enumerate(self._fields)}
+            self._terms = [(owner[id(f)], add_indices(a, b))
+                           for (a, b), f in spec.coefficients.items()]
+            self._dir_monomials = [monomial(self._dirs.T, g) for _, g in self._terms]
 
     def __call__(self, x, eta):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        norm = float(np.linalg.norm(eta))
-        if norm == 0.0:
+        n = self.spec.n
+        x = np.asarray(x, dtype=float)
+        single = x.ndim < 2
+        if single and x.size != n:
+            raise ValueError(f"x must be one point of dimension {n} or a (k, {n}) array")
+        pts = x.reshape(-1, n)
+        eta = np.asarray(eta, dtype=float).reshape(-1, n)
+        if len(eta) not in (1, len(pts)):
+            raise ValueError("eta must be one vector or one row per point")
+        norm = np.linalg.norm(eta, axis=1)
+        if np.any(norm == 0.0):
             raise ValueError("eta must be nonzero")
-        if self.spec.n == 1:
-            return norm * self._scale_1d(float(x[0]))
-        return norm * self._direction_value(tuple(x), tuple(eta / norm))
+        if self._radial is not None:
+            vals = norm * self._radial_scale(pts)
+        else:
+            vals = norm * self._search(pts, eta / norm[:, None])
+        return float(vals[0]) if single else vals
 
-    def _scale_1d(self, x):
-        v = self._cache.get(x)
-        if v is None:
-            a = eval_symbol(self.spec, [x], [1.0])
-            if a <= 0.0:
-                raise ValueError(f"degenerate symbol at x={x}")
-            v = a ** (-1.0 / (2 * self.spec.m))
-            self._cache[x] = v
-        return v
+    def _radial_scale(self, pts):
+        a = _coefficient_values(self._radial, pts)
+        _check_positive(a > 0.0, pts)
+        return a ** (-1.0 / (2 * self.spec.m))
 
-    def _direction_value(self, x, unit_eta):
-        key = (x, unit_eta)
-        v = self._cache.get(key)
-        if v is not None:
-            return v
-        m2 = 2 * self.spec.m
-        dirs = sphere_directions(self.spec.n, self.directions)
-        vals = np.array([eval_symbol(self.spec, x, xi) for xi in dirs])
-        if np.any(vals <= 0.0):
-            raise ValueError(f"degenerate symbol at x={x}")
-        ratios = (dirs @ np.asarray(unit_eta)) / vals ** (1.0 / m2)
-        i = int(np.argmax(ratios))
-        best = float(ratios[i])
-        if self.spec.n == 2:
-            th0 = 2 * np.pi * i / len(dirs)
-            w = 2 * np.pi / len(dirs)
-            f = lambda th: -self._ratio_2d(x, unit_eta, th)
-            best = max(best, -_golden_min(f, th0 - w, th0 + w))
-        self._cache[key] = best
-        return best
+    def _search(self, pts, unit):
+        coeffs = np.stack([_coefficient_values(f, pts) for f in self._fields])
+        unit = np.broadcast_to(unit, pts.shape)
+        out = np.empty(len(pts))
+        for s in range(0, len(pts), self._CHUNK):
+            sl = slice(s, s + self._CHUNK)
+            out[sl] = self._search_chunk(pts[sl], coeffs[:, sl], unit[sl])
+        return out
 
-    def _ratio_2d(self, x, unit_eta, th):
-        xi = np.array([math.cos(th), math.sin(th)])
-        a = eval_symbol(self.spec, x, xi)
-        if a <= 0.0:
-            return -math.inf
-        return float(np.dot(xi, unit_eta)) / a ** (1.0 / (2 * self.spec.m))
+    def _symbol(self, coeffs, monomials):
+        """A = sum over the coefficient entries of a_ab(x) xi^(a+b)."""
+        return sum(coeffs[i] * mono for (i, _), mono in zip(self._terms, monomials))
+
+    def _search_chunk(self, pts, coeffs, unit):
+        root = 1.0 / (2 * self.spec.m)
+        vals = self._symbol(coeffs[:, :, None], self._dir_monomials)  # (k, directions)
+        _check_positive(np.all(vals > 0.0, axis=1), pts)
+        dots = sum(unit[:, j, None] * self._dirs[:, j] for j in range(self.spec.n))
+        ratios = dots / vals**root
+        i = np.argmax(ratios, axis=1)
+        best = ratios[np.arange(len(pts)), i]
+        if self.spec.n != 2:
+            return best
+
+        def neg_ratio(th):
+            xi = (np.cos(th), np.sin(th))
+            a = self._symbol(coeffs, [monomial(xi, g) for _, g in self._terms])
+            dot = xi[0] * unit[:, 0] + xi[1] * unit[:, 1]
+            ok = a > 0.0
+            return np.where(ok, -dot / np.where(ok, a, 1.0) ** root, np.inf)
+
+        th0 = 2 * np.pi * i / len(self._dirs)
+        w = 2 * np.pi / len(self._dirs)
+        return np.maximum(best, -_golden_min(neg_ratio, th0 - w, th0 + w))
+
+
+def _coefficient_values(f, pts):
+    try:
+        return f.at_many(pts)
+    except ArithmeticError as exc:  # exprlang.EvalError: a domain error
+        raise ValueError(f"coefficient evaluation failed: {exc}") from exc
+
+
+def _check_positive(ok, pts):
+    if not np.all(ok):
+        raise ValueError(f"degenerate symbol at x={pts[int(np.argmin(ok))]}")
 
 
 def length_element(spec, x, eta):
@@ -131,68 +181,69 @@ _LATTICE_MOVES = (
 )
 
 
-def _is_constant_symbol(spec):
-    from . import exprlang
-    from .symbols import ConstantField, ExprField, _ScaledField
+def _edge_weights(p, ax, ay, h):
+    """``(nx*ny, 16)`` table: the length element of each move at its edge
+    midpoint, one batched call per move family; ``inf`` where the move
+    leaves the grid."""
+    nx, ny = len(ax), len(ay)
+    wts = np.full((nx, ny, len(_LATTICE_MOVES)), np.inf)
+    for k, (di, dj) in enumerate(_LATTICE_MOVES):
+        vec = np.array([di * h[0], dj * h[1]])
+        i0, i1 = max(0, -di), nx - max(0, di)
+        j0, j1 = max(0, -dj), ny - max(0, dj)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        mids = np.empty((i1 - i0, j1 - j0, 2))
+        mids[..., 0] = (ax[i0:i1] + 0.5 * vec[0])[:, None]
+        mids[..., 1] = ay[j0:j1] + 0.5 * vec[1]
+        wts[i0:i1, j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
+    return wts.reshape(nx * ny, len(_LATTICE_MOVES))
 
-    def const(f):
-        if isinstance(f, ConstantField):
-            return True
-        if isinstance(f, ExprField):
-            return isinstance(f.expr, (exprlang.Num, exprlang.Const))
-        if isinstance(f, _ScaledField):
-            return const(f.base)
-        return False
 
-    return all(const(f) for f in spec.coefficients.values())
+def _dijkstra(wts, offsets, start):
+    """Distances from node ``start`` over the weight table ``wts`` (row u
+    holds the weights of the moves to ``u + offsets``, ``inf`` off the grid);
+    a tentative distance is replaced only when it improves by more than
+    1e-15."""
+    inf = math.inf
+    dist = [inf] * len(wts)
+    dist[start] = 0.0
+    pq = [(0.0, start)]
+    while pq:
+        d0, u = heapq.heappop(pq)
+        if d0 > dist[u]:
+            continue
+        for off, w in zip(offsets, wts[u].tolist()):
+            nd = d0 + w
+            # an off-grid move has w = inf; its index u + off is never read
+            if nd < inf and nd < dist[u + off] - 1e-15:
+                dist[u + off] = nd
+                heapq.heappush(pq, (nd, u + off))
+    return dist
 
 
 def distance_lattice_2d(spec, source, grid=None, npts=64):
     """Shortest-path distance field from ``source`` on the 16-neighbour grid
     graph; edge weight is the length element at the edge midpoint.
 
-    For x-independent symbols the 16 edge weights are computed once.
+    Dijkstra runs over the flat node indices ``i*ny + j`` of the grid.
     """
     if spec.n != 2:
         raise ValueError("distance_lattice_2d needs a 2D spec")
     if grid is None:
         grid = Grid.make(spec.domain.bounds, (npts, npts))
-    p = LengthElement(spec)
     nx, ny = grid.npts
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
-    hx, hy = grid.h
     src = np.atleast_1d(np.asarray(source, dtype=float))
     si = int(np.argmin(np.abs(ax - src[0])))
     sj = int(np.argmin(np.abs(ay - src[1])))
-
-    move_vecs = {mv: np.array([mv[0] * hx, mv[1] * hy]) for mv in _LATTICE_MOVES}
-    constant = _is_constant_symbol(spec)
-    fixed_w = (
-        {mv: p(spec.domain.center(), vec) for mv, vec in move_vecs.items()}
-        if constant
-        else None
-    )
-    dist = np.full((nx, ny), np.inf)
-    dist[si, sj] = 0.0
-    pq = [(0.0, si, sj)]
-    while pq:
-        d0, i, j = heapq.heappop(pq)
-        if d0 > dist[i, j]:
-            continue
-        x0 = np.array([ax[i], ay[j]])
-        for mv, vec in move_vecs.items():
-            a, b = i + mv[0], j + mv[1]
-            if 0 <= a < nx and 0 <= b < ny:
-                w = fixed_w[mv] if constant else p(x0 + 0.5 * vec, vec)
-                nd = d0 + w
-                if nd < dist[a, b] - 1e-15:
-                    dist[a, b] = nd
-                    heapq.heappush(pq, (nd, a, b))
-    pts = grid.node_coordinates()
+    offsets = [di * ny + dj for di, dj in _LATTICE_MOVES]
+    # the table is freed when _dijkstra returns, before the output arrays exist
+    dist = _dijkstra(_edge_weights(LengthElement(spec), ax, ay, grid.h), offsets, si * ny + sj)
     return DistanceField(
         source=(float(ax[si]), float(ay[sj])),
-        points=pts,
-        values=dist.ravel(),
+        points=grid.node_coordinates(),
+        values=np.array(dist),
         method="lattice-dijkstra",
     )
 

@@ -137,7 +137,11 @@ def as_field(value, n):
     if isinstance(value, CoefficientField):
         return value
     if isinstance(value, str):
-        return ExprField.from_text(value, n)
+        expr = exprlang.parse(value, n)
+        if isinstance(expr, (exprlang.Num, exprlang.Const)):
+            # a lone constant: at_many is one np.full, not a tree walk per point
+            return ConstantField(exprlang.evaluate(expr, ()))
+        return ExprField(expr, n)
     return ConstantField(float(value))
 
 
@@ -169,6 +173,8 @@ class SymbolSpec:
     n: int
     coefficients: dict = field(compare=False)
     domain: DomainSpec = None
+    # a(x) with A = a(x) |xi|^(2m); set by ``isotropic`` only
+    isotropic_coefficient: CoefficientField = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -199,7 +205,9 @@ class SymbolSpec:
             w = multinomial(m, alpha)
             f = base if w == 1 else _ScaledField(base, float(w))
             coeffs[(alpha, alpha)] = f
-        return cls(m, n, coeffs, _as_domain(domain, n))
+        spec = cls(m, n, coeffs, _as_domain(domain, n))
+        object.__setattr__(spec, "isotropic_coefficient", base)
+        return spec
 
     @classmethod
     def axis_powers(cls, m, n, weights=None, domain=None):
@@ -397,17 +405,22 @@ def ellipticity_constant(spec, sample_points, sphere_samples=512):
 
 
 def _golden_min(f, a, b, iters=60):
-    """Golden-section estimate of the minimum of a unimodal f on [a, b]."""
+    """Golden-section estimate of the minimum of a unimodal f on [a, b].
+
+    Works elementwise: with arrays ``a``, ``b`` (and ``f`` mapping an array
+    of abscissae to an array of values) every interval is refined at once.
+    Scalar brackets give a Python float.
+    """
     g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return min(fc, fd)
+        left = fc < fd  # keep [a, d], else keep [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        p = np.where(left, b - g * (b - a), a + g * (b - a))
+        fp = f(p)
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    best = np.minimum(fc, fd)
+    return float(best) if best.ndim == 0 else best

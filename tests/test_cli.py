@@ -1,9 +1,15 @@
 import os
 import subprocess
 import sys
+import types
+
+import numpy as np
 
 import heatlab
+import heatlab.cli
 from heatlab.cli import constants_table, main
+from heatlab.finsler import distance_lattice_2d
+from heatlab.symbols import SymbolSpec
 
 KERNEL_CFG = """
 scenario = kernel
@@ -154,6 +160,27 @@ def test_distance_scenario_lattice(tmp_path):
     lines = open(os.path.join(out, "distance.csv")).read().splitlines()
     assert lines[0] == "x1,x2,d"
     assert len(lines) == 24 * 24 + 1
+
+
+def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):
+    kinds = []
+
+    def recording_write_csv(path, header, rows):
+        kinds.append(type(rows))
+        return write_csv(path, header, rows)
+
+    write_csv = heatlab.cli.write_csv
+    monkeypatch.setattr(heatlab.cli, "write_csv", recording_write_csv)
+    cfg = _write(tmp_path, LATTICE_CFG)
+    out = str(tmp_path / "out")
+    assert main(["distance", "--config", cfg, "--out", out]) == 0
+    assert kinds == [types.GeneratorType]  # no list of all rows is built
+    table = np.loadtxt(os.path.join(out, "distance.csv"), delimiter=",", skiprows=1)
+    spec = SymbolSpec.isotropic(2, 2, "1", domain=[(0, 1), (0, 1)])
+    fld = distance_lattice_2d(spec, (0.5, 0.5), npts=24)
+    assert table.shape == (24 * 24, 3)
+    assert np.array_equal(table[:, :2], fld.points)
+    assert np.array_equal(table[:, 2], fld.values)
 
 
 def test_distance_method_flag_overrides_config(tmp_path):

@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
+from heatlab.discretize import Grid
 from heatlab.finsler import (
     LengthElement,
     distance_1d,
@@ -51,6 +56,56 @@ def test_degenerate_symbol_rejected():
     bad = SymbolSpec.isotropic(1, 1, "x-0.5", domain=[(0, 1)])
     with pytest.raises(ValueError, match="degenerate"):
         length_element(bad, [0.25], [1.0])
+
+
+SPEC_ISO_VAR = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(-3, 3), (-3, 3)])
+SPEC_AXIS = SymbolSpec.axis_powers(2, 2, (16.0, 1.0), domain=[(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("spec", [SPEC_VAR, SPEC_ISO_VAR, SPEC_AXIS], ids=["1d", "iso-2d", "axis"])
+def test_length_element_batch_equals_scalar_calls(spec):
+    p = LengthElement(spec)
+    rng = np.random.default_rng(4)
+    lo, hi = np.array(spec.domain.bounds).T
+    pts = lo + (hi - lo) * rng.uniform(0.05, 0.95, (40, spec.n))
+    etas = rng.standard_normal((40, spec.n))
+    batch = p(pts, etas)
+    assert batch.shape == (40,)
+    assert np.array_equal(batch, [p(x, e) for x, e in zip(pts, etas)])
+    # one eta for every point
+    assert np.array_equal(p(pts, etas[0]), [p(x, etas[0]) for x in pts])
+
+
+@pytest.mark.parametrize("m, weights", [(1, (3.0, 0.5)), (2, (16.0, 1.0)), (3, (2.0, 5.0))])
+def test_anisotropic_search_matches_dual_norm(m, weights):
+    # p is the dual norm of (sum_i c_i xi_i^(2m))^(1/2m)
+    spec = SymbolSpec.axis_powers(m, 2, weights, domain=[(0, 1), (0, 1)])
+    rng = np.random.default_rng(5)
+    etas = rng.standard_normal((64, 2))
+    q = 2 * m / (2 * m - 1)
+    c = np.array(weights)
+    exact = np.sum(c ** (-1 / (2 * m - 1)) * np.abs(etas) ** q, axis=1) ** (1 / q)
+    vals = LengthElement(spec)(np.full((64, 2), 0.5), etas)
+    np.testing.assert_allclose(vals, exact, rtol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [
+    SymbolSpec.isotropic(2, 2, "x1-0.5", domain=[(0, 1), (0, 1)]),
+    SymbolSpec.axis_powers(2, 2, ("x1-0.5", 1.0), domain=[(0, 1), (0, 1)]),
+], ids=["isotropic", "axis"])
+def test_degenerate_point_in_batch_named(spec):
+    pts = np.array([[0.7, 0.1], [0.25, 0.3], [0.9, 0.9]])
+    msg = re.escape(f"degenerate symbol at x={pts[1]}")
+    with pytest.raises(ValueError, match=msg):
+        LengthElement(spec)(pts, [1.0, 0.5])
+
+
+def test_length_element_rejects_bad_input():
+    p = LengthElement(SymbolSpec.isotropic(2, 2, "1/x1", domain=[(-1, 1), (-1, 1)]))
+    with pytest.raises(ValueError, match="coefficient evaluation failed"):
+        p(np.array([[0.5, 0.5], [0.0, 0.5]]), [1.0, 0.0])
+    with pytest.raises(ValueError, match="one row per point"):
+        p([0.5, 0.5], np.ones((3, 2)))
 
 
 def test_distance_1d_values():
@@ -179,6 +234,48 @@ def test_lattice_distance_axis_anisotropy():
     assert dx == pytest.approx(0.25 / 2.0, rel=1e-9)
     assert dy == pytest.approx(0.25, rel=1e-9)
     assert lk[(round(src[0], 12), round(src[1], 12))] == 0.0
+
+
+def _csgraph_lattice(spec, source, npts, weight):
+    """The 16-neighbour graph built edge by edge, solved by scipy's Dijkstra."""
+    grid = Grid.make(spec.domain.bounds, (npts, npts))
+    ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
+    hx, hy = grid.h
+    rows, cols, wts = [], [], []
+    for i in range(npts):
+        for j in range(npts):
+            for di, dj in (
+                (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
+                (2, 1), (1, 2), (-2, 1), (-1, 2), (2, -1), (1, -2), (-2, -1), (-1, -2),
+            ):
+                a, b = i + di, j + dj
+                if 0 <= a < npts and 0 <= b < npts:
+                    vec = np.array([di * hx, dj * hy])
+                    mid = np.array([ax[i], ay[j]]) + 0.5 * vec
+                    rows.append(i * npts + j)
+                    cols.append(a * npts + b)
+                    wts.append(weight(mid, vec))
+    graph = sp.csr_matrix((wts, (rows, cols)), shape=(npts * npts,) * 2)
+    si = int(np.argmin(np.abs(ax - source[0])))
+    sj = int(np.argmin(np.abs(ay - source[1])))
+    return dijkstra(graph, indices=si * npts + sj)
+
+
+def test_lattice_matches_csgraph_variable_isotropic():
+    def weight(mid, vec):  # closed form a(x)^(-1/4) |vec|
+        a = 1 + 0.3 * np.sin(mid[0]) * np.cos(mid[1])
+        return a ** -0.25 * np.hypot(*vec)
+
+    fld = distance_lattice_2d(SPEC_ISO_VAR, (0.1, 0.2), npts=12)
+    ref = _csgraph_lattice(SPEC_ISO_VAR, (0.1, 0.2), 12, weight)
+    np.testing.assert_allclose(fld.values, ref, rtol=1e-12)
+
+
+def test_lattice_matches_csgraph_axis_powers():
+    p = LengthElement(SPEC_AXIS)
+    fld = distance_lattice_2d(SPEC_AXIS, (0.4, 0.6), npts=9)
+    ref = _csgraph_lattice(SPEC_AXIS, (0.4, 0.6), 9, lambda mid, vec: p(mid, vec))
+    np.testing.assert_allclose(fld.values, ref, rtol=1e-12)
 
 
 def test_distance_comparison_under_coefficient_gap():

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from heatlab import exprlang
+from heatlab.discretize import Grid, assemble
 from heatlab.symbols import (
     ConstantField,
     ExprField,
     SymbolSpec,
+    as_field,
     ellipticity_constant,
     eval_symbol,
     gamma_coefficients,
@@ -172,3 +175,24 @@ def test_symmetric_pair_closure_and_validation():
         SymbolSpec(2, 2, {((1, 0), (0, 2)): f}, None)
     with pytest.raises(ValueError):
         SymbolSpec(0, 1, {}, None)
+
+
+@pytest.mark.parametrize("text", ["1", "2.5", "pi"])
+def test_as_field_folds_lone_constants(text):
+    fld = as_field(text, 2)
+    assert isinstance(fld, ConstantField)
+    assert fld.value == exprlang.evaluate(exprlang.parse(text, 2), ())
+    assert np.array_equal(fld.at_many(np.zeros((3, 2))), np.full(3, fld.value))
+
+
+@pytest.mark.parametrize("text", ["x", "1+0*x"])
+def test_as_field_keeps_expressions(text):
+    assert isinstance(as_field(text, 1), ExprField)
+
+
+def test_assemble_constant_text_equals_float():
+    grid = Grid.make((0.0, 1.0), 60)
+    ops = [assemble(SymbolSpec.isotropic(2, 1, a, domain=[(0, 1)]), grid) for a in ("1", 1.0)]
+    assert isinstance(ops[0].spec.isotropic_coefficient, ConstantField)
+    diff = ops[0].form_matrix != ops[1].form_matrix
+    assert diff.nnz == 0
