@@ -12,13 +12,7 @@ import numpy as np
 
 from heatlab.discretize import Grid, assemble
 from heatlab.heatkernel import eigendecompose
-from heatlab.kato import (
-    KatoCurve,
-    form_bound_report,
-    kato_norm,
-    miyadera_ratio,
-    weighted_l2_check,
-)
+from heatlab.kato import form_bound_report, kato_norm_curve, miyadera_ratio
 from heatlab.symbols import SymbolSpec
 
 
@@ -41,13 +35,8 @@ def main():
         print(f"{eps:.1f}   {c:.6f}")
 
     print("\nlambda      kato_norm     weighted_l2")
-    rows = []
-    for lam in [10.0**k for k in range(6)]:
-        kn = kato_norm(op0, vminus, lam)
-        _, wnorm, _ = weighted_l2_check(op0, vminus, lam)  # reuses the resolvent
-        rows.append((lam, kn, wnorm))
-    curve = KatoCurve([r[0] for r in rows], [r[1] for r in rows])  # non-increasing in lambda
-    for lam, kn, wnorm in rows:
+    curve = kato_norm_curve(op0, vminus, [10.0**k for k in range(6)])
+    for lam, kn, wnorm in zip(curve.lambdas, curve.norms, curve.weighted):
         print(f"{lam:>8.0f}  {kn:>12.6e}  {wnorm:>12.6e}")
     print(f"final/initial = {curve.norms[-1] / curve.norms[0]:.3e}")
 

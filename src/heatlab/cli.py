@@ -21,14 +21,7 @@ from .discretize import assemble
 from .experiments import operator_pieces, verify_perturbed_bound, verify_sharp_bound
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, fourier_oracle, spectral_field
-from .kato import (
-    KatoCurve,
-    form_bound_report,
-    kato_norm,
-    miyadera_ratio,
-    sample_potential,
-    weighted_l2_check,
-)
+from .kato import form_bound_report, kato_norm_curve, miyadera_ratio, sample_potential
 from .reporting import Manifest, ensure_outdir, format_float_17, write_csv, write_text
 from .symbols import sharp_constants
 from .twist import TwistProfile, growth_fit
@@ -179,15 +172,11 @@ def run_kato(cfg, outdir, manifest):
               list(zip(fb.epsilons, fb.c_eps)))
 
     manifest.start("resolvent curve")
-    rows = []
-    for lam in kc.lambdas:
-        kn = kato_norm(op0, vminus, lam)
-        _, wnorm, _ = weighted_l2_check(op0, vminus, lam)  # reuses the resolvent
-        rows.append((lam, kn, wnorm))
-    KatoCurve([r[0] for r in rows], [r[1] for r in rows])  # non-increasing in lambda
+    curve = kato_norm_curve(op0, vminus, kc.lambdas)
     manifest.stop()
     write_csv(os.path.join(outdir, "kato_curve.csv"),
-              ("lambda", "kato_norm", "weighted_l2_norm"), rows)
+              ("lambda", "kato_norm", "weighted_l2_norm"),
+              zip(curve.lambdas, curve.norms, curve.weighted))
 
     manifest.start("miyadera")
     spectral = eigendecompose(op0)

@@ -275,15 +275,13 @@ class DiscreteOperator:
         return "\n".join(lines)
 
 
-def assemble(spec, grid, potential=None, lower_order=None):
+def assemble(spec, grid, potential=None):
     """Assemble the symmetric form matrix of the operator on the grid.
 
     ``potential`` is a field, an expression string, a constant or an array of
     node samples; it enters as ``diag(V) h^n``.  Lower-order derivative
     coefficients are not supported (the principal part carries the analysis).
     """
-    if lower_order is not None:
-        raise ValueError("lower-order coefficients are fixed to zero")
     if spec.n != grid.n:
         raise ValueError("symbol and grid dimension mismatch")
     grid.check_stencils(spec.m)
@@ -315,7 +313,7 @@ def assemble(spec, grid, potential=None, lower_order=None):
             vvals = fld.at_many(grid.node_coordinates())
         if not np.all(np.isfinite(vvals)):
             raise ValueError("non-finite potential sample")
-        if np.max(np.abs(vvals)) >= POTENTIAL_WARN_THRESHOLD:
+        if np.max(np.abs(vvals)) > POTENTIAL_WARN_THRESHOLD:
             warnings.warn(
                 "potential samples reach %.3e; grid trace of a merely locally "
                 "integrable potential" % float(np.max(np.abs(vvals))),

@@ -97,15 +97,6 @@ def kernel_matrix(spectral, t):
     return (V * w[None, :]) @ V.T
 
 
-def semigroup_apply(spectral, t, u):
-    """e^{-Ht} u for a node-sampled vector u (h^n-weighted expansion)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    V = spectral.eigenvectors
-    coeffs = spectral.mass * (V.T @ u)
-    return V @ (np.exp(-spectral.eigenvalues * t) * coeffs)
-
-
 def semigroup_check(spectral, t, s):
     """Chapman-Kolmogorov defect max_ij |sum_z K(t,i,z)K(s,z,j)h^n - K(t+s,i,j)|."""
     if t <= 0 or s <= 0:

@@ -7,8 +7,13 @@ import numpy as np
 
 import heatlab
 import heatlab.cli
+import heatlab.kato
 from heatlab.cli import constants_table, main
+from heatlab.config import load_config
+from heatlab.discretize import assemble
+from heatlab.experiments import operator_pieces
 from heatlab.finsler import distance_lattice_2d
+from heatlab.kato import kato_norm_curve, sample_potential
 from heatlab.symbols import SymbolSpec
 
 KERNEL_CFG = """
@@ -214,6 +219,32 @@ def test_kato_scenario_files(tmp_path):
     assert fb[0] == "eps,c_eps"
     assert len(fb) == 3
     assert os.path.exists(os.path.join(out, "miyadera.csv"))
+
+
+def test_kato_csv_is_the_curve(tmp_path):
+    cfg_path = _write(tmp_path, KATO_CFG)
+    out = str(tmp_path / "out")
+    assert main(["kato", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    spec, grid, _ = operator_pieces(cfg.operator)
+    vminus = np.maximum(sample_potential(cfg.kato.vminus, grid), 0.0)
+    curve = kato_norm_curve(assemble(spec, grid), vminus, cfg.kato.lambdas)
+    rows = zip(curve.lambdas, curve.norms, curve.weighted)
+    expected = ["lambda,kato_norm,weighted_l2_norm"] + [",".join(map(repr, r)) for r in rows]
+    assert open(os.path.join(out, "kato_curve.csv")).read().splitlines() == expected
+
+
+def test_kato_exits_2_when_interpolation_fails(tmp_path, monkeypatch, capsys):
+    check = heatlab.kato.weighted_l2_check
+
+    def inflated(op0, vminus, lam):
+        status, wnorm, kn = check(op0, vminus, lam)
+        return status, kn + 1.0, kn
+
+    monkeypatch.setattr(heatlab.kato, "weighted_l2_check", inflated)
+    cfg = _write(tmp_path, KATO_CFG)
+    assert main(["kato", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "weighted-L2 norm exceeds" in capsys.readouterr().err
 
 
 def test_verify_scenario_verdict(tmp_path):

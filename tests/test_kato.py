@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,6 +17,9 @@ from heatlab.kato import (
     weighted_l2_check,
 )
 from conftest import make_line_operator
+from heatlab.config import OperatorConfig
+from heatlab.discretize import assemble
+from heatlab.experiments import operator_pieces
 from heatlab.heatkernel import eigendecompose
 
 
@@ -125,7 +130,22 @@ def test_kato_curve_monotone_and_vanishing(unit_m1_400_op, singular_vminus):
 
 def test_kato_curve_type_rejects_increasing():
     with pytest.raises(ValueError):
-        KatoCurve([1.0, 10.0], [0.1, 0.2])
+        KatoCurve([1.0, 10.0], [0.1, 0.2], [0.0, 0.0])
+
+
+def test_kato_curve_type_rejects_weighted_above_norm():
+    KatoCurve([1.0, 10.0], [0.2, 0.1], [0.2 + 0.5e-8, 0.1])
+    with pytest.raises(ValueError, match="weighted"):
+        KatoCurve([1.0, 10.0], [0.2, 0.1], [0.1, 0.1 + 2e-8])
+
+
+def test_kato_norm_curve_equals_separate_calls(unit_m1_400_op, singular_vminus):
+    lambdas = [1.0, 10.0, 1000.0]
+    curve = kato_norm_curve(unit_m1_400_op, singular_vminus, lambdas)
+    assert curve.lambdas == lambdas
+    for lam, kn, wnorm in zip(lambdas, curve.norms, curve.weighted):
+        assert kn == kato_norm(unit_m1_400_op, singular_vminus, lam)
+        assert wnorm == weighted_l2_check(unit_m1_400_op, singular_vminus, lam)[1]
 
 
 def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
@@ -161,6 +181,20 @@ def test_weighted_l2_bounded_by_kato_norm(unit_m1_400_op, singular_vminus):
         assert kn == kato_norm(unit_m1_400_op, singular_vminus, lam)
 
 
+def test_weighted_l2_top_eigenvalue_equals_full_spectrum(unit_m1_400_op, singular_vminus):
+    half = np.zeros(400)
+    half[:200] = 1.0
+    for vminus in (singular_vminus, half):
+        support = vminus > 0
+        sq = np.sqrt(vminus[support])
+        for lam in (1.0, 100.0):
+            _, wnorm, _ = weighted_l2_check(unit_m1_400_op, vminus, lam)
+            R = unit_m1_400_op.resolvent(lam)
+            Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
+            ref = float(np.max(np.abs(sla.eigh(Mw, eigvals_only=True))))
+            assert wnorm == pytest.approx(ref, rel=1e-13)
+
+
 def test_weighted_l2_unit_weight_and_half_support(unit_m1_400_op):
     status, wnorm, kn = weighted_l2_check(unit_m1_400_op, np.ones(400), 10.0)
     assert status == "pass" and wnorm <= kn + 1e-8
@@ -184,6 +218,32 @@ def _delta_like(op):
     u = np.zeros(op.grid.node_count)
     u[op.grid.node_count // 2] = 1.0 / op.mass
     return u
+
+
+def _miyadera_per_node(spectral, vminus, delta, u, factor):
+    # the quadrature of miyadera_integral at one panel factor, one node at a time
+    V, lam, mass = spectral.eigenvectors, spectral.eigenvalues, spectral.mass
+    c = mass * (V.T @ u)
+    graded = delta / 8.0 * 2.0 ** (-np.arange(8 * factor, -1, -1.0))
+    edges = np.concatenate([[0.0], graded, np.linspace(delta / 8, delta, 7 * factor + 1)[1:]])
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for x, w in zip(nodes, weights):
+            ut = V @ (np.exp(-lam * (mid + half * x)) * c)
+            total += half * w * float(np.sum(vminus * np.abs(ut)) * mass)
+    return total
+
+
+def test_miyadera_panels_equal_per_node_reference(unit_m1_400_op, spectral_400, singular_vminus):
+    u = _delta_like(unit_m1_400_op)
+    rng = np.random.default_rng(3)
+    for vminus in (singular_vminus, rng.uniform(0.0, 3.0, 400)):
+        for delta in (0.02, 0.005):
+            ref = _miyadera_per_node(spectral_400, vminus, delta, u, factor=2)
+            got = miyadera_integral(spectral_400, vminus, delta, u)
+            assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_miyadera_zero_potential(unit_m1_400_op, spectral_400):
@@ -213,3 +273,13 @@ def test_sample_potential_clips_with_warning(unit_m1_400_op):
     with pytest.warns(RuntimeWarning, match="clipped"):
         v = sample_potential("x^(-8)", grid)
     assert np.max(v) == 1e12
+
+
+def test_clipped_potential_warns_once():
+    cfg = OperatorConfig(domain=((0.0, 1.0),), grid_n=(400,), potential="x^(-8)")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec, grid, vvals = operator_pieces(cfg)
+        assemble(spec, grid, potential=vvals)
+    assert len(caught) == 1
+    assert "clipped" in str(caught[0].message)
