@@ -180,7 +180,7 @@ def _take(raw, section, key, kind, default=None):
             return value
         raise ConfigError("expected a number", line=line_no, key=path)
     if kind == "int":
-        if tag == "scalar" and isinstance(value, float) and value == int(value):
+        if tag == "scalar" and isinstance(value, float) and value.is_integer():
             return int(value)
         raise ConfigError("expected an integer", line=line_no, key=path)
     if kind == "word":
@@ -195,11 +195,12 @@ def _take(raw, section, key, kind, default=None):
         if tag == "scalar" and isinstance(value, float):
             return repr(value)
         raise ConfigError("expected a quoted expression or number", line=line_no, key=path)
-    if kind == "floats":
+    if kind in ("floats", "ints"):
         vals = value if tag == "list" else [value]
-        if not all(isinstance(v, float) for v in vals):
-            raise ConfigError("expected a comma list of numbers", line=line_no, key=path)
-        return list(vals)
+        if not all(isinstance(v, float) and (kind == "floats" or v.is_integer()) for v in vals):
+            what = "numbers" if kind == "floats" else "integers"
+            raise ConfigError(f"expected a comma list of {what}", line=line_no, key=path)
+        return [int(v) for v in vals] if kind == "ints" else list(vals)
     if kind == "bool":
         if tag == "scalar" and isinstance(value, str) and value in ("true", "false"):
             return value == "true"
@@ -237,9 +238,9 @@ def config_from_text(text):
             o.domain = tuple(
                 (dom[2 * i], dom[2 * i + 1]) for i in range(o.n)
             )
-        gn = _take(raw, "operator", "grid_n", "floats", None)
+        gn = _take(raw, "operator", "grid_n", "ints", None)
         if gn is not None:
-            o.grid_n = tuple(int(v) for v in gn)
+            o.grid_n = tuple(gn)
             if len(o.grid_n) == 1 and o.n > 1:
                 o.grid_n = o.grid_n * o.n
         o.a = _take(raw, "operator", "a", "expr", o.a)

@@ -294,7 +294,7 @@ def _verdict_pipeline(cfg, sigma_target, label):
         raise ValueError("verdict pipelines are 1D")
     spec, grid, vvals = operator_pieces(opcfg)
 
-    conv = is_strongly_convex(spec, [[x] for x in grid.axis_nodes(0)[:: max(1, grid.npts[0] // 16)]])
+    conv = is_strongly_convex(spec, grid.node_coordinates())
     if not conv.strongly_convex:
         raise ValueError(f"symbol is not strongly convex (min eig {conv.min_eigenvalue:.3e})")
 

@@ -30,12 +30,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .discretize import Grid
-from .symbols import _golden_min, add_indices, eval_symbol, monomial, sphere_directions
+from .symbols import (_golden_min, as_batch, coefficient_values, eval_symbol, sphere_directions,
+                      symbol_sum)
 
 
 class LengthElement:
@@ -44,11 +46,11 @@ class LengthElement:
     One point ``x`` (shape ``(n,)``) gives a float; a ``(k, n)`` array of
     points gives k values, with ``eta`` one vector for all points or one row
     per point.  Where ``A = a(x) |xi|^(2m)`` (isotropic specs and every 1D
-    spec) p is ``a(x)^(-1/2m) |eta|`` exactly.  Otherwise each coefficient
-    is evaluated once per point, A is summed at the sampled unit directions
-    from precomputed direction monomials, and in 2D the best angle of every
-    point is refined by golden section on arrays.  Every operation is
-    elementwise, so a batch gives exactly the values of one call per point.
+    spec) p is ``a(x)^(-1/2m) |eta|`` exactly.  Otherwise ``symbol_sum``
+    gives A at the sampled unit directions from one ``coefficient_values``
+    call, and in 2D the best angle of every point is refined by golden
+    section on arrays.  Every operation is elementwise, so a batch gives
+    exactly the values of one call per point.
     """
 
     _CHUNK = 4096  # points per direction search: (chunk, directions) arrays
@@ -58,63 +60,44 @@ class LengthElement:
         self._radial = spec.scalar_field() if spec.n == 1 else spec.isotropic_coefficient
         if self._radial is None:
             self._dirs = sphere_directions(spec.n, directions)
-            self._fields = list({id(f): f for f in spec.coefficients.values()}.values())
-            owner = {id(f): i for i, f in enumerate(self._fields)}
-            self._terms = [(owner[id(f)], add_indices(a, b))
-                           for (a, b), f in spec.coefficients.items()]
-            self._dir_monomials = [monomial(self._dirs.T, g) for _, g in self._terms]
 
     def __call__(self, x, eta):
-        n = self.spec.n
-        x = np.asarray(x, dtype=float)
-        single = x.ndim < 2
-        if single and x.size != n:
-            raise ValueError(f"x must be one point of dimension {n} or a (k, {n}) array")
-        pts = x.reshape(-1, n)
-        eta = np.asarray(eta, dtype=float).reshape(-1, n)
-        if len(eta) not in (1, len(pts)):
-            raise ValueError("eta must be one vector or one row per point")
+        pts, eta, single = as_batch(self.spec.n, x, eta, "eta")
         norm = np.linalg.norm(eta, axis=1)
         if np.any(norm == 0.0):
             raise ValueError("eta must be nonzero")
         if self._radial is not None:
-            vals = norm * self._radial_scale(pts)
+            a = self._radial.at_many(pts)
+            _check_positive(a > 0.0, pts)
+            vals = a ** (-1.0 / (2 * self.spec.m))
+            vals *= norm  # in place: a third array of the batch's length would raise peak memory
         else:
             vals = norm * self._search(pts, eta / norm[:, None])
         return float(vals[0]) if single else vals
 
-    def _radial_scale(self, pts):
-        a = _coefficient_values(self._radial, pts)
-        _check_positive(a > 0.0, pts)
-        return a ** (-1.0 / (2 * self.spec.m))
-
     def _search(self, pts, unit):
-        coeffs = np.stack([_coefficient_values(f, pts) for f in self._fields])
+        coeffs = coefficient_values(self.spec, pts)
         unit = np.broadcast_to(unit, pts.shape)
         out = np.empty(len(pts))
         for s in range(0, len(pts), self._CHUNK):
             sl = slice(s, s + self._CHUNK)
-            out[sl] = self._search_chunk(pts[sl], coeffs[:, sl], unit[sl])
+            out[sl] = self._search_chunk(pts[sl], [c[sl] for c in coeffs], unit[sl])
         return out
 
-    def _symbol(self, coeffs, monomials):
-        """A = sum over the coefficient entries of a_ab(x) xi^(a+b)."""
-        return sum(coeffs[i] * mono for (i, _), mono in zip(self._terms, monomials))
-
     def _search_chunk(self, pts, coeffs, unit):
-        root = 1.0 / (2 * self.spec.m)
-        vals = self._symbol(coeffs[:, :, None], self._dir_monomials)  # (k, directions)
+        spec, root = self.spec, 1.0 / (2 * self.spec.m)
+        vals = symbol_sum(spec, [c[:, None] for c in coeffs], self._dirs.T)  # (k, directions)
         _check_positive(np.all(vals > 0.0, axis=1), pts)
-        dots = sum(unit[:, j, None] * self._dirs[:, j] for j in range(self.spec.n))
+        dots = sum(unit[:, j, None] * self._dirs[:, j] for j in range(spec.n))
         ratios = dots / vals**root
         i = np.argmax(ratios, axis=1)
         best = ratios[np.arange(len(pts)), i]
-        if self.spec.n != 2:
+        if spec.n != 2:
             return best
 
         def neg_ratio(th):
             xi = (np.cos(th), np.sin(th))
-            a = self._symbol(coeffs, [monomial(xi, g) for _, g in self._terms])
+            a = symbol_sum(spec, coeffs, xi)
             dot = xi[0] * unit[:, 0] + xi[1] * unit[:, 1]
             ok = a > 0.0
             return np.where(ok, -dot / np.where(ok, a, 1.0) ** root, np.inf)
@@ -122,13 +105,6 @@ class LengthElement:
         th0 = 2 * np.pi * i / len(self._dirs)
         w = 2 * np.pi / len(self._dirs)
         return np.maximum(best, -_golden_min(neg_ratio, th0 - w, th0 + w))
-
-
-def _coefficient_values(f, pts):
-    try:
-        return f.at_many(pts)
-    except ArithmeticError as exc:  # exprlang.EvalError: a domain error
-        raise ValueError(f"coefficient evaluation failed: {exc}") from exc
 
 
 def _check_positive(ok, pts):
@@ -141,11 +117,16 @@ def length_element(spec, x, eta):
 
 
 def reciprocal_root(spec, x):
-    """a(x)^(-1/2m) for 1D specs (the exact 1D length density)."""
-    a = eval_symbol(spec, [x], [1.0])
-    if a <= 0.0:
-        raise ValueError(f"degenerate symbol at x={x}")
-    return a ** (-1.0 / (2 * spec.m))
+    """a(x)^(-1/2m) for 1D specs (the exact 1D length density), at one
+    coordinate or an array of them; Python's float ``pow`` per element, since
+    ``np.power`` differs from it in the last ulp."""
+    xs = np.asarray(x, dtype=float)
+    pts = xs.reshape(-1, 1)
+    a = eval_symbol(spec, pts, [1.0])
+    _check_positive(a > 0.0, pts)
+    e = -1.0 / (2 * spec.m)
+    roots = np.array([v**e for v in a.tolist()])
+    return float(roots[0]) if xs.ndim == 0 else roots
 
 
 def distance_1d(spec, y1, y2, panels=400):
@@ -157,7 +138,7 @@ def distance_1d(spec, y1, y2, panels=400):
         return 0.0
     npan = max(2, panels + (panels % 2))
     xs = np.linspace(lo, hi, npan + 1)
-    fs = np.array([reciprocal_root(spec, x) for x in xs])
+    fs = reciprocal_root(spec, xs)
     h = (hi - lo) / npan
     return float(h / 3.0 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum()))
 
@@ -263,9 +244,8 @@ class DmResult:
 
 def _slope_caps(spec, xs):
     """Conservative per-interval slope caps min(s(left), s(mid), s(right))."""
-    svals = np.array([reciprocal_root(spec, x) for x in xs])
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    smid = np.array([reciprocal_root(spec, x) for x in mids])
+    s = reciprocal_root(spec, np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])]))
+    svals, smid = s[: len(xs)], s[len(xs):]
     return np.minimum(np.minimum(svals[:-1], svals[1:]), smid)
 
 
@@ -274,16 +254,18 @@ def _derivative_stencil(k):
     return np.array([(-1) ** (k - j) * math.comb(k, j) for j in range(k + 1)], dtype=float)
 
 
-def _cap_rows(caps, h, M, m):
-    """Rows of ``A phi <= b``: the slope slabs, then the k-th difference slabs."""
-    N = len(caps) + 1
-    blocks, bounds = [], []
+@lru_cache(maxsize=16)
+def _cap_rows(N, m):
+    """Read-only ``A`` of ``A phi <= b`` on N nodes, built once per ``(N, m)``:
+    ``+D_k, -D_k`` for k = 1 (the slope slabs) to m."""
+    blocks = []
     for k in range(1, m + 1):
         D = sp.diags(list(_derivative_stencil(k)), list(range(k + 1)), shape=(N - k, N))
-        cap = caps * h if k == 1 else np.full(N - k, M * h**k)
         blocks += [D, -D]
-        bounds += [cap, cap]
-    return sp.vstack(blocks, format="csr"), np.concatenate(bounds)
+    A = sp.vstack(blocks, format="csr")
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
 
 def distance_dm_1d(spec, M, y1, y2, npoints=201):
@@ -318,7 +300,9 @@ def distance_dm_1d(spec, M, y1, y2, npoints=201):
     # imported here: loading scipy.optimize would slow every CLI start-up
     from scipy.optimize import linprog
 
-    A, b = _cap_rows(caps, h, M, spec.m)
+    A = _cap_rows(npoints, spec.m)
+    slabs = [caps * h] + [np.full(npoints - k, M * h**k) for k in range(2, spec.m + 1)]
+    b = np.concatenate([cap for slab in slabs for cap in (slab, slab)])  # rows of A
     c = np.zeros(npoints)
     c[-1] = -1.0
     bounds = [(0.0, 0.0)] + [(None, None)] * (npoints - 1)

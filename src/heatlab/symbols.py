@@ -46,10 +46,6 @@ def multi_indices(n, order):
     return tuple(out)
 
 
-def index_order(alpha):
-    return sum(alpha)
-
-
 def add_indices(alpha, beta):
     return tuple(a + b for a, b in zip(alpha, beta))
 
@@ -63,9 +59,12 @@ def multinomial(order, gamma):
 
 
 def monomial(xi, gamma):
+    """prod_j xi_j^gamma_j over per-axis arrays, by repeated products, so that
+    no value depends on array layout (``np.power``'s SIMD loop may)."""
     v = 1.0
     for x, g in zip(xi, gamma):
-        v *= x**g
+        for _ in range(g):
+            v = v * x
     return v
 
 
@@ -105,7 +104,10 @@ class ExprField(CoefficientField):
 
     def at(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        v = exprlang.evaluate(self.expr, x)
+        try:
+            v = exprlang.evaluate(self.expr, x)
+        except exprlang.EvalError as exc:
+            raise ValueError(f"coefficient evaluation failed at x={x}: {exc}") from exc
         if not math.isfinite(v):
             raise ValueError(f"coefficient evaluated to {v} at x={x}")
         return v
@@ -132,6 +134,9 @@ class TableField(CoefficientField):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(np.interp(x[0], self.nodes, self.values))
 
+    def at_many(self, points):
+        return np.interp(np.atleast_2d(points)[:, 0], self.nodes, self.values)
+
 
 def as_field(value, n):
     if isinstance(value, CoefficientField):
@@ -157,10 +162,6 @@ class DomainSpec:
     def n(self):
         return len(self.bounds)
 
-    @property
-    def lengths(self):
-        return tuple(hi - lo for lo, hi in self.bounds)
-
     def center(self):
         return np.array([0.5 * (lo + hi) for lo, hi in self.bounds])
 
@@ -181,7 +182,7 @@ class SymbolSpec:
             raise ValueError("need m >= 1 and n >= 1")
         symmetric = {}
         for (a, b), f in self.coefficients.items():
-            if index_order(a) != self.m or index_order(b) != self.m:
+            if sum(a) != self.m or sum(b) != self.m:
                 raise ValueError(f"pair {(a, b)} must have |alpha| = |beta| = m")
             if len(a) != self.n or len(b) != self.n:
                 raise ValueError(f"pair {(a, b)} has wrong dimension")
@@ -234,6 +235,9 @@ class _ScaledField(CoefficientField):
     def at(self, x):
         return self.factor * self.base.at(x)
 
+    def at_many(self, points):
+        return self.factor * self.base.at_many(points)
+
 
 def _as_domain(domain, n):
     if domain is None:
@@ -251,26 +255,61 @@ def _as_domain(domain, n):
 # ---------------------------------------------------------------------------
 
 def eval_symbol(spec, x, xi):
-    """A(x, xi) = sum over pairs a_ab(x) xi^(a+b); homogeneous of degree 2m."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    total = 0.0
-    for (a, b), f in spec.coefficients.items():
-        try:
-            c = f.at(x)
-        except Exception as exc:
-            raise ValueError(f"coefficient a[{a},{b}] failed at x={x}: {exc}") from exc
-        total += c * monomial(xi, add_indices(a, b))
-    return total
+    """A(x, xi) = sum over pairs a_ab(x) xi^(a+b); homogeneous of degree 2m.
+
+    One point ``x`` gives a float, a ``(k, n)`` array k values, with ``xi``
+    one vector or one row per point.  The two steps, :func:`coefficient_values`
+    and :func:`symbol_sum`, are elementwise: a batch equals per-point calls.
+    """
+    pts, xi, single = as_batch(spec.n, x, xi, "xi")
+    vals = symbol_sum(spec, coefficient_values(spec, pts), xi.T)
+    return float(vals[0]) if single else vals
+
+
+def as_batch(n, x, v, name):
+    """``(points, vectors, single)``: ``x`` as ``(k, n)`` points, ``v`` as
+    one row or one row per point; ``single`` when ``x`` was one point."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim < 2
+    if single and x.size != n:
+        raise ValueError(f"x must be one point of dimension {n} or a (k, {n}) array")
+    pts = x.reshape(-1, n)
+    v = np.asarray(v, dtype=float).reshape(-1, n)
+    if len(v) not in (1, len(pts)):
+        raise ValueError(f"{name} must be one vector or one row per point")
+    return pts, v, single
+
+
+def coefficient_values(spec, points):
+    """Step one of :func:`eval_symbol`: an array over the ``(k, n)`` points per
+    entry of ``spec.coefficients``, each distinct field evaluated once."""
+    fields = {id(f): f for f in spec.coefficients.values()}
+    vals = {key: f.at_many(points) for key, f in fields.items()}
+    return [vals[id(f)] for f in spec.coefficients.values()]
+
+
+def symbol_sum(spec, coeffs, xi):
+    """Step two of :func:`eval_symbol`: ``sum a_ab xi^(a+b)`` in the order of
+    ``spec.coefficients``, broadcast over the coefficient and per-axis arrays."""
+    return sum(c * monomial(xi, add_indices(a, b)) for c, (a, b) in zip(coeffs, spec.coefficients))
 
 
 def gamma_coefficients(spec, x):
-    """Order-2m coefficients a_g(x) with A = sum C(2m, g) a_g(x) xi^g."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = {g: 0.0 for g in multi_indices(spec.n, 2 * spec.m)}
-    for (a, b), f in spec.coefficients.items():
-        out[add_indices(a, b)] += f.at(x)
-    return {g: v / multinomial(2 * spec.m, g) for g, v in out.items()}
+    """Order-2m coefficients a_g(x) with A = sum C(2m, g) a_g(x) xi^g; floats
+    at one point, arrays over a ``(k, n)`` array of points."""
+    pts = np.asarray(x, dtype=float).reshape(-1, spec.n)
+    out = {g: np.zeros(len(pts)) for g in multi_indices(spec.n, 2 * spec.m)}
+    for c, (a, b) in zip(coefficient_values(spec, pts), spec.coefficients):
+        out[add_indices(a, b)] += c
+    out = {g: v / multinomial(2 * spec.m, g) for g, v in out.items()}
+    return {g: float(v[0]) for g, v in out.items()} if np.ndim(x) < 2 else out
+
+
+def _gamma_matrices(spec, pts):
+    """``(k, d, d)`` stack of the gamma forms at the ``(k, n)`` points."""
+    order = multi_indices(spec.n, spec.m)
+    ag = gamma_coefficients(spec, pts)
+    return np.moveaxis(np.array([[ag[add_indices(a, b)] for b in order] for a in order]), -1, 0)
 
 
 @dataclass(frozen=True)
@@ -279,21 +318,11 @@ class GammaForm:
     matrix: np.ndarray
     index_order: tuple  # multi-indices of order m labelling rows/columns
 
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 def gamma_form(spec, x):
     """Quadratic form matrix (a_{alpha+beta}(x)) over multi-indices of order m."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    order = multi_indices(spec.n, spec.m)
-    ag = gamma_coefficients(spec, x)
-    dim = len(order)
-    mat = np.empty((dim, dim))
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            mat[i, j] = ag[add_indices(a, b)]
-    return GammaForm(tuple(x), mat, order)
+    return GammaForm(tuple(x), _gamma_matrices(spec, x[None])[0], multi_indices(spec.n, spec.m))
 
 
 @dataclass
@@ -309,30 +338,24 @@ def is_strongly_convex(spec, sample_points, tol=1e-10):
     """PSD test of the gamma form at each sample point.
 
     Tolerance is scale-invariant: an eigenvalue is accepted when it is at
-    least ``-tol * (1 + max-norm of the matrix)``.  Eigensolver failure is
-    reported as inconclusive, never as a negative verdict.
+    least ``-tol * (1 + max-norm of the matrix)``.  Failure of the one
+    stacked ``eigvalsh`` is reported as inconclusive, never as a negative
+    verdict, at the first non-finite form (else the first point).
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    sample_points = list(sample_points)
-    if not sample_points:
+    pts = np.asarray(list(sample_points), dtype=float).reshape(-1, spec.n)
+    if not len(pts):
         raise ValueError("need at least one sample point")
-    worst = math.inf
-    worst_absolute = math.inf
-    witness = None
-    for x in sample_points:
-        form = gamma_form(spec, x)
-        try:
-            lo = form.min_eigenvalue()
-        except np.linalg.LinAlgError:
-            return ConvexityReport(False, math.nan, tuple(np.atleast_1d(x)), True, tol)
-        scale = 1.0 + float(np.max(np.abs(form.matrix)))
-        if lo / scale < worst:
-            worst = lo / scale
-            witness = form.x
-            worst_absolute = lo
-    ok = worst >= -tol
-    return ConvexityReport(ok, worst_absolute, witness, False, tol)
+    mats = _gamma_matrices(spec, pts)
+    try:
+        lo = np.linalg.eigvalsh(mats)[:, 0]
+    except np.linalg.LinAlgError:
+        bad = ~np.all(np.isfinite(mats), axis=(1, 2))
+        return ConvexityReport(False, math.nan, tuple(pts[int(np.argmax(bad))]), True, tol)
+    ratio = lo / (1.0 + np.max(np.abs(mats), axis=(1, 2)))
+    i = int(np.argmin(ratio))
+    return ConvexityReport(bool(ratio[i] >= -tol), float(lo[i]), tuple(pts[i]), False, tol)
 
 
 @dataclass(frozen=True)
@@ -381,26 +404,23 @@ def sphere_directions(n, count):
 def ellipticity_constant(spec, sample_points, sphere_samples=512):
     """min over sampled (x, xi on the unit sphere) of A(x, xi).
 
-    A certified-by-sampling lower estimate of the ellipticity constant, with
-    golden-section refinement around the minimizing angle in 2D.
+    A certified-by-sampling lower estimate of the ellipticity constant (one
+    :func:`eval_symbol` call over points x directions), with golden-section
+    refinement around the minimizing angle in 2D.
     """
     if sphere_samples < 1:
         raise ValueError("need at least one direction per point")
     dirs = sphere_directions(spec.n, sphere_samples)
-    best = math.inf
-    best_x = None
-    for x in sample_points:
-        vals = np.array([eval_symbol(spec, x, xi) for xi in dirs])
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_x = x
-            best_dir_idx = i
-    if spec.n == 2 and best_x is not None:
-        th0 = 2 * np.pi * best_dir_idx / len(dirs)
+    pts = np.asarray(list(sample_points), dtype=float).reshape(-1, spec.n)
+    vals = eval_symbol(spec, np.repeat(pts, len(dirs), axis=0), np.tile(dirs, (len(pts), 1)))
+    p, i = divmod(int(np.argmin(vals)), len(dirs))
+    best = float(np.min(vals))
+    if spec.n == 2:
+        coeffs = coefficient_values(spec, pts[p:p + 1])
+        f = lambda th: symbol_sum(spec, coeffs, (np.cos(th), np.sin(th)))
+        th0 = 2 * np.pi * i / len(dirs)
         width = 2 * np.pi / len(dirs)
-        f = lambda th: eval_symbol(spec, best_x, [math.cos(th), math.sin(th)])
-        best = min(best, _golden_min(f, th0 - width, th0 + width))
+        best = min(best, float(_golden_min(f, [th0 - width], [th0 + width])[0]))
     return best
 
 
@@ -409,7 +429,6 @@ def _golden_min(f, a, b, iters=60):
 
     Works elementwise: with arrays ``a``, ``b`` (and ``f`` mapping an array
     of abscissae to an array of values) every interval is refined at once.
-    Scalar brackets give a Python float.
     """
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -422,5 +441,4 @@ def _golden_min(f, a, b, iters=60):
         fp = f(p)
         c, d = np.where(left, p, d), np.where(left, c, p)
         fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    best = np.minimum(fc, fd)
-    return float(best) if best.ndim == 0 else best
+    return np.minimum(fc, fd)

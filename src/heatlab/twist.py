@@ -70,12 +70,8 @@ class TwistProfile:
         return all(np.max(np.abs(d)) <= M + tol for d in self.derivatives.values())
 
     def feasible_symbol(self, spec, M, tol=1e-8):
-        xs = self.grid.node_coordinates()
-        g = self.derivatives[1]
-        for x, gx in zip(xs, g):
-            if eval_symbol(spec, x, [gx]) > 1.0 + tol:
-                return False
-        return all(
+        a = eval_symbol(spec, self.grid.node_coordinates(), self.derivatives[1][:, None])
+        return not np.any(a > 1.0 + tol) and all(
             np.max(np.abs(d)) <= M + tol
             for k, d in self.derivatives.items()
             if k >= 2

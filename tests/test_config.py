@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from heatlab.config import ConfigError, config_from_text, load_config
@@ -67,8 +69,16 @@ def test_expression_errors_carry_offset():
 
 
 def test_value_type_errors():
-    with pytest.raises(ConfigError, match="integer"):
-        config_from_text("[operator]\nm = 1.5\n")
+    for text, key in (
+        ("[operator]\nm = 1.5\n", "operator.m"),
+        ("[operator]\nm = 1e400\n", "operator.m"),
+        ("[operator]\nm = nan\n", "operator.m"),
+        ("[operator]\ngrid_n = 40.7\n", "operator.grid_n"),
+        ("[operator]\ngrid_n = 1e400\n", "operator.grid_n"),
+        ("[operator]\nn = 2\ngrid_n = 40, nan\n", "operator.grid_n"),
+    ):
+        with pytest.raises(ConfigError, match=f"integer.*key '{re.escape(key)}'"):
+            config_from_text(text)
     with pytest.raises(ConfigError, match="number"):
         config_from_text('[verify]\ntolerance = "big"\n')
     with pytest.raises(ConfigError, match="duplicate"):

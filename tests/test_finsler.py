@@ -11,11 +11,12 @@ from heatlab.finsler import (
     distance_1d,
     distance_dm_1d,
     distance_lattice_2d,
+    _cap_rows,
     _slope_caps,
     dm_convergence_check,
     length_element,
 )
-from heatlab.symbols import SymbolSpec, TableField
+from heatlab.symbols import SymbolSpec, TableField, eval_symbol
 
 SPEC_VAR = SymbolSpec.isotropic(2, 1, "(1+x)^4", domain=[(0, 1)])
 LN2 = float(np.log(2.0))
@@ -74,6 +75,11 @@ def test_length_element_batch_equals_scalar_calls(spec):
     assert np.array_equal(batch, [p(x, e) for x, e in zip(pts, etas)])
     # one eta for every point
     assert np.array_equal(p(pts, etas[0]), [p(x, etas[0]) for x in pts])
+    # the symbol itself, with one xi per point and one for all
+    assert np.array_equal(eval_symbol(spec, pts, etas),
+                          [eval_symbol(spec, x, e) for x, e in zip(pts, etas)])
+    assert np.array_equal(eval_symbol(spec, pts, etas[0]),
+                          [eval_symbol(spec, x, etas[0]) for x in pts])
 
 
 @pytest.mark.parametrize("m, weights", [(1, (3.0, 0.5)), (2, (16.0, 1.0)), (3, (2.0, 5.0))])
@@ -165,6 +171,16 @@ def test_dm_variable_coefficient_converges_up():
         assert v <= LN2 + 1e-6
 
 
+def test_cap_rows_built_once_read_only():
+    A = _cap_rows(9, 3)
+    assert _cap_rows(9, 3) is A
+    assert not any(arr.flags.writeable for arr in (A.data, A.indices, A.indptr))
+    # rows: +D_k then -D_k for k = 1..m, D_k the k-th forward difference
+    eye = np.eye(9)
+    blocks = [np.diff(eye, k, axis=0) for k in (1, 2, 3)]
+    assert np.array_equal(A.toarray(), np.vstack([b for d in blocks for b in (d, -d)]))
+
+
 def test_dm_sign_convention():
     r = distance_dm_1d(SPEC_VAR, 1.0, 1.0, 0.0)
     assert r.value == pytest.approx(-distance_dm_1d(SPEC_VAR, 1.0, 0.0, 1.0).value)
@@ -192,6 +208,21 @@ def test_dm_m3_values_pinned(pair, d):
     r = distance_dm_1d(SPEC_M3, 5.0, *pair)
     assert r.converged
     assert r.value == pytest.approx(d, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    SPEC_VAR,
+    SPEC_M3,
+    SymbolSpec.isotropic(2, 1, "1+0.1*sin(2*pi*x)", domain=[(0, 1)]),
+], ids=["quartic-power", "m3-cos", "m2-sin"])
+def test_slope_caps_equal_per_point_reference(spec):
+    # per point, Python float pow: np.power differs from it in the last ulp
+    lo, hi = spec.domain.bounds[0]
+    xs = np.linspace(lo, hi, 2001)
+    f, e = spec.scalar_field(), -1.0 / (2 * spec.m)
+    s = [f.at([x]) ** e for x in xs]
+    ref = [min(s[i], s[i + 1], f.at([0.5 * (xs[i] + xs[i + 1])]) ** e) for i in range(len(xs) - 1)]
+    assert np.array_equal(_slope_caps(spec, xs), ref)
 
 
 def test_dm_convergence_table():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from heatlab.symbols import (
     ConstantField,
     ExprField,
     SymbolSpec,
+    TableField,
+    _ScaledField,
     as_field,
     ellipticity_constant,
     eval_symbol,
@@ -45,6 +49,11 @@ def test_eval_symbol_failure_carries_location():
     bad = SymbolSpec.isotropic(1, 1, ExprField.from_text("1/x", 1))
     with pytest.raises(ValueError, match="failed at x"):
         eval_symbol(bad, [0.0], [1.0])
+    # a batch names its first offending point
+    bad2 = SymbolSpec.isotropic(2, 2, "1/x1")
+    pts = np.array([[0.5, 0.5], [0.0, 0.25], [0.0, 0.75]])
+    with pytest.raises(ValueError, match=re.escape(f"failed at x={pts[1]}")):
+        eval_symbol(bad2, pts, [1.0, 0.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,6 +116,15 @@ def test_strong_convexity_worked_examples():
     rep2 = is_strongly_convex(AXIS4_2D, [[0.1, 0.9]])
     assert rep2.strongly_convex and rep2.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
+    # the stacked test against the gamma form point by point
+    spec = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)")
+    pts = np.random.default_rng(2).uniform(-3, 3, (30, 2))
+    lo = [np.linalg.eigvalsh(gamma_form(spec, x).matrix)[0] for x in pts]
+    ratio = [v / (1 + np.max(np.abs(gamma_form(spec, x).matrix))) for v, x in zip(lo, pts)]
+    rep3 = is_strongly_convex(spec, pts)
+    assert rep3.min_eigenvalue == lo[int(np.argmin(ratio))]
+    assert rep3.witness_point == tuple(pts[int(np.argmin(ratio))])
+
 
 def test_psd_gamma_form_gives_nonnegative_pairing():
     # if (a_{alpha+beta}) is PSD then sum a_{alpha+beta} xi^alpha xi^beta >= 0
@@ -162,6 +180,10 @@ def test_decay_constant_from_growth_inverts_k_m():
 
 def test_ellipticity_constants():
     assert ellipticity_constant(SymbolSpec.isotropic(2, 1, 1.0), [[0.0]]) == pytest.approx(1.0)
+    var = SymbolSpec.isotropic(2, 1, "2+cos(3*x)")
+    xs = np.linspace(-2, 2, 41)[:, None]
+    per_point = [eval_symbol(var, x, d) for x in xs for d in ([1.0], [-1.0])]
+    assert ellipticity_constant(var, xs) == min(per_point)
     assert ellipticity_constant(ISO4_2D, [[0.0, 0.0]]) == pytest.approx(1.0, rel=1e-9)
     assert ellipticity_constant(AXIS4_2D, [[0.0, 0.0]]) == pytest.approx(0.5, rel=1e-6)
 
@@ -188,6 +210,16 @@ def test_as_field_folds_lone_constants(text):
 @pytest.mark.parametrize("text", ["x", "1+0*x"])
 def test_as_field_keeps_expressions(text):
     assert isinstance(as_field(text, 1), ExprField)
+
+
+@pytest.mark.parametrize("fld", [
+    TableField.from_samples([0.0, 0.3, 1.0], [1.0, 2.5, 1.7]),
+    _ScaledField(ExprField.from_text("1+x^2", 1), 3.0),
+    ExprField.from_text("exp(x)", 1),
+], ids=["table", "scaled", "expr"])
+def test_at_many_equals_at(fld):
+    pts = np.linspace(-0.2, 1.2, 57)[:, None]
+    assert np.array_equal(fld.at_many(pts), [fld.at(x) for x in pts])
 
 
 def test_assemble_constant_text_equals_float():

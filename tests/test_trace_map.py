@@ -1,30 +1,37 @@
-"""The benchmark's per-layer trace map still finds the Kato layers.
+"""The benchmark's per-layer trace map still finds the traced layers.
 
 ``perfbench/tracing.py`` wraps functions at their ``heatlab`` module
 bindings; a renamed or bypassed binding would read zero there.  This runs a
-small ``kato`` scenario under the tracer so such a change fails here.
+small ``kato`` scenario and a small ``distance --method dM`` scenario with a
+variable coefficient under the tracer so such a change fails here.
 """
 
 import os
 
-from test_cli import KATO_CFG, _write
+import pytest
+from test_cli import DISTANCE_CFG, KATO_CFG, _write
 
 from heatlab.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_kato_layers_traced(tmp_path, monkeypatch):
+@pytest.mark.parametrize("args, text, keys", [
+    (["kato"], KATO_CFG, ("kato.kato_norm.calls", "kato.weighted_l2_check.calls",
+                          "kato.miyadera_ratio.calls", "lapack.solve.calls")),
+    (["distance", "--method", "dM"], DISTANCE_CFG,
+     ("symbols.eval_symbol.calls", "exprlang.point_evals", "finsler.distance_dm_1d.calls")),
+], ids=["kato", "distance-dM"])
+def test_layers_traced(tmp_path, monkeypatch, args, text, keys):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracing
 
-    cfg = _write(tmp_path, KATO_CFG)
+    cfg = _write(tmp_path, text)
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        assert main(["kato", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert main(args + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
     finally:
         tracer.restore()
-    for key in ("kato.kato_norm.calls", "kato.weighted_l2_check.calls",
-                "kato.miyadera_ratio.calls", "lapack.solve.calls"):
+    for key in keys:
         assert tracer.counts[key] > 0, key

@@ -35,6 +35,7 @@ def test_profile_derivatives_and_feasibility(unit_m1):
     assert prof.feasible_full(1.0)
     assert not prof.feasible_full(0.5)
     assert prof.feasible_symbol(op.spec, 1.0)
+    assert not TwistProfile.from_expression(op.grid, "1.01*x", 1).feasible_symbol(op.spec, 1.0)
 
 
 def test_zero_twist_returns_operator(unit_m1):
