@@ -22,7 +22,7 @@ from .experiments import operator_pieces, verify_perturbed_bound, verify_sharp_b
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, fourier_oracle, spectral_field
 from .kato import form_bound_report, kato_norm_curve, miyadera_ratio, sample_potential
-from .reporting import Manifest, ensure_outdir, format_float_17, write_csv, write_text
+from .reporting import Manifest, ensure_outdir, format_float_17, grid_rows, write_csv, write_text
 from .symbols import sharp_constants
 from .twist import TwistProfile, growth_fit
 
@@ -134,8 +134,8 @@ def run_distance(cfg, outdir, manifest):
     manifest.start(f"distance {d.method}")
     if d.method == "lattice":
         fldist = distance_lattice_2d(spec, d.source, npts=d.lattice_n)
-        rows = ((p[0], p[1], v) for p, v in zip(fldist.points, fldist.values))
-        write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"), rows)
+        write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
+                  grid_rows(fldist.axes, fldist.values))
     else:
         rows = []
         for y1, y2 in zip(d.y1_list, d.y2_list):

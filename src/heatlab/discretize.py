@@ -162,19 +162,23 @@ def difference_operator(grid, alpha):
     return op.tocsr()
 
 
-def _pair_factor_and_points(grid, alpha, parity_match):
-    """Derivative factor for one side of a coefficient pair, plus the
-    coordinates at which the pair's coefficient is sampled."""
+def _pair_factor(grid, alpha, parity_match):
+    """Derivative factor for one side of a coefficient pair, plus per axis
+    whether it is staggered (maps nodes to edges)."""
     op = None
-    point_axes = []
-    for ax, k in enumerate(alpha):
-        stag = parity_match and (k % 2 == 1)
-        f = _axis_factor(grid.npts[ax], grid.h[ax], k, staggered=stag)
+    stag = tuple(parity_match and k % 2 == 1 for k in alpha)
+    for ax, (k, s) in enumerate(zip(alpha, stag)):
+        f = _axis_factor(grid.npts[ax], grid.h[ax], k, staggered=s)
         op = f if op is None else sp.kron(op, f, format="csr")
-        point_axes.append(grid.axis_midpoints(ax) if stag else grid.axis_nodes(ax))
-    mesh = np.meshgrid(*point_axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return op.tocsr(), pts
+    return op.tocsr(), stag
+
+
+def _sample_points(grid, stag):
+    """Where a pair's coefficient is sampled: edge midpoints on the staggered
+    axes, nodes on the others."""
+    axes = [grid.axis_midpoints(ax) if s else grid.axis_nodes(ax) for ax, s in enumerate(stag)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def band_eigenvalue(band, index):
@@ -291,15 +295,20 @@ def assemble(spec, grid, potential=None):
 
     vol = grid.cell_volume
     form = None
+    samples = {}  # (field, staggered axes) -> samples; pairs sharing both share them
     for (a, b), fld in spec.coefficients.items():
         parity_match = all((ka - kb) % 2 == 0 for ka, kb in zip(a, b))
-        fa, pts = _pair_factor_and_points(grid, a, parity_match)
-        fb, _ = _pair_factor_and_points(grid, b, parity_match)
-        cvals = fld.at_many(pts)
-        if not np.all(np.isfinite(cvals)):
-            i = int(np.argmin(np.isfinite(cvals)))
-            raise ValueError(f"non-finite coefficient sample for pair {(a, b)} at x={pts[i]}")
-        piece = (fa.T @ sp.diags(cvals) @ fb) * vol
+        fa, stag = _pair_factor(grid, a, parity_match)
+        fb, _ = _pair_factor(grid, b, parity_match)
+        key = (id(fld), stag)
+        if key not in samples:
+            pts = _sample_points(grid, stag)
+            cvals = fld.at_many(pts)
+            if not np.all(np.isfinite(cvals)):
+                i = int(np.argmin(np.isfinite(cvals)))
+                raise ValueError(f"non-finite coefficient sample for pair {(a, b)} at x={pts[i]}")
+            samples[key] = cvals
+        piece = (fa.T @ sp.diags(samples[key]) @ fb) * vol
         form = piece if form is None else form + piece
 
     vvals = None

@@ -13,9 +13,9 @@ batched ``LengthElement`` call per move family: isotropic symbols
 ``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
 symbols a direction search on arrays.  Dijkstra is a ``heapq`` loop over
 that table (34 MB at 512 x 512 nodes).  ``scipy.sparse.csgraph.dijkstra``
-needs the graph in CSR besides, about 50 MB more (4.2 million float64
-weights and int32 columns); built from the table it took the peak memory of
-the 512 x 512 benchmark run from 126 MB to 174 MB.
+needs the graph in CSR besides (4.2 million float64 weights and int32
+columns); even built from the table without a copy it raised the peak memory
+of the 512 x 512 benchmark run by 16 MB, from 126 MB to about 142 MB.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
@@ -150,6 +150,7 @@ class DistanceField:
     values: np.ndarray
     method: str
     M: float | None = None
+    axes: tuple | None = None  # per-axis node coordinates of a grid field, x1 outer in points
 
     def lookup(self):
         return {tuple(np.round(p, 12)): v for p, v in zip(self.points, self.values)}
@@ -226,6 +227,7 @@ def distance_lattice_2d(spec, source, grid=None, npts=64):
         points=grid.node_coordinates(),
         values=np.array(dist),
         method="lattice-dijkstra",
+        axes=(ax, ay),
     )
 
 

@@ -2,7 +2,9 @@
 
 CSV convention: comma separators, one header row, LF endings, floats as
 shortest round-trip decimals (Python repr), so identical runs produce
-byte-identical files on every platform.
+byte-identical files on every platform.  A ``str`` cell is written as it
+stands, so :func:`grid_rows` can format each axis coordinate of a grid once
+and still give the bytes of one :func:`format_value` per cell.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 
 
 def format_value(v):
+    if type(v) is str:
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
@@ -30,8 +34,18 @@ def format_float_17(v):
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        fh.writelines(",".join(map(format_value, row)) + "\n" for row in rows)
+
+
+def grid_rows(axes, values):
+    """Rows ``(x1, x2, value)`` of a field on a 2D grid, in node order (``x1``
+    outer, ``x2`` inner), as ``str`` cells: each axis coordinate formatted
+    once, each value by ``repr``, the bytes :func:`format_value` gives."""
+    ax1, ax2 = ([format_value(x) for x in axis.tolist()] for axis in axes)
+    vals = map(repr, values.tolist())
+    for x1 in ax1:
+        for x2, v in zip(ax2, vals):
+            yield x1, x2, v
 
 
 def write_text(path, text):

@@ -404,19 +404,22 @@ def sphere_directions(n, count):
 def ellipticity_constant(spec, sample_points, sphere_samples=512):
     """min over sampled (x, xi on the unit sphere) of A(x, xi).
 
-    A certified-by-sampling lower estimate of the ellipticity constant (one
-    :func:`eval_symbol` call over points x directions), with golden-section
+    A certified-by-sampling lower estimate of the ellipticity constant: the
+    coefficients once per point, repeated across the directions for one
+    :func:`symbol_sum` over points x directions, with golden-section
     refinement around the minimizing angle in 2D.
     """
     if sphere_samples < 1:
         raise ValueError("need at least one direction per point")
     dirs = sphere_directions(spec.n, sphere_samples)
     pts = np.asarray(list(sample_points), dtype=float).reshape(-1, spec.n)
-    vals = eval_symbol(spec, np.repeat(pts, len(dirs), axis=0), np.tile(dirs, (len(pts), 1)))
+    coeffs = coefficient_values(spec, pts)
+    vals = symbol_sum(spec, [np.repeat(c, len(dirs)) for c in coeffs],
+                      np.tile(dirs, (len(pts), 1)).T)
     p, i = divmod(int(np.argmin(vals)), len(dirs))
     best = float(np.min(vals))
     if spec.n == 2:
-        coeffs = coefficient_values(spec, pts[p:p + 1])
+        coeffs = [c[p:p + 1] for c in coeffs]
         f = lambda th: symbol_sum(spec, coeffs, (np.cos(th), np.sin(th)))
         th0 = 2 * np.pi * i / len(dirs)
         width = 2 * np.pi / len(dirs)

@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from heatlab import exprlang as el
 from heatlab.discretize import Grid, assemble
 from heatlab.heatkernel import eigendecompose
-from heatlab.symbols import SymbolSpec
+from heatlab.symbols import ExprField, SymbolSpec
 
 
 def make_line_operator(m, n_pts=800, bounds=(-8.0, 8.0), a=1.0, potential=None):
@@ -49,6 +51,21 @@ def unit_m1_400(unit_m1_400_op):
 def singular_vminus(unit_m1_400_op):
     x = unit_m1_400_op.grid.node_coordinates()[:, 0]
     return np.minimum(x**-0.5, 1e6)
+
+
+@pytest.fixture
+def point_evals(monkeypatch):
+    """``calls["at"]`` counts ``ExprField.at`` calls, one per expression
+    evaluation at one point, while the test runs."""
+    calls = Counter()
+    at = ExprField.at
+
+    def counting_at(self, x):
+        calls["at"] += 1
+        return at(self, x)
+
+    monkeypatch.setattr(ExprField, "at", counting_at)
+    return calls
 
 
 # ---------------------------------------------------------------------------

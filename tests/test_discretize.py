@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import heatlab.discretize
 from heatlab.discretize import (
     DiscreteOperator,
     Grid,
+    _pair_factor,
+    _sample_points,
     assemble,
     difference_operator,
     garding_check,
@@ -13,7 +17,7 @@ from heatlab.discretize import (
 )
 from heatlab.heatkernel import eigendecompose
 from heatlab.kato import form_bound
-from heatlab.symbols import ExprField, SymbolSpec
+from heatlab.symbols import ExprField, SymbolSpec, as_field
 from heatlab.twist import TwistProfile, growth_fit, lower_bound_k
 
 SPEC_M1 = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0, 1)])
@@ -144,6 +148,43 @@ def test_assemble_mixed_parity_pair_2d():
     op = assemble(spec, g)
     assert op.symmetry_defect() == 0.0
     assert np.linalg.eigvalsh(op.operator_matrix())[0] > 0.0
+
+
+def _form_sampled_per_pair(spec, grid):
+    """assemble's form matrix with every pair's coefficient sampled anew."""
+    form = None
+    for (a, b), fld in spec.coefficients.items():
+        parity_match = all((ka - kb) % 2 == 0 for ka, kb in zip(a, b))
+        fa, stag = _pair_factor(grid, a, parity_match)
+        fb, _ = _pair_factor(grid, b, parity_match)
+        cvals = fld.at_many(_sample_points(grid, stag))
+        piece = (fa.T @ sp.diags(cvals) @ fb) * grid.cell_volume
+        form = piece if form is None else form + piece
+    return (0.5 * (form + form.T)).tocsr()
+
+
+VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("spec", [
+    VAR_ISO_2D,
+    SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("1+0.2*x1", 2),
+                      ((0, 2), (0, 2)): as_field("2+x2*x1", 2),
+                      ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2),
+                      ((1, 1), (1, 1)): as_field("1+0.2*x1", 2)}, VAR_ISO_2D.domain),
+], ids=["iso", "cross"])
+def test_assemble_samples_shared_fields_once_same_form(spec):
+    g = Grid.make([(0, 1), (0, 1)], (20, 20))
+    form = assemble(spec, g).form_matrix
+    ref = _form_sampled_per_pair(spec, g)
+    assert form.shape == ref.shape and (form != ref).nnz == 0
+
+
+def test_assemble_samples_each_field_once_per_point_set(monkeypatch, point_evals):
+    monkeypatch.setattr(heatlab.discretize, "ellipticity_constant", lambda *args, **kw: 1.0)
+    assemble(VAR_ISO_2D, Grid.make([(0, 1), (0, 1)], (20, 20)))
+    # a at the 400 nodes (pairs (2,0),(2,0) and (0,2),(0,2)), 2a at the 441 edge midpoints
+    assert point_evals["at"] == 400 + 441
 
 
 def test_assemble_2d_laplacian_and_bilaplacian_structure():

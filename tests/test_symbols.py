@@ -6,14 +6,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from heatlab import exprlang
-from heatlab.discretize import Grid, assemble
+from heatlab.discretize import Grid, _ellipticity_samples, assemble
 from heatlab.symbols import (
     ConstantField,
     ExprField,
     SymbolSpec,
     TableField,
     _ScaledField,
+    _golden_min,
     as_field,
+    coefficient_values,
     ellipticity_constant,
     eval_symbol,
     gamma_coefficients,
@@ -23,6 +25,8 @@ from heatlab.symbols import (
     multinomial,
     sharp_constants,
     decay_constant_from_growth,
+    sphere_directions,
+    symbol_sum,
 )
 
 ISO4_2D = SymbolSpec.isotropic(2, 2, 1.0, domain=[(-1, 1), (-1, 1)])
@@ -186,6 +190,43 @@ def test_ellipticity_constants():
     assert ellipticity_constant(var, xs) == min(per_point)
     assert ellipticity_constant(ISO4_2D, [[0.0, 0.0]]) == pytest.approx(1.0, rel=1e-9)
     assert ellipticity_constant(AXIS4_2D, [[0.0, 0.0]]) == pytest.approx(0.5, rel=1e-6)
+
+
+def _ellipticity_per_pair(spec, pts, sphere_samples):
+    """ellipticity_constant with the coefficients evaluated at every (point,
+    direction) pair: one eval_symbol over the repeated points."""
+    dirs = sphere_directions(spec.n, sphere_samples)
+    vals = eval_symbol(spec, np.repeat(pts, len(dirs), axis=0), np.tile(dirs, (len(pts), 1)))
+    p, i = divmod(int(np.argmin(vals)), len(dirs))
+    best = float(np.min(vals))
+    if spec.n == 2:
+        coeffs = coefficient_values(spec, pts[p:p + 1])
+        f = lambda th: symbol_sum(spec, coeffs, (np.cos(th), np.sin(th)))
+        th0, w = 2 * np.pi * i / len(dirs), 2 * np.pi / len(dirs)
+        best = min(best, float(_golden_min(f, [th0 - w], [th0 + w])[0]))
+    return best
+
+
+VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("spec", [
+    SymbolSpec.isotropic(2, 1, "2+cos(3*x)", domain=[(-2, 2)]),
+    VAR_ISO_2D,
+    SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("1+0.2*x1", 2),
+                      ((0, 2), (0, 2)): as_field("2-x2*x1", 2),
+                      ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2)}, VAR_ISO_2D.domain),
+    SymbolSpec.isotropic(1, 3, "1+0.5*x1*x2*x3", domain=[(0, 1)] * 3),
+], ids=["1d", "2d-iso", "2d-cross", "3d"])
+def test_ellipticity_equals_per_pair_evaluation(spec):
+    pts = _ellipticity_samples(Grid.make(spec.domain.bounds, 20))
+    assert ellipticity_constant(spec, pts, 64) == _ellipticity_per_pair(spec, pts, 64)
+
+
+def test_ellipticity_evaluates_coefficients_once_per_point(point_evals):
+    pts = _ellipticity_samples(Grid.make(VAR_ISO_2D.domain.bounds, 20))
+    ellipticity_constant(VAR_ISO_2D, pts, sphere_samples=64)
+    assert point_evals["at"] == 2 * len(pts)  # fields a and 2a, 81 points, any direction count
 
 
 def test_symmetric_pair_closure_and_validation():

@@ -2,14 +2,16 @@
 
 ``perfbench/tracing.py`` wraps functions at their ``heatlab`` module
 bindings; a renamed or bypassed binding would read zero there.  This runs a
-small ``kato`` scenario and a small ``distance --method dM`` scenario with a
-variable coefficient under the tracer so such a change fails here.
+small ``kato`` scenario, a small ``distance --method dM`` scenario with a
+variable coefficient and a small lattice scenario under the tracer so such a
+change fails here.  Every CSV a scenario writes must pass the traced
+``write_csv``: its bytes counter equals the size of the CSV files written.
 """
 
 import os
 
 import pytest
-from test_cli import DISTANCE_CFG, KATO_CFG, _write
+from test_cli import DISTANCE_CFG, KATO_CFG, LATTICE_CFG, _write
 
 from heatlab.cli import main
 
@@ -21,17 +23,22 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                           "kato.miyadera_ratio.calls", "lapack.solve.calls")),
     (["distance", "--method", "dM"], DISTANCE_CFG,
      ("symbols.eval_symbol.calls", "exprlang.point_evals", "finsler.distance_dm_1d.calls")),
-], ids=["kato", "distance-dM"])
+    (["distance"], LATTICE_CFG,
+     ("finsler.distance_lattice_2d.calls", "reporting.write_csv.calls")),
+], ids=["kato", "distance-dM", "distance-lattice"])
 def test_layers_traced(tmp_path, monkeypatch, args, text, keys):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracing
 
     cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        assert main(args + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert main(args + ["--config", cfg, "--out", str(out)]) == 0
     finally:
         tracer.restore()
     for key in keys:
         assert tracer.counts[key] > 0, key
+    csv_bytes = sum(f.stat().st_size for f in out.glob("*.csv"))
+    assert csv_bytes > 0 and tracer.counts["reporting.write_csv.bytes"] == csv_bytes
