@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import DISTANCE_METHODS, ConfigError, load_config
 from .discretize import assemble
 from .experiments import operator_pieces, verify_perturbed_bound, verify_sharp_bound
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
@@ -51,7 +51,7 @@ def main(argv=None):
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
         if name == "distance":
-            p.add_argument("--method", choices=("exact1d", "lattice", "dM"), default=None)
+            p.add_argument("--method", choices=DISTANCE_METHODS, default=None)
             p.add_argument("--M", type=float, default=None)
 
     args = parser.parse_args(argv)

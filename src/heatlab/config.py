@@ -17,14 +17,19 @@ Values: quoted strings are taken verbatim (used for coefficient and
 potential expressions), bare words are enum-like strings, numbers are IEEE
 doubles, comma lists are lists of numbers.  Unknown sections or keys are
 rejected with the offending line; type mismatches name the key path.
+
+The dataclasses below are the schema: each settable field is declared once
+with :func:`_key`, which records its value kind, default, allowed words and
+file name, and :func:`config_from_text` reads every key from that record.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 SCENARIOS = ("constants", "kernel", "distance", "kato", "twist", "verify")
+DISTANCE_METHODS = ("exact1d", "lattice", "dM")
 
 
 class ConfigError(ValueError):
@@ -39,80 +44,104 @@ class ConfigError(ValueError):
         super().__init__(message + (f" [{', '.join(where)}]" if where else ""))
 
 
+def _key(kind, default, choices=None, name=None):
+    """A settable key: its value kind (see :func:`_take`), its default, its
+    allowed words and, when it differs from the field name, its file name."""
+    meta = {"kind": kind, "choices": choices, "name": name}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class OperatorConfig:
-    m: int = 1
-    n: int = 1
-    domain: tuple = ((0.0, 1.0),)
-    grid_n: tuple = (200,)
-    a: str = "1"
-    potential: str | None = None
+    m: int = _key("int", 1)
+    n: int = _key("int", 1)
+    domain: tuple = _key("floats", ((0.0, 1.0),))  # the file gives lo, hi per axis
+    grid_n: tuple = _key("ints", (200,))  # one count applies to every axis
+    a: str = _key("expr", "1")
+    potential: str | None = _key("expr", None)
 
 
 @dataclass
 class KernelConfig:
-    t_list: list = field(default_factory=lambda: [0.1])
-    x_list: list = field(default_factory=lambda: [0.0])
-    y_list: list = field(default_factory=lambda: [0.0])
-    oracle: bool = False
-    oracle_a: float = 1.0
+    t_list: list = _key("floats", [0.1])
+    x_list: list = _key("floats", [0.0])
+    y_list: list = _key("floats", [0.0])
+    oracle: bool = _key("bool", False)
+    oracle_a: float = _key("float", 1.0)
 
 
 @dataclass
 class DistanceConfig:
-    method: str = "exact1d"  # exact1d | lattice | dM
-    M: float = 1.0
-    y1_list: list = field(default_factory=lambda: [0.0])
-    y2_list: list = field(default_factory=lambda: [1.0])
-    source: list = field(default_factory=lambda: [0.5, 0.5])
-    lattice_n: int = 64
+    method: str = _key("word", "exact1d", DISTANCE_METHODS)
+    M: float = _key("float", 1.0)
+    y1_list: list = _key("floats", [0.0])
+    y2_list: list = _key("floats", [1.0])
+    source: list = _key("floats", [0.5, 0.5])
+    lattice_n: int = _key("int", 64)
 
 
 @dataclass
 class KatoConfig:
-    lambdas: list = field(default_factory=lambda: [1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
-    eps_list: list = field(default_factory=lambda: [0.1, 0.3, 0.5, 0.7, 0.9])
-    delta: float = 0.01
-    vminus: str | None = None  # expression; default: negative part of the potential
+    lambdas: list = _key("floats", [1.0, 10.0, 100.0, 1e3, 1e4, 1e5])
+    eps_list: list = _key("floats", [0.1, 0.3, 0.5, 0.7, 0.9])
+    delta: float = _key("float", 0.01)
+    vminus: str | None = _key("expr", None)  # default: negative part of the potential
 
 
 @dataclass
 class TwistConfig:
-    phi: str = "x"
-    lambda_min: float = 2.0
-    lambda_max: float = 20.0
-    lambda_count: int = 40
-    M: float = 1.0
+    phi: str = _key("expr", "x")
+    lambda_min: float = _key("float", 2.0)
+    lambda_max: float = _key("float", 20.0)
+    lambda_count: int = _key("int", 40)
+    M: float = _key("float", 1.0)
 
 
 @dataclass
 class VerifyConfig:
-    target: str = "sharp"  # sharp | perturbed
-    tolerance: float = 0.05
-    t_list: list = field(default_factory=lambda: [1e-3, 3e-3, 1e-2])
-    pair_min: float = 0.2
-    pair_max: float = 1.0
-    pair_count: int = 12
-    M_list: list = field(default_factory=lambda: [5.0])
-    distance_method: str = "dM"  # dM | exact | euclidean
-    delta_coeff: float = 0.0
-    reference_a: str = "1"
-    lambda_min: float = 20.0
-    lambda_max: float = 200.0
-    lambda_count: int = 40
+    target: str = _key("word", "sharp", ("sharp", "perturbed"))
+    tolerance: float = _key("float", 0.05)
+    t_list: list = _key("floats", [1e-3, 3e-3, 1e-2])
+    pair_min: float = _key("float", 0.2)
+    pair_max: float = _key("float", 1.0)
+    pair_count: int = _key("int", 12)
+    M_list: list = _key("floats", [5.0])
+    distance_method: str = _key("word", "dM", ("dM", "exact", "euclidean"))
+    delta_coeff: float = _key("float", 0.0)
+    reference_a: str = _key("expr", "1")
+    lambda_min: float = _key("float", 20.0)
+    lambda_max: float = _key("float", 200.0)
+    lambda_count: int = _key("int", 40)
 
 
 @dataclass
 class RunConfig:
-    scenario: str = "constants"
-    seed: int = 0
-    m_query: int = 1  # constants scenario
+    scenario: str = _key("word", "constants", SCENARIOS)
+    seed: int = _key("int", 0)
+    m_query: int = _key("int", 1, name="m")  # constants scenario
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     distance: DistanceConfig = field(default_factory=DistanceConfig)
     kato: KatoConfig = field(default_factory=KatoConfig)
     twist: TwistConfig = field(default_factory=TwistConfig)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
+
+
+def config_keys(cfg):
+    """Every settable key as ``(section, file name, owner, field)``: the preamble
+    (section ``''``), then each ``RunConfig`` field that is a dataclass."""
+    owners = [("", cfg)] + [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                            if is_dataclass(getattr(cfg, f.name))]
+    for section, owner in owners:
+        for f in fields(owner):
+            if "kind" in f.metadata:
+                yield section, f.metadata["name"] or f.name, owner, f
+
+
+def _path(section, key):
+    return f"{section}.{key}" if section else key
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -169,12 +198,12 @@ def parse_config_text(text):
     return data
 
 
-def _take(raw, section, key, kind, default=None):
+def _take(raw, section, key, kind, default=None, choices=None):
     entry = raw.get(section, {}).pop(key, None)
     if entry is None:
         return default
     tag, value, line_no = entry
-    path = f"{section}.{key}" if section else key
+    path = _path(section, key)
     if kind == "float":
         if tag == "scalar" and isinstance(value, float):
             return value
@@ -184,10 +213,11 @@ def _take(raw, section, key, kind, default=None):
             return int(value)
         raise ConfigError("expected an integer", line=line_no, key=path)
     if kind == "word":
-        if tag == "scalar" and isinstance(value, str):
-            return value
-        if tag == "str":
-            return value
+        if tag == "str" or (tag == "scalar" and isinstance(value, str)):
+            if choices is None or value in choices:
+                return value
+            raise ConfigError(f"{path} must be one of {', '.join(choices)}",
+                              line=line_no, key=path)
         raise ConfigError("expected a word or quoted string", line=line_no, key=path)
     if kind == "expr":
         if tag == "str":
@@ -211,125 +241,44 @@ def _take(raw, section, key, kind, default=None):
 def _reject_unknown(raw):
     for section, entries in raw.items():
         for key, (_, _, line_no) in entries.items():
-            path = f"{section}.{key}" if section else key
+            path = _path(section, key)
             raise ConfigError(f"unknown key {path!r}", line=line_no, key=path)
 
 
 def config_from_text(text):
-    raw = parse_config_text(text)
-    cfg = RunConfig()
-
-    scenario = _take(raw, "", "scenario", "word", default=None)
-    if scenario is not None:
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}", key="scenario")
-        cfg.scenario = scenario
-    cfg.seed = _take(raw, "", "seed", "int", default=0)
-    cfg.m_query = _take(raw, "", "m", "int", default=1)
-
-    if "operator" in raw:
-        o = cfg.operator
-        o.m = _take(raw, "operator", "m", "int", o.m)
-        o.n = _take(raw, "operator", "n", "int", o.n)
-        dom = _take(raw, "operator", "domain", "floats", None)
-        if dom is not None:
-            if len(dom) != 2 * o.n:
-                raise ConfigError("domain needs 2 numbers per axis", key="operator.domain")
-            o.domain = tuple(
-                (dom[2 * i], dom[2 * i + 1]) for i in range(o.n)
-            )
-        gn = _take(raw, "operator", "grid_n", "ints", None)
-        if gn is not None:
-            o.grid_n = tuple(gn)
-            if len(o.grid_n) == 1 and o.n > 1:
-                o.grid_n = o.grid_n * o.n
-        o.a = _take(raw, "operator", "a", "expr", o.a)
-        o.potential = _take(raw, "operator", "potential", "expr", o.potential)
-
-    if "kernel" in raw:
-        k = cfg.kernel
-        k.t_list = _take(raw, "kernel", "t_list", "floats", k.t_list)
-        k.x_list = _take(raw, "kernel", "x_list", "floats", k.x_list)
-        k.y_list = _take(raw, "kernel", "y_list", "floats", k.y_list)
-        k.oracle = _take(raw, "kernel", "oracle", "bool", k.oracle)
-        k.oracle_a = _take(raw, "kernel", "oracle_a", "float", k.oracle_a)
-        if len(k.x_list) != len(k.y_list):
-            raise ConfigError("x_list and y_list must zip", key="kernel.x_list")
-
-    if "distance" in raw:
-        d = cfg.distance
-        d.method = _take(raw, "distance", "method", "word", d.method)
-        if d.method not in ("exact1d", "lattice", "dM"):
-            raise ConfigError(f"unknown distance method {d.method!r}", key="distance.method")
-        d.M = _take(raw, "distance", "M", "float", d.M)
-        d.y1_list = _take(raw, "distance", "y1_list", "floats", d.y1_list)
-        d.y2_list = _take(raw, "distance", "y2_list", "floats", d.y2_list)
-        d.source = _take(raw, "distance", "source", "floats", d.source)
-        d.lattice_n = _take(raw, "distance", "lattice_n", "int", d.lattice_n)
-        if len(d.y1_list) != len(d.y2_list):
-            raise ConfigError("y1_list and y2_list must zip", key="distance.y1_list")
-
-    if "kato" in raw:
-        c = cfg.kato
-        c.lambdas = _take(raw, "kato", "lambdas", "floats", c.lambdas)
-        c.eps_list = _take(raw, "kato", "eps_list", "floats", c.eps_list)
-        c.delta = _take(raw, "kato", "delta", "float", c.delta)
-        c.vminus = _take(raw, "kato", "vminus", "expr", c.vminus)
-
-    if "twist" in raw:
-        t = cfg.twist
-        t.phi = _take(raw, "twist", "phi", "expr", t.phi)
-        t.lambda_min = _take(raw, "twist", "lambda_min", "float", t.lambda_min)
-        t.lambda_max = _take(raw, "twist", "lambda_max", "float", t.lambda_max)
-        t.lambda_count = _take(raw, "twist", "lambda_count", "int", t.lambda_count)
-        t.M = _take(raw, "twist", "M", "float", t.M)
-
-    if "verify" in raw:
-        v = cfg.verify
-        v.target = _take(raw, "verify", "target", "word", v.target)
-        if v.target not in ("sharp", "perturbed"):
-            raise ConfigError(f"unknown verify target {v.target!r}", key="verify.target")
-        v.tolerance = _take(raw, "verify", "tolerance", "float", v.tolerance)
-        v.t_list = _take(raw, "verify", "t_list", "floats", v.t_list)
-        v.pair_min = _take(raw, "verify", "pair_min", "float", v.pair_min)
-        v.pair_max = _take(raw, "verify", "pair_max", "float", v.pair_max)
-        v.pair_count = _take(raw, "verify", "pair_count", "int", v.pair_count)
-        v.M_list = _take(raw, "verify", "M_list", "floats", v.M_list)
-        v.distance_method = _take(raw, "verify", "distance_method", "word", v.distance_method)
-        if v.distance_method not in ("dM", "exact", "euclidean"):
-            raise ConfigError("distance_method must be dM, exact or euclidean",
-                              key="verify.distance_method")
-        v.delta_coeff = _take(raw, "verify", "delta_coeff", "float", v.delta_coeff)
-        v.reference_a = _take(raw, "verify", "reference_a", "expr", v.reference_a)
-        v.lambda_min = _take(raw, "verify", "lambda_min", "float", v.lambda_min)
-        v.lambda_max = _take(raw, "verify", "lambda_max", "float", v.lambda_max)
-        v.lambda_count = _take(raw, "verify", "lambda_count", "int", v.lambda_count)
-
-    sections_present = {s for s in raw if s}
-    _reject_unknown(raw)
-    _validate_expressions(cfg, sections_present)
-    return cfg
-
-
-def _validate_expressions(cfg, sections_present):
     from . import exprlang
 
-    n = cfg.operator.n
-    checks = [("operator.a", cfg.operator.a),
-              ("operator.potential", cfg.operator.potential)]
-    if "twist" in sections_present:
-        checks.append(("twist.phi", cfg.twist.phi))
-    if "verify" in sections_present:
-        checks.append(("verify.reference_a", cfg.verify.reference_a))
-    if "kato" in sections_present:
-        checks.append(("kato.vminus", cfg.kato.vminus))
-    for label, text in checks:
-        if text is None:
-            continue
-        try:
-            exprlang.parse(text, n)
-        except exprlang.ParseError as exc:
-            raise ConfigError(f"bad expression in {label}: {exc}", key=label) from exc
+    raw = parse_config_text(text)
+    cfg = RunConfig()
+    keys = [k for k in config_keys(cfg) if k[0] in raw]  # preamble and present sections
+    for section, key, owner, f in keys:
+        value = _take(raw, section, key, f.metadata["kind"], getattr(owner, f.name),
+                      f.metadata["choices"])
+        setattr(owner, f.name, value)
+
+    o = cfg.operator
+    if isinstance(o.domain, list):  # read from the file
+        if len(o.domain) != 2 * o.n:
+            raise ConfigError("domain needs 2 numbers per axis", key="operator.domain")
+        o.domain = tuple(zip(o.domain[::2], o.domain[1::2]))
+    if isinstance(o.grid_n, list):
+        o.grid_n = tuple(o.grid_n) * (o.n if len(o.grid_n) == 1 and o.n > 1 else 1)
+    if len(cfg.kernel.x_list) != len(cfg.kernel.y_list):
+        raise ConfigError("x_list and y_list must zip", key="kernel.x_list")
+    if len(cfg.distance.y1_list) != len(cfg.distance.y2_list):
+        raise ConfigError("y1_list and y2_list must zip", key="distance.y1_list")
+    _reject_unknown(raw)
+
+    # defaults too: twist.phi = "x" does not parse when n = 2
+    for section, key, owner, f in keys:
+        text = getattr(owner, f.name)
+        if f.metadata["kind"] == "expr" and text is not None:
+            try:
+                exprlang.parse(text, o.n)
+            except exprlang.ParseError as exc:
+                path = _path(section, key)
+                raise ConfigError(f"bad expression in {path}: {exc}", key=path) from exc
+    return cfg
 
 
 def load_config(path):

@@ -282,10 +282,13 @@ def as_batch(n, x, v, name):
 
 def coefficient_values(spec, points):
     """Step one of :func:`eval_symbol`: an array over the ``(k, n)`` points per
-    entry of ``spec.coefficients``, each distinct field evaluated once."""
-    fields = {id(f): f for f in spec.coefficients.values()}
-    vals = {key: f.at_many(points) for key, f in fields.items()}
-    return [vals[id(f)] for f in spec.coefficients.values()]
+    entry of ``spec.coefficients``, each distinct base field evaluated once and
+    a :class:`_ScaledField` taken as its factor times its base's values."""
+    scaled = [(f.base, f.factor) if isinstance(f, _ScaledField) else (f, None)
+              for f in spec.coefficients.values()]
+    bases = {id(f): f for f, _ in scaled}
+    vals = {key: f.at_many(points) for key, f in bases.items()}
+    return [vals[id(f)] if w is None else w * vals[id(f)] for f, w in scaled]
 
 
 def symbol_sum(spec, coeffs, xi):

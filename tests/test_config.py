@@ -1,8 +1,12 @@
+import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
-from heatlab.config import ConfigError, config_from_text, load_config
+from heatlab.config import ConfigError, RunConfig, config_from_text, config_keys, load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 scenario = constants
@@ -115,3 +119,58 @@ def test_load_config_from_file(tmp_path):
     p.write_text(FULL)
     cfg = load_config(p)
     assert cfg.operator.grid_n == (800,)
+
+
+@pytest.mark.parametrize("text, path, words", [
+    ("scenario = banana\n", "scenario", "constants, kernel, distance, kato, twist, verify"),
+    ("[distance]\nmethod = geodesic\n", "distance.method", "exact1d, lattice, dM"),
+    ("[verify]\ntarget = blunt\n", "verify.target", "sharp, perturbed"),
+    ('[verify]\ndistance_method = "taxicab"\n', "verify.distance_method", "dM, exact, euclidean"),
+])
+def test_allowed_words_error_names_path_and_words(text, path, words):
+    with pytest.raises(ConfigError) as info:
+        config_from_text(text)
+    assert info.value.key == path
+    assert str(info.value).startswith(f"{path} must be one of {words} [")
+
+
+def test_defaults_pinned():
+    assert dataclasses.asdict(RunConfig()) == {
+        "scenario": "constants", "seed": 0, "m_query": 1,
+        "operator": {"m": 1, "n": 1, "domain": ((0.0, 1.0),), "grid_n": (200,),
+                     "a": "1", "potential": None},
+        "kernel": {"t_list": [0.1], "x_list": [0.0], "y_list": [0.0],
+                   "oracle": False, "oracle_a": 1.0},
+        "distance": {"method": "exact1d", "M": 1.0, "y1_list": [0.0], "y2_list": [1.0],
+                     "source": [0.5, 0.5], "lattice_n": 64},
+        "kato": {"lambdas": [1.0, 10.0, 100.0, 1e3, 1e4, 1e5],
+                 "eps_list": [0.1, 0.3, 0.5, 0.7, 0.9], "delta": 0.01, "vminus": None},
+        "twist": {"phi": "x", "lambda_min": 2.0, "lambda_max": 20.0, "lambda_count": 40,
+                  "M": 1.0},
+        "verify": {"target": "sharp", "tolerance": 0.05, "t_list": [1e-3, 3e-3, 1e-2],
+                   "pair_min": 0.2, "pair_max": 1.0, "pair_count": 12, "M_list": [5.0],
+                   "distance_method": "dM", "delta_coeff": 0.0, "reference_a": "1",
+                   "lambda_min": 20.0, "lambda_max": 200.0, "lambda_count": 40},
+    }
+    a, b = RunConfig(), RunConfig()
+    a.kato.lambdas.append(1e6)
+    assert b.kato.lambdas[-1] == 1e5  # list defaults are not shared
+
+
+def test_default_expressions_checked_in_present_sections():
+    config_from_text("[operator]\nn = 2\ndomain = 0, 1, 0, 1\n")  # no [twist]: phi unchecked
+    with pytest.raises(ConfigError, match=r"twist\.phi"):
+        config_from_text("[operator]\nn = 2\ndomain = 0, 1, 0, 1\n[twist]\nlambda_count = 4\n")
+
+
+def test_readme_lists_every_key_and_allowed_words():
+    section = README.read_text(encoding="utf-8").split("### Configuration files", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    documented = {}
+    for name, keys in re.findall(r"^- (?:preamble|`\[(\w+)\]`): (.*)$", section, re.M):
+        for key, words in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys):
+            documented[(name, key)] = tuple(words.split(" | ")) if words else None
+    declared = {(s, k): f.metadata["choices"] for s, k, _, f in config_keys(RunConfig())}
+    assert documented == declared
+    example = re.search(r"```\n(scenario = .*?)```", section, re.S).group(1)
+    config_from_text(example)  # the example block names only declared keys
