@@ -158,7 +158,9 @@ def _parse_scalar(tok, line_no, key):
 
 
 def parse_config_text(text):
-    """Raw parse: {section: {key: value}}, section '' for the preamble."""
+    """Raw parse: {section: {key: value}}, section '' for the preamble; a
+    section the schema does not declare is rejected at its header."""
+    sections = {section for section, *_ in config_keys(RunConfig())}
     data = {"": {}}
     section = ""
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -171,6 +173,8 @@ def parse_config_text(text):
             section = line[1:-1].strip()
             if not _IDENT.match(section):
                 raise ConfigError(f"bad section name {section!r}", line=line_no)
+            if section not in sections:
+                raise ConfigError(f"unknown section {section!r}", line=line_no)
             data.setdefault(section, {})
             continue
         if "=" not in line:
@@ -261,6 +265,9 @@ def config_from_text(text):
         if len(o.domain) != 2 * o.n:
             raise ConfigError("domain needs 2 numbers per axis", key="operator.domain")
         o.domain = tuple(zip(o.domain[::2], o.domain[1::2]))
+    elif len(o.domain) != o.n:  # the one-axis default
+        raise ConfigError("domain needs 2 numbers per axis; the default has one axis",
+                          key="operator.domain")
     if isinstance(o.grid_n, list):
         o.grid_n = tuple(o.grid_n) * (o.n if len(o.grid_n) == 1 and o.n > 1 else 1)
     if len(cfg.kernel.x_list) != len(cfg.kernel.y_list):

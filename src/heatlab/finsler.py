@@ -11,11 +11,24 @@ from above as the mesh refines, within the anisotropy bound of the
 The lattice's edge weights form one ``(nodes, 16)`` table, filled by one
 batched ``LengthElement`` call per move family: isotropic symbols
 ``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
-symbols a direction search on arrays.  Dijkstra is a ``heapq`` loop over
-that table (34 MB at 512 x 512 nodes).  ``scipy.sparse.csgraph.dijkstra``
-needs the graph in CSR besides (4.2 million float64 weights and int32
-columns); even built from the table without a copy it raised the peak memory
-of the 512 x 512 benchmark run by 16 MB, from 126 MB to about 142 MB.
+symbols a direction search on arrays.  The shortest path settles nodes in
+phases over that table, Dial's buckets (CACM Algorithm 360, 1969) with the
+settle rule of Crauser, Mehlhorn, Meyer and Sanders (MFCS 1998): with
+``delta`` the smallest edge weight, a phase settles every open node whose
+tentative distance is at most ``delta`` above the smallest open one, then
+relaxes the settled nodes' moves with one gather per move family.  The rule
+is exact: a path that could still shorten such a node leaves the settled
+set through another open node, so it is at least the smallest open distance
+plus ``delta`` long.  Rounding is monotone, so the same holds for the
+computed sums, and the values equal ``scipy.sparse.csgraph.dijkstra`` on
+the same table bit for bit.  From the centre of 512 x 512 nodes a constant
+``a`` takes 360 phases, ``a = exp(8*x1)`` 1,559.  Building the table raises
+the peak memory 42 MB above the process's pre-lattice baseline; the phases
+add nothing to that.  ``csgraph`` would need the graph in CSR besides the
+table: even built from the table without a copy (int32 columns, ``inf``
+self-loops for off-grid moves) it peaked 55 MB above the baseline, and
+importing it costs 2.3 MB more, which would put the 512 x 512 benchmark run
+near 140 MB against the 132 MB its memory bound allows.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
@@ -27,7 +40,6 @@ iteration count, so each value comes with its certificate.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -146,14 +158,10 @@ def distance_1d(spec, y1, y2, panels=400):
 @dataclass
 class DistanceField:
     source: tuple
-    points: np.ndarray
     values: np.ndarray
     method: str
     M: float | None = None
-    axes: tuple | None = None  # per-axis node coordinates of a grid field, x1 outer in points
-
-    def lookup(self):
-        return {tuple(np.round(p, 12)): v for p, v in zip(self.points, self.values)}
+    axes: tuple | None = None  # per-axis node coordinates of a grid field, x1 outer in values
 
 
 _LATTICE_MOVES = (
@@ -184,23 +192,31 @@ def _edge_weights(p, ax, ay, h):
 
 def _dijkstra(wts, offsets, start):
     """Distances from node ``start`` over the weight table ``wts`` (row u
-    holds the weights of the moves to ``u + offsets``, ``inf`` off the grid);
-    a tentative distance is replaced only when it improves by more than
-    1e-15."""
-    inf = math.inf
-    dist = [inf] * len(wts)
+    holds the weights of the moves to ``u + offsets``, ``inf`` off the grid),
+    settled in phases as the module docstring describes."""
+    delta = wts.min()
+    dist = np.full(len(wts), np.inf)
     dist[start] = 0.0
-    pq = [(0.0, start)]
-    while pq:
-        d0, u = heapq.heappop(pq)
-        if d0 > dist[u]:
-            continue
-        for off, w in zip(offsets, wts[u].tolist()):
-            nd = d0 + w
-            # an off-grid move has w = inf; its index u + off is never read
-            if nd < inf and nd < dist[u + off] - 1e-15:
-                dist[u + off] = nd
-                heapq.heappush(pq, (nd, u + off))
+    is_open = np.zeros(len(wts), dtype=bool)
+    is_open[start] = True
+    frontier = np.array([start])
+    while len(frontier):
+        d = dist[frontier]
+        settle = d <= d.min() + delta
+        nodes, d = frontier[settle], d[settle]
+        is_open[nodes] = False
+        reached = [frontier[~settle]]
+        for k, off in enumerate(offsets):
+            t = nodes + off
+            nd = d + wts[nodes, k]
+            # an off-grid move has nd = inf, so its clipped index is never written
+            better = nd < dist.take(t, mode="clip")
+            t = t[better]
+            dist[t] = nd[better]  # the targets of one family are distinct
+            t = t[~is_open[t]]
+            is_open[t] = True
+            reached.append(t)
+        frontier = np.concatenate(reached)
     return dist
 
 
@@ -220,12 +236,9 @@ def distance_lattice_2d(spec, source, grid=None, npts=64):
     si = int(np.argmin(np.abs(ax - src[0])))
     sj = int(np.argmin(np.abs(ay - src[1])))
     offsets = [di * ny + dj for di, dj in _LATTICE_MOVES]
-    # the table is freed when _dijkstra returns, before the output arrays exist
-    dist = _dijkstra(_edge_weights(LengthElement(spec), ax, ay, grid.h), offsets, si * ny + sj)
     return DistanceField(
         source=(float(ax[si]), float(ay[sj])),
-        points=grid.node_coordinates(),
-        values=np.array(dist),
+        values=_dijkstra(_edge_weights(LengthElement(spec), ax, ay, grid.h), offsets, si * ny + sj),
         method="lattice-dijkstra",
         axes=(ax, ay),
     )

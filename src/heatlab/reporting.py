@@ -2,9 +2,11 @@
 
 CSV convention: comma separators, one header row, LF endings, floats as
 shortest round-trip decimals (Python repr), so identical runs produce
-byte-identical files on every platform.  A ``str`` cell is written as it
-stands, so :func:`grid_rows` can format each axis coordinate of a grid once
-and still give the bytes of one :func:`format_value` per cell.
+byte-identical files on every platform.  A ``str`` cell, and a ``str`` row
+(one or more lines, each ending in LF), is written as it stands, so
+:func:`grid_rows` can format each axis coordinate of a grid once, join a
+block of lines at a time and still give the bytes of one
+:func:`format_value` per cell.
 """
 
 from __future__ import annotations
@@ -34,18 +36,18 @@ def format_float_17(v):
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(format_value, row)) + "\n" for row in rows)
+        fh.writelines(row if type(row) is str else ",".join(map(format_value, row)) + "\n"
+                      for row in rows)
 
 
 def grid_rows(axes, values):
-    """Rows ``(x1, x2, value)`` of a field on a 2D grid, in node order (``x1``
-    outer, ``x2`` inner), as ``str`` cells: each axis coordinate formatted
-    once, each value by ``repr``, the bytes :func:`format_value` gives."""
+    """Rows ``x1,x2,value`` of a field on a 2D grid, in node order (``x1``
+    outer, ``x2`` inner), as one ``str`` of lines per ``x1``: each axis
+    coordinate formatted once, each value by ``repr``, the bytes
+    :func:`format_value` gives."""
     ax1, ax2 = ([format_value(x) for x in axis.tolist()] for axis in axes)
-    vals = map(repr, values.tolist())
-    for x1 in ax1:
-        for x2, v in zip(ax2, vals):
-            yield x1, x2, v
+    for x1, block in zip(ax1, values.reshape(len(ax1), len(ax2)).tolist()):
+        yield "".join(f"{x1},{x2},{v!r}\n" for x2, v in zip(ax2, block))
 
 
 def write_text(path, text):

@@ -10,7 +10,7 @@ import heatlab.cli
 import heatlab.kato
 from heatlab.cli import constants_table, main
 from heatlab.config import load_config
-from heatlab.discretize import assemble
+from heatlab.discretize import Grid, assemble
 from heatlab.experiments import operator_pieces
 from heatlab.finsler import distance_lattice_2d
 from heatlab.kato import kato_norm_curve, sample_potential
@@ -184,7 +184,7 @@ def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):
     spec = SymbolSpec.isotropic(2, 2, "1", domain=[(0, 1), (0, 1)])
     fld = distance_lattice_2d(spec, (0.5, 0.5), npts=24)
     assert table.shape == (24 * 24, 3)
-    assert np.array_equal(table[:, :2], fld.points)
+    assert np.array_equal(table[:, :2], Grid.make(spec.domain.bounds, 24).node_coordinates())
     assert np.array_equal(table[:, 2], fld.values)
 
 

@@ -67,6 +67,17 @@ def test_unknown_scenario_and_sections():
         config_from_text("[opera tor]\nm = 1\n")
 
 
+def test_empty_unknown_section_rejected_with_line():
+    with pytest.raises(ConfigError, match=r"unknown section 'bogus' \[line 3\]"):
+        config_from_text("seed = 1\n\n[bogus]\n")
+
+
+def test_two_axes_need_a_domain():
+    with pytest.raises(ConfigError) as info:
+        config_from_text("[operator]\nn = 2\n")
+    assert info.value.key == "operator.domain"
+
+
 def test_expression_errors_carry_offset():
     with pytest.raises(ConfigError, match="offset"):
         config_from_text('[operator]\nn = 1\na = "x^^2"\n')

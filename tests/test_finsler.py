@@ -246,7 +246,7 @@ def test_lattice_distance_isotropic_2d():
     iso = SymbolSpec.isotropic(2, 2, 1.0, domain=[(0, 1), (0, 1)])
     fld = distance_lattice_2d(iso, (0.5, 0.5), npts=48)
     src = np.array(fld.source)
-    eu = np.linalg.norm(fld.points - src, axis=1)
+    eu = np.linalg.norm(Grid.make(iso.domain.bounds, 48).node_coordinates() - src, axis=1)
     mask = (eu > 0.12) & (eu < 0.45)
     rel = (fld.values[mask] - eu[mask]) / eu[mask]
     assert rel.min() >= -1e-9          # converges from above
@@ -257,56 +257,90 @@ def test_lattice_distance_isotropic_2d():
 def test_lattice_distance_axis_anisotropy():
     spec = SymbolSpec.axis_powers(2, 2, (16.0, 1.0), domain=[(0, 1), (0, 1)])
     fld = distance_lattice_2d(spec, (0.5, 0.5), npts=39)  # h = 1/40, probes on nodes
-    lk = fld.lookup()
-    src = fld.source
+    ax, ay = fld.axes
+    vals = fld.values.reshape(len(ax), len(ay))
+    i, j = int(np.argmin(np.abs(ax - 0.5))), int(np.argmin(np.abs(ay - 0.5)))
+    assert (ax[i], ay[j]) == fld.source
+    assert ax[i + 10] == pytest.approx(ax[i] + 0.25, abs=1e-12)
+    assert ay[j + 10] == pytest.approx(ay[j] + 0.25, abs=1e-12)
     # along the x axis the metric is a_x^{-1/4} = 1/2; along y it is 1
-    dx = lk[(round(src[0] + 0.25, 12), round(src[1], 12))]
-    dy = lk[(round(src[0], 12), round(src[1] + 0.25, 12))]
-    assert dx == pytest.approx(0.25 / 2.0, rel=1e-9)
-    assert dy == pytest.approx(0.25, rel=1e-9)
-    assert lk[(round(src[0], 12), round(src[1], 12))] == 0.0
+    assert vals[i + 10, j] == pytest.approx(0.25 / 2.0, rel=1e-9)
+    assert vals[i, j + 10] == pytest.approx(0.25, rel=1e-9)
+    assert vals[i, j] == 0.0
 
 
-def _csgraph_lattice(spec, source, npts, weight):
+def _csgraph_lattice(spec, source, shape, weight):
     """The 16-neighbour graph built edge by edge, solved by scipy's Dijkstra."""
-    grid = Grid.make(spec.domain.bounds, (npts, npts))
+    nx, ny = shape
+    grid = Grid.make(spec.domain.bounds, shape)
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
     hx, hy = grid.h
     rows, cols, wts = [], [], []
-    for i in range(npts):
-        for j in range(npts):
+    for i in range(nx):
+        for j in range(ny):
             for di, dj in (
                 (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
                 (2, 1), (1, 2), (-2, 1), (-1, 2), (2, -1), (1, -2), (-2, -1), (-1, -2),
             ):
                 a, b = i + di, j + dj
-                if 0 <= a < npts and 0 <= b < npts:
+                if 0 <= a < nx and 0 <= b < ny:
                     vec = np.array([di * hx, dj * hy])
                     mid = np.array([ax[i], ay[j]]) + 0.5 * vec
-                    rows.append(i * npts + j)
-                    cols.append(a * npts + b)
+                    rows.append(i * ny + j)
+                    cols.append(a * ny + b)
                     wts.append(weight(mid, vec))
-    graph = sp.csr_matrix((wts, (rows, cols)), shape=(npts * npts,) * 2)
+    graph = sp.csr_matrix((wts, (rows, cols)), shape=(nx * ny,) * 2)
     si = int(np.argmin(np.abs(ax - source[0])))
     sj = int(np.argmin(np.abs(ay - source[1])))
-    return dijkstra(graph, indices=si * npts + sj)
+    return dijkstra(graph, indices=si * ny + sj)
 
 
 def test_lattice_matches_csgraph_variable_isotropic():
     def weight(mid, vec):  # closed form a(x)^(-1/4) |vec|
-        a = 1 + 0.3 * np.sin(mid[0]) * np.cos(mid[1])
-        return a ** -0.25 * np.hypot(*vec)
+        # on a one-element array, as the length element takes it: numpy's
+        # array power and the scalar pow differ in the last ulp
+        a = 1 + 0.3 * np.sin(mid[:1]) * np.cos(mid[1:])
+        return (a ** -0.25 * np.hypot(*vec))[0]
 
     fld = distance_lattice_2d(SPEC_ISO_VAR, (0.1, 0.2), npts=12)
-    ref = _csgraph_lattice(SPEC_ISO_VAR, (0.1, 0.2), 12, weight)
-    np.testing.assert_allclose(fld.values, ref, rtol=1e-12)
+    ref = _csgraph_lattice(SPEC_ISO_VAR, (0.1, 0.2), (12, 12), weight)
+    assert np.array_equal(fld.values, ref)
 
 
 def test_lattice_matches_csgraph_axis_powers():
     p = LengthElement(SPEC_AXIS)
     fld = distance_lattice_2d(SPEC_AXIS, (0.4, 0.6), npts=9)
-    ref = _csgraph_lattice(SPEC_AXIS, (0.4, 0.6), 9, lambda mid, vec: p(mid, vec))
-    np.testing.assert_allclose(fld.values, ref, rtol=1e-12)
+    ref = _csgraph_lattice(SPEC_AXIS, (0.4, 0.6), (9, 9), lambda mid, vec: p(mid, vec))
+    assert np.array_equal(fld.values, ref)
+
+
+def test_lattice_matches_csgraph_high_contrast():
+    # a spans e^8 ~ 3000 across the square: many more phases than a flat a
+    spec = SymbolSpec.isotropic(2, 2, "exp(8*x1)", domain=[(0, 1), (0, 1)])
+    p = LengthElement(spec)
+    fld = distance_lattice_2d(spec, (0.3, 0.7), npts=64)
+    ref = _csgraph_lattice(spec, (0.3, 0.7), (64, 64), p)
+    assert np.array_equal(fld.values, ref)
+
+
+@pytest.mark.parametrize("corner", [(-3.0, -3.0), (3.0, 3.0)])
+def test_lattice_matches_csgraph_from_corner(corner):
+    # from a corner node the moves off the grid point below index 0 or past the last node
+    p = LengthElement(SPEC_ISO_VAR)
+    fld = distance_lattice_2d(SPEC_ISO_VAR, corner, npts=10)
+    ref = _csgraph_lattice(SPEC_ISO_VAR, corner, (10, 10), p)
+    assert np.array_equal(fld.values, ref)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7)])
+def test_lattice_matches_csgraph_on_thin_grids(shape):
+    # at most one row of knight moves fits; the rest leave the grid
+    p = LengthElement(SPEC_ISO_VAR)
+    fld = distance_lattice_2d(SPEC_ISO_VAR, (0.5, -1.0),
+                              grid=Grid.make(SPEC_ISO_VAR.domain.bounds, shape))
+    ref = _csgraph_lattice(SPEC_ISO_VAR, (0.5, -1.0), shape, p)
+    assert np.isfinite(ref).all()
+    assert np.array_equal(fld.values, ref)
 
 
 def test_distance_comparison_under_coefficient_gap():
