@@ -111,10 +111,10 @@ def run_kernel(cfg, outdir, manifest):
     manifest.start("assemble")
     op = assemble(spec, grid, potential=vvals)
     manifest.stop()
-    manifest.start("eigendecompose")
-    spectral = eigendecompose(op)
-    manifest.stop()
     k = cfg.kernel
+    manifest.start("eigendecompose")
+    spectral = eigendecompose(op, t_min=min(k.t_list))
+    manifest.stop()
     manifest.start("kernel sweep")
     fld = spectral_field(spectral, op.m, k.t_list, list(zip(k.x_list, k.y_list)))
     rows = [(t, x, y, v, fld.method) for t, x, y, v in fld.rows()]

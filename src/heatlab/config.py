@@ -19,8 +19,9 @@ doubles, comma lists are lists of numbers.  Unknown sections or keys are
 rejected with the offending line; type mismatches name the key path.
 
 The dataclasses below are the schema: each settable field is declared once
-with :func:`_key`, which records its value kind, default, allowed words and
-file name, and :func:`config_from_text` reads every key from that record.
+with :func:`_key`, which records its value kind, default and allowed words,
+and :func:`config_from_text` reads every key, named as its field, from that
+record.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class ConfigError(ValueError):
         super().__init__(message + (f" [{', '.join(where)}]" if where else ""))
 
 
-def _key(kind, default, choices=None, name=None):
-    """A settable key: its value kind (see :func:`_take`), its default, its
-    allowed words and, when it differs from the field name, its file name."""
-    meta = {"kind": kind, "choices": choices, "name": name}
+def _key(kind, default, choices=None):
+    """A settable key, named in the file as its field: its value kind (see
+    :func:`_take`), its default and its allowed words."""
+    meta = {"kind": kind, "choices": choices}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
@@ -120,7 +121,6 @@ class VerifyConfig:
 class RunConfig:
     scenario: str = _key("word", "constants", SCENARIOS)
     seed: int = _key("int", 0)
-    m_query: int = _key("int", 1, name="m")  # constants scenario
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     distance: DistanceConfig = field(default_factory=DistanceConfig)
@@ -130,14 +130,14 @@ class RunConfig:
 
 
 def config_keys(cfg):
-    """Every settable key as ``(section, file name, owner, field)``: the preamble
+    """Every settable key as ``(section, name, owner, field)``: the preamble
     (section ``''``), then each ``RunConfig`` field that is a dataclass."""
     owners = [("", cfg)] + [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
                             if is_dataclass(getattr(cfg, f.name))]
     for section, owner in owners:
         for f in fields(owner):
             if "kind" in f.metadata:
-                yield section, f.metadata["name"] or f.name, owner, f
+                yield section, f.name, owner, f
 
 
 def _path(section, key):

@@ -5,7 +5,7 @@ The assembled object is the sparse (CSR) form matrix of ``Q(u) = sum
 the grid treated as zero.  The form-based construction guarantees symmetry
 and mirrors the variational definition of the operator.  Extreme
 eigenvalues come from the operator's LAPACK band; a dense matrix is built
-only for full spectra and resolvents.
+only for kernel spectra and resolvents.
 
 Stencil conventions:
 
@@ -198,7 +198,7 @@ class DiscreteOperator:
     band storage: row k holds the k-th subdiagonal in its first N - k
     entries, zero-padded, for k up to the largest offset of a stored entry.
     Every extreme eigenvalue is read from it; ``operator_matrix()`` is the
-    dense copy, built on first use, for full spectra and resolvents.
+    dense copy, built on first use, for kernel spectra and resolvents.
     """
 
     grid: Grid

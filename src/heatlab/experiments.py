@@ -242,36 +242,30 @@ def verify_sharp_bound(cfg: RunConfig):
     gamma t)  dominates every sample and eps stays within the configured
     tolerance.
     """
-    return _verdict_pipeline(cfg, sigma_target=None, label="sharp")
+    return _verdict_pipeline(cfg, label="sharp")
 
 
 def verify_perturbed_bound(cfg: RunConfig):
     """Stability pipeline: measure the growth-coefficient drift per unit of
     coefficient perturbation, degrade the target constant accordingly, and
     run the sharp pipeline against the degraded target."""
-    target, note = _perturbed_target(cfg)
-    verdict = _verdict_pipeline(cfg, sigma_target=target, label="perturbed")
-    verdict.notes.append(note)
-    return verdict
+    return _verdict_pipeline(cfg, label="perturbed")
 
 
-def _perturbed_target(cfg):
-    """Degraded target constant and its note; the two stability operators
-    are freed on return, before the verdict pipeline builds its own."""
+def _perturbed_target(cfg, spec_pert, grid, amax_pert):
+    """Degraded target constant and its note; ``amax_pert`` is the largest
+    value of the perturbed coefficient at the grid nodes.  The two stability
+    operators are freed on return, before the verdict pipeline builds its own."""
     v = cfg.verify
     if v.delta_coeff <= 0:
         raise ValueError("perturbed target needs delta_coeff > 0")
     opcfg = cfg.operator
     spec_ref = SymbolSpec.isotropic(opcfg.m, opcfg.n, v.reference_a, domain=opcfg.domain)
-    spec_pert, grid, _ = operator_pieces(opcfg, with_potential=False)
     op_ref = assemble(spec_ref, grid)
     op_pert = assemble(spec_pert, grid)
 
     nodes = grid.node_coordinates()
-    amax = 0.0
-    for spec in (spec_ref, spec_pert):
-        vals = spec.scalar_field().at_many(nodes)
-        amax = max(amax, float(np.max(vals)))
+    amax = max(float(np.max(spec_ref.scalar_field().at_many(nodes))), amax_pert)
     slope = amax ** (-1.0 / (2 * opcfg.m))
     phivals = slope * nodes[:, 0]
     profile = TwistProfile.from_values(grid, phivals, opcfg.m)
@@ -288,7 +282,9 @@ def _perturbed_target(cfg):
     return target, note
 
 
-def _verdict_pipeline(cfg, sigma_target, label):
+def _verdict_pipeline(cfg, label):
+    """The verdict against sigma_m ("sharp") or against the target degraded
+    by :func:`_perturbed_target` ("perturbed")."""
     opcfg, v = cfg.operator, cfg.verify
     if opcfg.n != 1:
         raise ValueError("verdict pipelines are 1D")
@@ -297,6 +293,10 @@ def _verdict_pipeline(cfg, sigma_target, label):
     conv = is_strongly_convex(spec, grid.node_coordinates())
     if not conv.strongly_convex:
         raise ValueError(f"symbol is not strongly convex (min eig {conv.min_eigenvalue:.3e})")
+    sigma_target, target_note = sharp_constants(opcfg.m).sigma_m, None
+    if label == "perturbed":
+        # in 1D the form at a node is the coefficient there: the check sampled it
+        sigma_target, target_note = _perturbed_target(cfg, spec, grid, conv.form_scale)
 
     notes = [f"strong convexity: min eigenvalue {conv.min_eigenvalue!r}"]
     if vvals is not None:
@@ -309,7 +309,7 @@ def _verdict_pipeline(cfg, sigma_target, label):
             notes.append(f"form bound certificate: c_eps(0.5)={c_half!r}")
 
     op = assemble(spec, grid, potential=vvals)
-    spectral = eigendecompose(op)
+    spectral = eigendecompose(op, t_min=min(v.t_list))
 
     nodes = grid.axis_nodes(0)
     raw_pairs = _center_pairs(opcfg.domain, v.pair_min, v.pair_max, v.pair_count)
@@ -332,8 +332,6 @@ def _verdict_pipeline(cfg, sigma_target, label):
         fld, dist, opcfg.m, 1, (min(v.t_list), max(v.t_list)),
         distance_method=f"{method}(M={M_used})" if method == "dM" else method,
     )
-    if sigma_target is None:
-        sigma_target = sharp_constants(opcfg.m).sigma_m
     eps = max(0.0, sigma_target - fit.sigma_eff)
 
     look = _dict_lookup(dist)
@@ -358,6 +356,8 @@ def _verdict_pipeline(cfg, sigma_target, label):
         fit.verdict_ok and eps <= v.tolerance and worst["ratio"] <= 1.0 + 0.05
     )
     notes.append(f"fit residual {fit.residual!r} over {fit.n_samples} samples")
+    if target_note is not None:
+        notes.append(target_note)
     return Verdict(
         passed=passed,
         scenario=label,

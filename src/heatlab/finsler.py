@@ -160,7 +160,6 @@ class DistanceField:
     source: tuple
     values: np.ndarray
     method: str
-    M: float | None = None
     axes: tuple | None = None  # per-axis node coordinates of a grid field, x1 outer in values
 
 

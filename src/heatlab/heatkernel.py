@@ -1,4 +1,4 @@
-"""Heat kernels from dense eigendecomposition and a Fourier quadrature oracle.
+"""Heat kernels from the operator's eigenpairs and a Fourier quadrature oracle.
 
 Eigenvectors are normalized in the h^n-weighted inner product so that the
 sampled kernel ``K(t, x_i, x_j) = sum_k exp(-l_k t) v_k(x_i) v_k(x_j)`` has
@@ -10,6 +10,16 @@ constant-coefficient whole-line oracle
 truncated at ``Xi = (750/(a t))^(1/2m)`` (integrand under 1e-300 beyond) and
 integrated by composite Gauss-Legendre with panels narrow enough to resolve
 the oscillation; panel doubling certifies 1e-10 absolute accuracy.
+
+A caller that samples no time below ``t_min`` needs no eigenpair with
+``l >= 746 / t_min``: its weight ``exp(-l t)`` is exactly 0.0 in double
+precision at every such ``t``.  :func:`eigendecompose` then asks LAPACK's
+MRRR solver (``dsyevr``) for the eigenpairs below that cut only; the
+spectrum records ``t_min`` and every kernel function refuses an earlier
+time.  The stock quartic verdicts keep 75 of their 800 modes, the
+perturbed one 19.  When the cut is at or above a Gershgorin bound on the
+spectrum the full decomposition is taken instead, because a value-range
+call that keeps every mode is slower than the full one.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ import scipy.linalg as sla
 # double-precision floor for eigenpair residuals of stiff operators: below
 # eps * ||H|| no backward-stable solver can certify a smaller residual
 _RESIDUAL_FLOOR_FACTOR = 8 * np.finfo(float).eps
+# exp(-x) rounds to exactly 0.0 for x >= 745.14 (below half the smallest subnormal)
+UNDERFLOW_EXPONENT = 746.0
 
 
 class QuadratureError(RuntimeError):
@@ -30,12 +42,25 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class SpectralData:
-    """Ascending eigenvalues with eigenvectors orthonormal in h^n weights."""
+    """Ascending eigenvalues with eigenvectors orthonormal in h^n weights.
+
+    ``t_min > 0`` marks a spectrum cut at ``746 / t_min``: kernels from it
+    are exact for ``t >= t_min`` only.  A complete spectrum has ``t_min = 0``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k is v_k, sum_i v_k(x_i)^2 h^n = 1
     grid: object
     mass: float
+    t_min: float = 0.0
+
+    def weights(self, t):
+        """``exp(-l_k t)``, for a time at which the kept modes give the kernel."""
+        if t <= 0:
+            raise ValueError("t must be positive")
+        if t < self.t_min:
+            raise ValueError(f"t = {t} is below the t_min = {self.t_min} of a cut spectrum")
+        return np.exp(-self.eigenvalues * t)
 
     def validate(self, operator_matrix, rtol=1e-8):
         """Residual and weighted-orthonormality checks.
@@ -64,17 +89,27 @@ class SpectralData:
         return True
 
 
-def eigendecompose(op):
-    """Full dense decomposition of the operator matrix (symmetric)."""
+def eigendecompose(op, t_min=0.0):
+    """Eigenpairs of the dense operator matrix (symmetric): all of them, or,
+    for ``t_min > 0``, those with ``l < 746 / t_min``, whose kernel weight is
+    nonzero at some ``t >= t_min``."""
+    if t_min < 0:
+        raise ValueError("t_min must be nonnegative")
     H = op.operator_matrix()
     if op.symmetry_defect() > 1e-12:
         raise ValueError("form matrix is not symmetric")
-    w, v = sla.eigh(H)
+    cut = UNDERFLOW_EXPONENT / t_min if t_min > 0 else np.inf
+    # no eigenvalue exceeds the largest absolute row sum (Gershgorin)
+    if cut < abs(op.form_matrix).sum(axis=1).max() / op.mass:
+        w, v = sla.eigh(H, subset_by_value=(-np.inf, cut))
+    else:
+        w, v = sla.eigh(H)
     return SpectralData(
         eigenvalues=w,
         eigenvectors=v / np.sqrt(op.mass),
         grid=op.grid,
         mass=op.mass,
+        t_min=t_min if len(w) < H.shape[0] else 0.0,
     )
 
 
@@ -83,24 +118,18 @@ def kernel(spectral, t, i, j):
 
     The product is grouped as (v_i v_j) w so K(t,i,j) == K(t,j,i) exactly.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    w = np.exp(-spectral.eigenvalues * t)
+    w = spectral.weights(t)
     return float(np.sum((spectral.eigenvectors[i] * spectral.eigenvectors[j]) * w))
 
 
 def kernel_matrix(spectral, t):
-    if t <= 0:
-        raise ValueError("t must be positive")
-    w = np.exp(-spectral.eigenvalues * t)
+    w = spectral.weights(t)
     V = spectral.eigenvectors
     return (V * w[None, :]) @ V.T
 
 
 def semigroup_check(spectral, t, s):
     """Chapman-Kolmogorov defect max_ij |sum_z K(t,i,z)K(s,z,j)h^n - K(t+s,i,j)|."""
-    if t <= 0 or s <= 0:
-        raise ValueError("t and s must be positive")
     Kt = kernel_matrix(spectral, t)
     Ks = kernel_matrix(spectral, s)
     Kts = kernel_matrix(spectral, t + s)
@@ -200,5 +229,5 @@ def trace_identity_defect(spectral, t):
     """|sum_i K(t,i,i) h^n - sum_k exp(-l_k t)| relative to the trace."""
     K = kernel_matrix(spectral, t)
     tr_kernel = spectral.mass * float(np.trace(K))
-    tr_spec = float(np.sum(np.exp(-spectral.eigenvalues * t)))
+    tr_spec = float(np.sum(spectral.weights(t)))
     return abs(tr_kernel - tr_spec) / abs(tr_spec)

@@ -3,10 +3,14 @@
 Everything is exact at the discrete level: the zero-form-bound constant is an
 eigenvalue, the L1->L1 resolvent norm is a max column mass of the resolvent
 kernel, and the weighted-L2 bound is the top eigenvalue of the symmetrized
-weighted resolvent.  :func:`kato_norm_curve` is the one sweep over lambda;
-its :class:`KatoCurve` enforces the decay in lambda and the interpolation
-bound (weighted-L2 <= L1->L1).  The Miyadera quadrature is one matrix
-product per panel.
+weighted resolvent, found by Lanczos iteration (ARPACK through
+``scipy.sparse.linalg.eigsh``) from a fixed start vector, so reruns give the
+same bits.  :func:`kato_norm_curve` is the one sweep over lambda; its
+:class:`KatoCurve` enforces the decay in lambda and the interpolation bound
+(weighted-L2 <= L1->L1).  The Miyadera quadrature is one matrix product per
+panel over the modes still alive at the panel's first node: the eigenvalues
+ascend, so the weights ``exp(-l t)`` that underflow to 0.0 there are a tail
+that the product skips.  It needs the complete spectrum.
 Singular potentials enter as grid traces, clipped (with a warning) at 1e12.
 """
 
@@ -142,8 +146,13 @@ def weighted_l2_check(op0, vminus, lam):
     R = op0.resolvent(lam)
     sq = np.sqrt(vminus[support])
     Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
-    k = Mw.shape[0]
-    wnorm = float(sla.eigh(Mw, eigvals_only=True, subset_by_index=(k - 1, k - 1))[0])
+    if len(Mw) == 1:  # ARPACK needs two rows or more
+        wnorm = float(Mw[0, 0])
+    else:  # Lanczos from a fixed start; ARPACK's failure to converge raises
+        from scipy.sparse.linalg import eigsh
+
+        wnorm = float(eigsh(Mw, k=1, which="LA", v0=np.ones(len(Mw)),
+                            return_eigenvectors=False)[0])
     kn = _column_mass(R, vminus)
     status = "pass" if wnorm <= kn + INTERPOLATION_SLACK else "fail"
     return status, wnorm, kn
@@ -155,11 +164,15 @@ def miyadera_integral(spectral, vminus, delta, u):
     First split at delta/8; below it the panels are geometrically graded
     toward t = 0 (the integrand has a square-root layer from the high
     modes), above it they are uniform; each panel is one product
-    ``V @ (exp(-outer(l, t)) * c)``.  Doubling all panel counts must not move
-    the value by more than ``SETTLE_TOL`` relative, else a QuadratureError.
+    ``V @ (exp(-outer(l, t)) * c)`` over the modes whose weight is nonzero at
+    the panel's first node.  Doubling all panel counts must not move the
+    value by more than ``SETTLE_TOL`` relative, else a QuadratureError.
+    The spectrum must be complete: the integral starts at t = 0.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if spectral.t_min > 0:
+        raise ValueError("the Miyadera integral needs a complete spectrum, not one cut at t_min")
     vminus = _check_vminus(vminus)
     u = np.asarray(u, dtype=float)
     V, lam, mass = spectral.eigenvectors, spectral.eigenvalues, spectral.mass
@@ -172,7 +185,9 @@ def miyadera_integral(spectral, vminus, delta, u):
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            ut = V @ (np.exp(-np.outer(lam, mid + half * nodes)) * coeffs[:, None])
+            t = mid + half * nodes
+            k = np.count_nonzero(np.exp(-lam * t[0]))  # ascending l: the zeros are a tail
+            ut = V[:, :k] @ (np.exp(-np.outer(lam[:k], t)) * coeffs[:k, None])
             total += half * float(weights @ (vminus @ np.abs(ut) * mass))
         return total
 

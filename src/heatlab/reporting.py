@@ -55,8 +55,13 @@ def write_text(path, text):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+# environment variables that set the BLAS thread count; verdict digits depend on it
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class Manifest:
-    """Echo of the inputs plus versions and stage timings."""
+    """Echo of the inputs plus versions, the BLAS build and its thread
+    settings, and stage timings."""
 
     def __init__(self, scenario, seed):
         import numpy
@@ -71,6 +76,8 @@ class Manifest:
             f"numpy: {numpy.__version__}",
             f"scipy: {scipy.__version__}",
         ]
+        self.lines.append(f"numpy blas: {_blas_build()}")
+        self.lines += [f"{var}: {os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS]
         self._timings = []
         self._t0 = None
         self._stage = None
@@ -96,6 +103,15 @@ class Manifest:
 
     def write(self, outdir):
         write_text(os.path.join(outdir, "manifest.txt"), self.render())
+
+
+def _blas_build():
+    """Name and version of numpy's BLAS; numpy reports them from 1.26 on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
 def ensure_outdir(path):

@@ -335,6 +335,7 @@ class ConvexityReport:
     witness_point: tuple
     inconclusive: bool = False
     tol: float = 1e-10
+    form_scale: float = math.nan  # largest |entry| of the forms; in 1D the largest |a(x)|
 
 
 def is_strongly_convex(spec, sample_points, tol=1e-10):
@@ -356,9 +357,11 @@ def is_strongly_convex(spec, sample_points, tol=1e-10):
     except np.linalg.LinAlgError:
         bad = ~np.all(np.isfinite(mats), axis=(1, 2))
         return ConvexityReport(False, math.nan, tuple(pts[int(np.argmax(bad))]), True, tol)
-    ratio = lo / (1.0 + np.max(np.abs(mats), axis=(1, 2)))
+    scale = np.max(np.abs(mats), axis=(1, 2))
+    ratio = lo / (1.0 + scale)
     i = int(np.argmin(ratio))
-    return ConvexityReport(bool(ratio[i] >= -tol), float(lo[i]), tuple(pts[i]), False, tol)
+    return ConvexityReport(bool(ratio[i] >= -tol), float(lo[i]), tuple(pts[i]), False, tol,
+                           float(np.max(scale)))
 
 
 @dataclass(frozen=True)

@@ -281,3 +281,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     code = "import heatlab.cli, sys; assert 'scipy.optimize' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_leaves_sparse_eigensolver_unloaded():
+    # weighted_l2_check imports eigsh on first use, as the d_M solver does linprog
+    src = os.path.dirname(os.path.dirname(heatlab.__file__))
+    code = "import heatlab.cli, sys; assert 'scipy.sparse.linalg' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_manifest_records_blas_build_and_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = _write(tmp_path, KERNEL_CFG)
+    out = str(tmp_path / "out")
+    assert main(["kernel", "--config", cfg, "--out", out]) == 0
+    lines = open(os.path.join(out, "manifest.txt")).read().splitlines()
+    blas = [ln for ln in lines if ln.startswith("numpy blas: ")]
+    assert len(blas) == 1 and blas[0] != "numpy blas: "
+    assert "OPENBLAS_NUM_THREADS: 1" in lines
+    assert "MKL_NUM_THREADS: unset" in lines
+    assert any(ln.startswith("OMP_NUM_THREADS: ") for ln in lines)

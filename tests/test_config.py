@@ -10,7 +10,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 scenario = constants
-m = 3
 """
 
 FULL = """
@@ -39,7 +38,9 @@ distance_method = dM
 def test_minimal_config():
     cfg = config_from_text(MINIMAL)
     assert cfg.scenario == "constants"
-    assert cfg.m_query == 3
+    # the preamble has no order key: `heatlab constants` takes --m
+    with pytest.raises(ConfigError, match="unknown key 'm'"):
+        config_from_text(MINIMAL + "m = 3\n")
 
 
 def test_full_config_roundtrip_fields():
@@ -147,7 +148,7 @@ def test_allowed_words_error_names_path_and_words(text, path, words):
 
 def test_defaults_pinned():
     assert dataclasses.asdict(RunConfig()) == {
-        "scenario": "constants", "seed": 0, "m_query": 1,
+        "scenario": "constants", "seed": 0,
         "operator": {"m": 1, "n": 1, "domain": ((0.0, 1.0),), "grid_n": (200,),
                      "a": "1", "potential": None},
         "kernel": {"t_list": [0.1], "x_list": [0.0], "y_list": [0.0],

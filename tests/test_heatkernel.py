@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_line_operator
+from heatlab.config import OperatorConfig
+from heatlab.discretize import assemble
+from heatlab.experiments import operator_pieces
 from heatlab.heatkernel import (
     HeatKernelField,
     eigendecompose,
@@ -199,3 +202,66 @@ def test_boundary_contamination_guard():
 def test_validate_accepts_stiff_operator(line_m2_op, line_m2):
     # operator norm ~ 1e8 here; the residual floor makes the check feasible
     assert line_m2.validate(line_m2_op.operator_matrix())
+
+
+# the stock verify operators at N = 800, with the times each verdict samples
+_CUT_CASES = {
+    "perturbed": (2, (0.0, 1.0), "1+0.1*sin(2*pi*x)", None, (5e-5, 1e-4, 2e-4)),
+    "quartic-free": (2, (-4.0, 4.0), "1", None, (1e-3, 4e-3, 1e-2)),
+    "quartic-confining": (2, (-4.0, 4.0), "1", "x^4", (1e-3, 4e-3, 1e-2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CUT_CASES))
+def test_cut_spectrum_kernel_equals_full(name):
+    # The dropped weights are exactly 0.0, so the cut itself changes no sum.
+    # What differs is LAPACK's path: each set of eigenvectors is resolved to
+    # about eps ||H|| / gap, which gives up to 2e-8 of a time slice's scale
+    # on the perturbed operator (||H|| ~ 7e12) and 7e-10 on the quartics.
+    m, domain, a, potential, ts = _CUT_CASES[name]
+    cfg = OperatorConfig(m=m, domain=(domain,), grid_n=(800,), a=a, potential=potential)
+    op = assemble(*operator_pieces(cfg))
+    full = eigendecompose(op)
+    cut = eigendecompose(op, t_min=ts[0])
+    k = len(cut.eigenvalues)
+    assert cut.t_min == ts[0] and full.t_min == 0.0
+    assert k < 100 and np.all(np.exp(-full.eigenvalues[k:] * ts[0]) == 0.0)
+    assert np.exp(-full.eigenvalues[k - 1] * ts[0]) > 0.0
+    floor = 8 * np.finfo(float).eps * full.eigenvalues[-1]  # eps ||H||, 1e-2 when perturbed
+    np.testing.assert_allclose(cut.eigenvalues, full.eigenvalues[:k], rtol=0, atol=floor)
+    for t in ts:
+        K = kernel_matrix(full, t)
+        assert np.max(np.abs(kernel_matrix(cut, t) - K)) <= 1e-7 * np.max(np.abs(K))
+
+
+def test_cut_spectrum_refuses_earlier_times():
+    op = make_line_operator(2, n_pts=200, bounds=(0.0, 1.0))
+    t_min = 1e-4
+    sd = eigendecompose(op, t_min=t_min)
+    assert sd.t_min == t_min and len(sd.eigenvalues) < 200
+    for call in (lambda t: kernel(sd, t, 3, 5), lambda t: kernel_matrix(sd, t),
+                 lambda t: semigroup_check(sd, t, t_min), lambda t: semigroup_check(sd, t_min, t),
+                 lambda t: trace_identity_defect(sd, t)):
+        with pytest.raises(ValueError, match="t_min"):
+            call(0.5 * t_min)
+        call(t_min)  # the smallest sampled time itself is exact
+    with pytest.raises(ValueError, match="nonnegative"):
+        eigendecompose(op, t_min=-1.0)
+
+
+def test_cut_above_spectrum_keeps_every_mode():
+    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+    full = eigendecompose(op)
+    top = full.eigenvalues[-1]
+    # far above the spectrum: the full decomposition itself
+    far = eigendecompose(op, t_min=1e-3 * 746.0 / top)
+    assert far.t_min == 0.0
+    np.testing.assert_array_equal(far.eigenvalues, full.eigenvalues)
+    np.testing.assert_array_equal(far.eigenvectors, full.eigenvectors)
+    # just above the top eigenvalue, below the Gershgorin bound: the value
+    # range holds every mode, so the spectrum is complete
+    near = eigendecompose(op, t_min=746.0 / (top * (1 + 1e-6)))
+    assert near.t_min == 0.0 and len(near.eigenvalues) == 200
+    np.testing.assert_allclose(near.eigenvalues, full.eigenvalues, rtol=0,
+                               atol=8 * np.finfo(float).eps * top)
+    assert trace_identity_defect(near, 1e-9) < 1e-9

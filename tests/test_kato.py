@@ -283,3 +283,34 @@ def test_clipped_potential_warns_once():
         assemble(spec, grid, potential=vvals)
     assert len(caught) == 1
     assert "clipped" in str(caught[0].message)
+
+
+def test_weighted_l2_lanczos_equals_dense_top_eigenvalue(unit_m1_400_op, singular_vminus):
+    one_node = np.zeros(400)
+    one_node[123] = 2.5
+    half = np.zeros(400)
+    half[:200] = 1.0
+    for vminus in (singular_vminus, half, one_node):
+        support = vminus > 0
+        sq = np.sqrt(vminus[support])
+        for lam in (1.0, 10.0, 1e3, 1e5):
+            _, wnorm, _ = weighted_l2_check(unit_m1_400_op, vminus, lam)
+            R = unit_m1_400_op.resolvent(lam)
+            Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
+            ref = float(np.linalg.eigvalsh(Mw)[-1])
+            assert abs(wnorm - ref) <= 1e-12 * ref
+            assert weighted_l2_check(unit_m1_400_op, vminus, lam)[1] == wnorm  # fixed start
+    # a one-node support is its single entry, sqrt(V_-) R sqrt(V_-) there
+    R = unit_m1_400_op.resolvent(10.0)
+    want = np.sqrt(2.5) * R[123, 123] * np.sqrt(2.5)
+    assert weighted_l2_check(unit_m1_400_op, one_node, 10.0)[1] == want
+
+
+def test_miyadera_rejects_cut_spectrum(unit_m1_400_op):
+    cut = eigendecompose(unit_m1_400_op, t_min=1e-2)
+    assert cut.t_min == 1e-2 and len(cut.eigenvalues) < 400
+    u = _delta_like(unit_m1_400_op)
+    with pytest.raises(ValueError, match="complete spectrum"):
+        miyadera_integral(cut, np.ones(400), 0.01, u)
+    with pytest.raises(ValueError, match="complete spectrum"):
+        miyadera_ratio(cut, np.ones(400), 0.01, u)
