@@ -5,7 +5,7 @@ The assembled object is the sparse (CSR) form matrix of ``Q(u) = sum
 the grid treated as zero.  The form-based construction guarantees symmetry
 and mirrors the variational definition of the operator.  Extreme
 eigenvalues come from the operator's LAPACK band; a dense matrix is built
-only for kernel spectra and resolvents.
+only for complete spectra and resolvents.
 
 Stencil conventions:
 
@@ -197,8 +197,9 @@ class DiscreteOperator:
     ``band`` is the operator matrix ``form_matrix / mass`` in LAPACK lower
     band storage: row k holds the k-th subdiagonal in its first N - k
     entries, zero-padded, for k up to the largest offset of a stored entry.
-    Every extreme eigenvalue is read from it; ``operator_matrix()`` is the
-    dense copy, built on first use, for kernel spectra and resolvents.
+    Every extreme eigenvalue, and the count below a cut spectrum's cut, is
+    read from it; ``operator_matrix()`` is the dense copy, built on first
+    use, for resolvents.
     """
 
     grid: Grid

@@ -310,6 +310,9 @@ def _verdict_pipeline(cfg, label):
 
     op = assemble(spec, grid, potential=vvals)
     spectral = eigendecompose(op, t_min=min(v.t_list))
+    floor, worst, defect = spectral.health(op.form_matrix / op.mass)
+    notes.append(f"eigen health: residual floor 8 eps ||H||_max {floor!r}, worst residual "
+                 f"over its bound {worst!r}, weighted orthonormality defect {defect!r}")
 
     nodes = grid.axis_nodes(0)
     raw_pairs = _center_pairs(opcfg.domain, v.pair_min, v.pair_max, v.pair_count)

@@ -121,12 +121,13 @@ def kato_norm(op0, vminus, lam):
 
 
 def kato_norm_curve(op0, vminus, lambdas):
-    """Both norms at each lambda; they share the operator's kept resolvent."""
+    """Both norms at each lambda, from one weighted-L2 check each."""
     lambdas = list(lambdas)
     norms, weighted = [], []
     for lam in lambdas:
-        norms.append(kato_norm(op0, vminus, lam))
-        weighted.append(weighted_l2_check(op0, vminus, lam)[1])
+        _, wnorm, kn = weighted_l2_check(op0, vminus, lam)
+        norms.append(kn)
+        weighted.append(wnorm)
     return KatoCurve(lambdas, norms, weighted)
 
 
@@ -143,9 +144,11 @@ def weighted_l2_check(op0, vminus, lam):
     support = vminus > 0
     if not np.any(support):
         return "vacuous", 0.0, 0.0
+    kn = kato_norm(op0, vminus, lam)  # op0 keeps the resolvent it solved for
     R = op0.resolvent(lam)
     sq = np.sqrt(vminus[support])
-    Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
+    Mw = sq[:, None] * (R if support.all() else R[np.ix_(support, support)])
+    Mw *= sq[None, :]
     if len(Mw) == 1:  # ARPACK needs two rows or more
         wnorm = float(Mw[0, 0])
     else:  # Lanczos from a fixed start; ARPACK's failure to converge raises
@@ -153,7 +156,6 @@ def weighted_l2_check(op0, vminus, lam):
 
         wnorm = float(eigsh(Mw, k=1, which="LA", v0=np.ones(len(Mw)),
                             return_eigenvectors=False)[0])
-    kn = _column_mass(R, vminus)
     status = "pass" if wnorm <= kn + INTERPOLATION_SLACK else "fail"
     return status, wnorm, kn
 

@@ -32,6 +32,22 @@ oracle = true
 oracle_a = 1.0
 """
 
+# m = 2 sampled from t = 1e-3 on: 75 of 400 modes lie below the cut
+KERNEL_CUT_CFG = """
+scenario = kernel
+[operator]
+m = 2
+n = 1
+domain = -4, 4
+grid_n = 400
+a = "1"
+[kernel]
+t_list = 0.001, 0.01
+x_list = 0, 0
+y_list = 0.2, 0.5
+oracle = true
+"""
+
 DISTANCE_CFG = """
 scenario = distance
 [operator]
@@ -245,6 +261,18 @@ def test_kato_exits_2_when_interpolation_fails(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, KATO_CFG)
     assert main(["kato", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "weighted-L2 norm exceeds" in capsys.readouterr().err
+
+
+def test_kernel_exits_2_when_lanczos_does_not_converge(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    def unconverged(H, k, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", unconverged)
+    cfg = _write(tmp_path, KERNEL_CUT_CFG)
+    assert main(["kernel", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "No convergence" in capsys.readouterr().err
 
 
 def test_verify_scenario_verdict(tmp_path):

@@ -265,3 +265,62 @@ def test_cut_above_spectrum_keeps_every_mode():
     np.testing.assert_allclose(near.eigenvalues, full.eigenvalues, rtol=0,
                                atol=8 * np.finfo(float).eps * top)
     assert trace_identity_defect(near, 1e-9) < 1e-9
+
+
+def test_kernel_oracle_cut_from_band_matches_full():
+    # the kernel-oracle operator: the cut spectrum comes from the band count
+    # and shift-invert Lanczos on the sparse operator, with no dense matrix
+    cfg = OperatorConfig(m=2, domain=((-4.0, 4.0),), grid_n=(1200,), a="1")
+    op = assemble(*operator_pieces(cfg))
+    cut = eigendecompose(op, t_min=1e-3)
+    assert op._operator is None
+    assert cut.t_min == 1e-3 and len(cut.eigenvalues) == 74
+    # the stock residual and orthonormality bounds hold against the sparse operator
+    assert cut.validate(op.form_matrix / op.mass)
+    full = eigendecompose(op)
+    floor = 8 * np.finfo(float).eps * full.eigenvalues[-1]
+    np.testing.assert_allclose(cut.eigenvalues, full.eigenvalues[:74], rtol=0, atol=floor)
+    for t in (1e-3, 2e-3, 4e-3, 1e-2):
+        K = kernel_matrix(full, t)
+        assert np.max(np.abs(kernel_matrix(cut, t) - K)) <= 1e-7 * np.max(np.abs(K))
+
+
+def test_cut_keeping_one_mode_or_none():
+    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+    full = eigendecompose(op)
+    l0, l1 = full.eigenvalues[:2]
+    t_min = 746.0 / (0.5 * (l0 + l1))  # the cut lies between the two lowest
+    one = eigendecompose(op, t_min=t_min)
+    assert one.t_min == t_min and len(one.eigenvalues) == 1
+    assert one.eigenvalues[0] == pytest.approx(l0, abs=8 * np.finfo(float).eps * full.eigenvalues[-1])
+    v, w = one.eigenvectors[:, 0], full.eigenvectors[:, 0]
+    assert np.max(np.abs(v * np.sign(v @ w) - w)) < 1e-10
+    assert kernel(one, t_min, 60, 90) == pytest.approx(kernel(full, t_min, 60, 90), rel=1e-10)
+    none = eigendecompose(op, t_min=746.0 / (0.5 * l0))  # below the spectrum
+    assert none.eigenvectors.shape == (200, 0) and kernel(none, 2 * 746.0 / l0, 3, 5) == 0.0
+
+
+def test_cut_keeping_many_modes_is_complete():
+    # a cut below the Gershgorin bound that keeps more than a quarter of the
+    # modes takes the complete dense decomposition
+    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+    full = eigendecompose(op)
+    sd = eigendecompose(op, t_min=746.0 / full.eigenvalues[100])
+    assert sd.t_min == 0.0 and len(sd.eigenvalues) == 200
+    np.testing.assert_array_equal(sd.eigenvalues, full.eigenvalues)
+
+
+def test_cut_spectrum_missed_mode_raises(monkeypatch):
+    # a Lanczos run that returned the wrong modes disagrees with the band count
+    import scipy.sparse.linalg as spla
+
+    real = spla.eigsh
+
+    def near_cut(H, k, sigma, **kwargs):
+        kwargs.pop("OPinv")
+        return real(H, k, sigma=746.0 / 0.1, **kwargs)  # the k modes nearest the cut
+
+    monkeypatch.setattr(spla, "eigsh", near_cut)
+    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+    with pytest.raises(RuntimeError, match="missed"):
+        eigendecompose(op, t_min=0.1)

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` wraps functions at their ``heatlab`` module
 bindings; a renamed or bypassed binding would read zero there.  This runs a
-small ``kato`` scenario, a small ``distance --method dM`` scenario with a
+small ``kato`` scenario, a small ``kernel`` scenario whose spectrum is cut
+(counted on the band), a small ``distance --method dM`` scenario with a
 variable coefficient and a small lattice scenario under the tracer so such a
 change fails here.  Every CSV a scenario writes must pass the traced
 ``write_csv``: its bytes counter equals the size of the CSV files written.
@@ -11,7 +12,7 @@ change fails here.  Every CSV a scenario writes must pass the traced
 import os
 
 import pytest
-from test_cli import DISTANCE_CFG, KATO_CFG, LATTICE_CFG, _write
+from test_cli import DISTANCE_CFG, KATO_CFG, KERNEL_CUT_CFG, LATTICE_CFG, _write
 
 from heatlab.cli import main
 
@@ -20,12 +21,13 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 @pytest.mark.parametrize("args, text, keys", [
     (["kato"], KATO_CFG, ("kato.kato_norm.calls", "kato.weighted_l2_check.calls",
-                          "kato.miyadera_ratio.calls", "lapack.solve.calls")),
+                          "kato.miyadera_ratio.calls", "lapack.solve.calls", "lapack.eigh.calls")),
+    (["kernel"], KERNEL_CUT_CFG, ("heatkernel.eigendecompose.calls", "lapack.eig_banded.calls")),
     (["distance", "--method", "dM"], DISTANCE_CFG,
      ("symbols.eval_symbol.calls", "exprlang.point_evals", "finsler.distance_dm_1d.calls")),
     (["distance"], LATTICE_CFG,
      ("finsler.distance_lattice_2d.calls", "reporting.write_csv.calls")),
-], ids=["kato", "distance-dM", "distance-lattice"])
+], ids=["kato", "kernel", "distance-dM", "distance-lattice"])
 def test_layers_traced(tmp_path, monkeypatch, args, text, keys):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracing
