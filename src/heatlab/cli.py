@@ -133,6 +133,11 @@ def run_distance(cfg, outdir, manifest):
     d = cfg.distance
     manifest.start(f"distance {d.method}")
     if d.method == "lattice":
+        bounds = spec.domain.bounds
+        if spec.n == 2 and (len(d.source) != 2 or any(
+                not lo <= s <= hi for s, (lo, hi) in zip(d.source, bounds))):
+            raise ConfigError(f"source must be a point of the domain {bounds}",
+                              key="distance.source")
         fldist = distance_lattice_2d(spec, d.source, npts=d.lattice_n)
         write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
                   grid_rows(fldist.axes, fldist.values))

@@ -256,6 +256,12 @@ class DiscreteOperator:
             self._resolvent = (lam, R)
         return self._resolvent[1]
 
+    def release_dense(self):
+        """Drop the dense operator and the kept resolvent (N^2 doubles each);
+        the next use builds them again."""
+        self._operator = None
+        self._resolvent = None
+
     def quadratic_form(self, u):
         return float(u @ self.form_matrix @ u)
 

@@ -8,27 +8,34 @@ with edge weight ``p(midpoint, edge)``; it converges to the true distance
 from above as the mesh refines, within the anisotropy bound of the
 16-direction stencil (2.8% worst direction for a Euclidean metric).
 
-The lattice's edge weights form one ``(nodes, 16)`` table, filled by one
-batched ``LengthElement`` call per move family: isotropic symbols
-``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
-symbols a direction search on arrays.  The shortest path settles nodes in
-phases over that table, Dial's buckets (CACM Algorithm 360, 1969) with the
-settle rule of Crauser, Mehlhorn, Meyer and Sanders (MFCS 1998): with
-``delta`` the smallest edge weight, a phase settles every open node whose
-tentative distance is at most ``delta`` above the smallest open one, then
-relaxes the settled nodes' moves with one gather per move family.  The rule
-is exact: a path that could still shorten such a node leaves the settled
-set through another open node, so it is at least the smallest open distance
-plus ``delta`` long.  Rounding is monotone, so the same holds for the
-computed sums, and the values equal ``scipy.sparse.csgraph.dijkstra`` on
-the same table bit for bit.  From the centre of 512 x 512 nodes a constant
-``a`` takes 360 phases, ``a = exp(8*x1)`` 1,559.  Building the table raises
-the peak memory 42 MB above the process's pre-lattice baseline; the phases
-add nothing to that.  ``csgraph`` would need the graph in CSR besides the
-table: even built from the table without a copy (int32 columns, ``inf``
-self-loops for off-grid moves) it peaked 55 MB above the baseline, and
-importing it costs 2.3 MB more, which would put the 512 x 512 benchmark run
-near 140 MB against the 132 MB its memory bound allows.
+The lattice graph is symmetric: a move and its reverse run along the same
+undirected edge, which has one weight, the length element at the midpoint
+``x_u + vec/2`` of its forward move, one of the eight moves whose first
+nonzero component is positive.  The weights form one ``(nodes, 8)`` table,
+filled by one batched ``LengthElement`` call per forward move: isotropic
+symbols ``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
+symbols a direction search on arrays.  ``inf`` rows pad the table at both
+ends, so that a reverse move reads the edge from its target's row without a
+bounds test.  The shortest path settles nodes in phases over that table,
+Dial's buckets (CACM Algorithm 360, 1969) with the settle rule of Crauser,
+Mehlhorn, Meyer and Sanders (MFCS 1998): with ``delta`` the smallest edge
+weight, a phase settles every open node whose tentative distance is at most
+``delta`` above the smallest open one, then relaxes the settled nodes' 16
+moves with one gather per move.  The rule is exact: a path that could still
+shorten such a node leaves the settled set through another open node, so it
+is at least the smallest open distance plus ``delta`` long.  Rounding is
+monotone, so the same holds for the computed sums, and the values equal
+``scipy.sparse.csgraph.dijkstra`` on the same symmetric graph bit for bit.
+From the centre of 512 x 512 nodes a constant ``a`` takes 360 phases,
+``a = exp(8*x1)`` 1,559.  At 512 x 512 the table holds 17 MB, and the
+lattice takes 0.15-0.19 s (2-core host, one BLAS thread) with its peak
+memory 26 MB above the process's pre-lattice baseline (0.26-0.32 s and
+42 MB with a column per move, which held each weight twice); the phases add
+no memory.  ``csgraph`` would need the graph in CSR besides the table:
+even built from the table without a copy (int32 columns, ``inf`` self-loops
+for off-grid moves) and solved as undirected, it peaked 54 MB above the
+baseline, and importing it costs 2.3 MB more, which would put the 512 x 512
+benchmark run near 140 MB against the 115 MB its memory bound allows.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
@@ -163,40 +170,46 @@ class DistanceField:
     axes: tuple | None = None  # per-axis node coordinates of a grid field, x1 outer in values
 
 
-_LATTICE_MOVES = (
-    (1, 0), (0, 1), (-1, 0), (0, -1),
-    (1, 1), (1, -1), (-1, 1), (-1, -1),
-    (2, 1), (1, 2), (-2, 1), (-1, 2), (2, -1), (1, -2), (-2, -1), (-1, -2),
-)
+# the forward moves, whose first nonzero component is positive; each edge
+# is also walked backward, along the negated move
+_LATTICE_MOVES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
 
 
 def _edge_weights(p, ax, ay, h):
-    """``(nx*ny, 16)`` table: the length element of each move at its edge
-    midpoint, one batched call per move family; ``inf`` where the move
-    leaves the grid."""
+    """Edge-weight table and its padding ``pad = 2*ny + 1``: row ``pad + u``
+    of the ``(nx*ny + 2*pad, 8)`` table holds the weight of the edge from
+    node u along each forward move, the length element at the edge midpoint
+    ``x_u + vec/2``, one batched call per forward move.  Moves that leave
+    the grid and the ``pad`` rows at either end are ``inf``."""
     nx, ny = len(ax), len(ay)
-    wts = np.full((nx, ny, len(_LATTICE_MOVES)), np.inf)
+    pad = 2 * ny + 1
+    wts = np.full((nx * ny + 2 * pad, len(_LATTICE_MOVES)), np.inf)
+    nodes = wts[pad:pad + nx * ny].reshape(nx, ny, len(_LATTICE_MOVES))  # a view
     for k, (di, dj) in enumerate(_LATTICE_MOVES):
         vec = np.array([di * h[0], dj * h[1]])
-        i0, i1 = max(0, -di), nx - max(0, di)
         j0, j1 = max(0, -dj), ny - max(0, dj)
-        if i0 >= i1 or j0 >= j1:
+        if di >= nx or j0 >= j1:
             continue
-        mids = np.empty((i1 - i0, j1 - j0, 2))
-        mids[..., 0] = (ax[i0:i1] + 0.5 * vec[0])[:, None]
+        mids = np.empty((nx - di, j1 - j0, 2))
+        mids[..., 0] = (ax[:nx - di] + 0.5 * vec[0])[:, None]
         mids[..., 1] = ay[j0:j1] + 0.5 * vec[1]
-        wts[i0:i1, j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
-    return wts.reshape(nx * ny, len(_LATTICE_MOVES))
+        nodes[:nx - di, j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
+    return wts, pad
 
 
-def _dijkstra(wts, offsets, start):
-    """Distances from node ``start`` over the weight table ``wts`` (row u
-    holds the weights of the moves to ``u + offsets``, ``inf`` off the grid),
-    settled in phases as the module docstring describes."""
+def _dijkstra(wts, pad, offsets, start):
+    """Distances from node ``start`` over the padded table of
+    :func:`_edge_weights` (``offsets[k]`` is forward move k's flat offset),
+    settled in phases as the module docstring describes.  Node u reaches
+    ``u + off`` at weight ``wts[pad + u, k]`` and ``u - off`` at the weight
+    of the same edge, ``wts[pad + u - off, k]``.  A backward read before the
+    first node or past the last lands in the padding; one that wraps into a
+    neighbouring grid row lands on a forward move that leaves the grid.
+    Both read ``inf``, so no move needs a bounds test."""
     delta = wts.min()
-    dist = np.full(len(wts), np.inf)
+    dist = np.full(len(wts) - 2 * pad, np.inf)
     dist[start] = 0.0
-    is_open = np.zeros(len(wts), dtype=bool)
+    is_open = np.zeros(len(dist), dtype=bool)
     is_open[start] = True
     frontier = np.array([start])
     while len(frontier):
@@ -205,16 +218,17 @@ def _dijkstra(wts, offsets, start):
         nodes, d = frontier[settle], d[settle]
         is_open[nodes] = False
         reached = [frontier[~settle]]
+        rows = nodes + pad
         for k, off in enumerate(offsets):
-            t = nodes + off
-            nd = d + wts[nodes, k]
-            # an off-grid move has nd = inf, so its clipped index is never written
-            better = nd < dist.take(t, mode="clip")
-            t = t[better]
-            dist[t] = nd[better]  # the targets of one family are distinct
-            t = t[~is_open[t]]
-            is_open[t] = True
-            reached.append(t)
+            for t, w in ((nodes + off, wts[rows, k]), (nodes - off, wts[rows - off, k])):
+                nd = d + w
+                # an off-grid move has nd = inf, so its clipped index is never written
+                better = nd < dist.take(t, mode="clip")
+                t = t[better]
+                dist[t] = nd[better]  # the targets of one move are distinct
+                t = t[~is_open[t]]
+                is_open[t] = True
+                reached.append(t)
         frontier = np.concatenate(reached)
     return dist
 
@@ -235,9 +249,10 @@ def distance_lattice_2d(spec, source, grid=None, npts=64):
     si = int(np.argmin(np.abs(ax - src[0])))
     sj = int(np.argmin(np.abs(ay - src[1])))
     offsets = [di * ny + dj for di, dj in _LATTICE_MOVES]
+    wts, pad = _edge_weights(LengthElement(spec), ax, ay, grid.h)
     return DistanceField(
         source=(float(ax[si]), float(ay[sj])),
-        values=_dijkstra(_edge_weights(LengthElement(spec), ax, ay, grid.h), offsets, si * ny + sj),
+        values=_dijkstra(wts, pad, offsets, si * ny + sj),
         method="lattice-dijkstra",
         axes=(ax, ay),
     )

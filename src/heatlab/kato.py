@@ -121,13 +121,15 @@ def kato_norm(op0, vminus, lam):
 
 
 def kato_norm_curve(op0, vminus, lambdas):
-    """Both norms at each lambda, from one weighted-L2 check each."""
+    """Both norms at each lambda, from one weighted-L2 check each; ``op0``
+    keeps no dense matrix afterwards."""
     lambdas = list(lambdas)
     norms, weighted = [], []
     for lam in lambdas:
         _, wnorm, kn = weighted_l2_check(op0, vminus, lam)
         norms.append(kn)
         weighted.append(wnorm)
+    op0.release_dense()
     return KatoCurve(lambdas, norms, weighted)
 
 

@@ -4,6 +4,7 @@ import sys
 import types
 
 import numpy as np
+import pytest
 
 import heatlab
 import heatlab.cli
@@ -181,6 +182,22 @@ def test_distance_scenario_lattice(tmp_path):
     lines = open(os.path.join(out, "distance.csv")).read().splitlines()
     assert lines[0] == "x1,x2,d"
     assert len(lines) == 24 * 24 + 1
+
+
+@pytest.mark.parametrize("source", ["0.5", "5, -3", "0.5, 0.5, 0.5"])
+def test_lattice_source_off_the_domain_rejected(tmp_path, capsys, source):
+    # one coordinate used to escape as an IndexError; a point outside the
+    # square used to snap to the nearest corner node
+    cfg = _write(tmp_path, LATTICE_CFG.replace("source = 0.5, 0.5", f"source = {source}"))
+    out = str(tmp_path / "out")
+    assert main(["distance", "--config", cfg, "--out", out]) == 2
+    assert "distance.source" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "distance.csv"))
+
+
+def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
+    cfg = _write(tmp_path, LATTICE_CFG.replace("source = 0.5, 0.5", "source = 0, 1"))
+    assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,7 +271,9 @@ def test_lattice_distance_axis_anisotropy():
 
 
 def _csgraph_lattice(spec, source, shape, weight):
-    """The 16-neighbour graph built edge by edge, solved by scipy's Dijkstra."""
+    """The 16-neighbour graph built edge by edge, solved by scipy's Dijkstra:
+    each undirected edge gets one weight, at the midpoint of the move whose
+    first nonzero component is positive, entered in both directions."""
     nx, ny = shape
     grid = Grid.make(spec.domain.bounds, shape)
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
@@ -278,17 +281,14 @@ def _csgraph_lattice(spec, source, shape, weight):
     rows, cols, wts = [], [], []
     for i in range(nx):
         for j in range(ny):
-            for di, dj in (
-                (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1),
-                (2, 1), (1, 2), (-2, 1), (-1, 2), (2, -1), (1, -2), (-2, -1), (-1, -2),
-            ):
+            for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)):
                 a, b = i + di, j + dj
                 if 0 <= a < nx and 0 <= b < ny:
                     vec = np.array([di * hx, dj * hy])
-                    mid = np.array([ax[i], ay[j]]) + 0.5 * vec
-                    rows.append(i * ny + j)
-                    cols.append(a * ny + b)
-                    wts.append(weight(mid, vec))
+                    w = weight(np.array([ax[i], ay[j]]) + 0.5 * vec, vec)
+                    rows += [i * ny + j, a * ny + b]
+                    cols += [a * ny + b, i * ny + j]
+                    wts += [w, w]
     graph = sp.csr_matrix((wts, (rows, cols)), shape=(nx * ny,) * 2)
     si = int(np.argmin(np.abs(ax - source[0])))
     sj = int(np.argmin(np.abs(ay - source[1])))
@@ -332,15 +332,31 @@ def test_lattice_matches_csgraph_from_corner(corner):
     assert np.array_equal(fld.values, ref)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 7)])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (7, 2), (3, 11), (11, 3)])
 def test_lattice_matches_csgraph_on_thin_grids(shape):
-    # at most one row of knight moves fits; the rest leave the grid
+    # few knight moves fit, and from a source on a grid edge many backward
+    # moves read the table's padding or wrap into a neighbouring grid row
     p = LengthElement(SPEC_ISO_VAR)
-    fld = distance_lattice_2d(SPEC_ISO_VAR, (0.5, -1.0),
-                              grid=Grid.make(SPEC_ISO_VAR.domain.bounds, shape))
-    ref = _csgraph_lattice(SPEC_ISO_VAR, (0.5, -1.0), shape, p)
-    assert np.isfinite(ref).all()
-    assert np.array_equal(fld.values, ref)
+    grid = Grid.make(SPEC_ISO_VAR.domain.bounds, shape)
+    for source in [(0.5, -1.0), (-3.0, 0.0), (3.0, 0.0), (0.0, -3.0), (0.0, 3.0)]:
+        fld = distance_lattice_2d(SPEC_ISO_VAR, source, grid=grid)
+        ref = _csgraph_lattice(SPEC_ISO_VAR, source, shape, p)
+        assert np.isfinite(ref).all()
+        assert np.array_equal(fld.values, ref)
+
+
+def test_lattice_peak_memory_below_a_table_of_both_directions():
+    # one weight per undirected edge is 8 doubles per node; a table with a
+    # column for each of the 16 moves would alone take 16 doubles per node
+    spec = SymbolSpec.isotropic(2, 2, "1", domain=[(0, 1), (0, 1)])
+    distance_lattice_2d(spec, (0.5, 0.5), npts=8)  # first-call work outside the trace
+    tracemalloc.start()
+    try:
+        distance_lattice_2d(spec, (0.3, 0.6), npts=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * 128**2
 
 
 def test_distance_comparison_under_coefficient_gap():

@@ -148,6 +148,18 @@ def test_kato_norm_curve_equals_separate_calls(unit_m1_400_op, singular_vminus):
         assert wnorm == weighted_l2_check(unit_m1_400_op, singular_vminus, lam)[1]
 
 
+def test_kato_norm_curve_releases_dense_matrices(monkeypatch):
+    # the curve solves one resolvent per lambda; neither it nor the dense
+    # operator outlives the curve
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    op = make_line_operator(1, n_pts=100, bounds=(0.0, 1.0))
+    kato_norm_curve(op, np.ones(100), [1.0, 10.0, 100.0])
+    assert len(solves) == 3
+    assert op._operator is None and op._resolvent is None
+
+
 def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
     op = unit_m1_400_op
     with pytest.raises(ValueError):
