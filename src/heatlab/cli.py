@@ -134,11 +134,12 @@ def run_distance(cfg, outdir, manifest):
     manifest.start(f"distance {d.method}")
     if d.method == "lattice":
         bounds = spec.domain.bounds
-        if spec.n == 2 and (len(d.source) != 2 or any(
-                not lo <= s <= hi for s, (lo, hi) in zip(d.source, bounds))):
+        source = [0.5 * (lo + hi) for lo, hi in bounds] if d.source is None else d.source
+        if spec.n == 2 and (len(source) != 2 or any(
+                not lo <= s <= hi for s, (lo, hi) in zip(source, bounds))):
             raise ConfigError(f"source must be a point of the domain {bounds}",
                               key="distance.source")
-        fldist = distance_lattice_2d(spec, d.source, npts=d.lattice_n)
+        fldist = distance_lattice_2d(spec, source, npts=d.lattice_n)
         write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
                   grid_rows(fldist.axes, fldist.values))
     else:

@@ -79,7 +79,7 @@ class DistanceConfig:
     M: float = _key("float", 1.0)
     y1_list: list = _key("floats", [0.0])
     y2_list: list = _key("floats", [1.0])
-    source: list = _key("floats", [0.5, 0.5])
+    source: list | None = _key("floats", None)  # None: the domain centre
     lattice_n: int = _key("int", 64)
 
 

@@ -181,12 +181,52 @@ def _sample_points(grid, stag):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def band_eigenvalue(band, index):
-    """Eigenvalue number ``index`` (ascending, from 0) of the symmetric matrix
-    held in LAPACK lower band storage."""
-    w = sla.eig_banded(band, lower=True, eigvals_only=True, select="i",
-                       select_range=(index, index))
-    return float(w[0])
+def _float_key(x):
+    """Integer that orders doubles as they compare, adjacent doubles one apart
+    (both zeros are 0)."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _key_float(k):
+    x = float(np.int64(abs(k)).view(np.float64))
+    return x if k >= 0 else -x
+
+
+def band_lowest(band):
+    """Smallest eigenvalue of the symmetric matrix B held in LAPACK lower band
+    storage.
+
+    A tridiagonal (or diagonal) band goes to ``eig_banded``, whose Sturm count
+    needs no reduction there.  A wider band is bisected between the Gershgorin
+    lower bound and the smallest diagonal entry: ``B - s I`` has a banded
+    Cholesky factor (``dpbtrf``) exactly when ``s`` lies below the smallest
+    eigenvalue (Sylvester), and the bisection runs over the doubles in order,
+    so it ends after at most 64 factorizations with the two bracketing shifts
+    adjacent doubles.  The result is the largest shift that factored (the
+    Gershgorin bound if none did): a lower bound, within a few
+    ``eps ||B||_max`` of ``eig_banded``'s value.
+    """
+    kd, n = band.shape[0] - 1, band.shape[1]
+    if kd < 2:
+        w = sla.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                           select_range=(0, 0))
+        return float(w[0])
+    radius = np.zeros(n)
+    for k in range(1, kd + 1):
+        a = np.abs(band[k, : n - k])
+        radius[: n - k] += a
+        radius[k:] += a
+    lo, hi = _float_key(np.min(band[0] - radius)), _float_key(np.min(band[0]))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        shifted = np.array(band, order="F")
+        shifted[0] -= _key_float(mid)
+        if sla.lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+            lo = mid
+        else:
+            hi = mid
+    return _key_float(lo)
 
 
 @dataclass
@@ -198,8 +238,10 @@ class DiscreteOperator:
     band storage: row k holds the k-th subdiagonal in its first N - k
     entries, zero-padded, for k up to the largest offset of a stored entry.
     Every extreme eigenvalue, and the count below a cut spectrum's cut, is
-    read from it; ``operator_matrix()`` is the dense copy, built on first
-    use, for resolvents.
+    read from it: the lowest by :func:`band_lowest` (banded Cholesky
+    bisection to adjacent doubles, or ``eig_banded`` on a tridiagonal band).
+    ``operator_matrix()`` is the dense copy, built on first use, for
+    resolvents.
     """
 
     grid: Grid
@@ -237,7 +279,7 @@ class DiscreteOperator:
     def lowest_eigenvalue(self):
         """Smallest eigenvalue of the operator, from the band, computed once."""
         if self._lowest is None:
-            self._lowest = band_eigenvalue(self.band, 0)
+            self._lowest = band_lowest(self.band)
         return self._lowest
 
     def resolvent(self, lam):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .discretize import POTENTIAL_WARN_THRESHOLD, band_eigenvalue
+from .discretize import POTENTIAL_WARN_THRESHOLD, band_lowest
 
 INTERPOLATION_SLACK = 1e-8  # allowance of  weighted-L2 norm <= L1->L1 norm
 GAUSS_ORDER = 32  # Miyadera nodes per panel
@@ -64,15 +64,15 @@ class FormBoundReport:
 def form_bound(op0, vminus, eps):
     """Smallest c with  sum V_- |u|^2 h^n <= eps Q0(u) + c ||u||^2  on the grid.
 
-    Characterized exactly as max(0, lambda_max(diag(V_-) - eps * H0)), the top
-    eigenvalue of the band ``-eps * op0.band`` with V_- added to its diagonal.
+    Characterized exactly as max(0, -lambda_min(eps * H0 - diag(V_-))), from
+    the band ``eps * op0.band`` with V_- taken from its diagonal.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     vminus = _check_vminus(vminus)
-    band = -eps * op0.band
-    band[0] += vminus
-    return max(0.0, band_eigenvalue(band, band.shape[1] - 1))
+    band = eps * op0.band
+    band[0] -= vminus
+    return max(0.0, -band_lowest(band))
 
 
 def form_bound_report(op0, vminus, epsilons):

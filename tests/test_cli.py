@@ -200,6 +200,18 @@ def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
     assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_lattice_source_defaults_to_the_domain_centre(tmp_path):
+    # the default used to be the point (0.5, 0.5), outside this domain
+    text = LATTICE_CFG.replace("source = 0.5, 0.5\n", "").replace(
+        "domain = 0, 1, 0, 1", "domain = 1, 2, 1, 2")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["distance", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "distance.csv", delimiter=",", skiprows=1)
+    x1, x2, d = rows[np.argmin(rows[:, 2])]
+    assert d == 0.0 and abs(x1 - 1.5) < 1 / 24 and abs(x2 - 1.5) < 1 / 24
+
+
 def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):
     kinds = []
 

@@ -154,7 +154,7 @@ def test_defaults_pinned():
         "kernel": {"t_list": [0.1], "x_list": [0.0], "y_list": [0.0],
                    "oracle": False, "oracle_a": 1.0},
         "distance": {"method": "exact1d", "M": 1.0, "y1_list": [0.0], "y2_list": [1.0],
-                     "source": [0.5, 0.5], "lattice_n": 64},
+                     "source": None, "lattice_n": 64},
         "kato": {"lambdas": [1.0, 10.0, 100.0, 1e3, 1e4, 1e5],
                  "eps_list": [0.1, 0.3, 0.5, 0.7, 0.9], "delta": 0.01, "vminus": None},
         "twist": {"phi": "x", "lambda_min": 2.0, "lambda_max": 20.0, "lambda_count": 40,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import heatlab.discretize
@@ -9,6 +10,7 @@ from heatlab.discretize import (
     _pair_factor,
     _sample_points,
     assemble,
+    band_lowest,
     difference_operator,
     garding_check,
     seminorm_gram,
@@ -18,7 +20,7 @@ from heatlab.discretize import (
 from heatlab.heatkernel import eigendecompose
 from heatlab.kato import form_bound
 from heatlab.symbols import ExprField, SymbolSpec, as_field
-from heatlab.twist import TwistProfile, growth_fit, lower_bound_k
+from heatlab.twist import TwistProfile, growth_fit, lower_bound_k, twisted_form
 
 SPEC_M1 = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0, 1)])
 SPEC_M2 = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
@@ -133,6 +135,31 @@ def test_extreme_eigenvalues_never_densify(monkeypatch):
     assert rep.k_zero == lower_bound_k(op, prof, 0.0) == -op.lowest_eigenvalue()
     assert lower_bound_k(op, prof, 20.0) == rep.k_values[-1]
     assert form_bound(op, np.full(60, 1e4), 0.5) > 0.0
+
+
+def _factors(band, shift):
+    shifted = np.array(band, order="F")
+    shifted[0] -= shift
+    return sla.lapack.dpbtrf(shifted, lower=1)[1] == 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_band_lowest_is_the_last_shift_that_factors(m):
+    g = Grid.make((0.0, 1.0), 300)
+    spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
+    op = assemble(spec, g, potential="20*x^2")
+    band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
+    lo = band_lowest(band)
+    assert _factors(band, lo) and not _factors(band, np.nextafter(lo, np.inf))
+    ref = sla.eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
+    assert abs(lo - ref[0]) <= 8 * np.finfo(float).eps * np.max(np.abs(band))
+
+
+def test_band_lowest_of_diagonal_bands_is_exact():
+    diag = np.zeros((3, 5))
+    diag[0] = [3.0, -1.5, 2.0, 0.1, -1.25]
+    assert band_lowest(diag) == -1.5
+    assert band_lowest(np.array([[7.3], [0.0], [0.0]])) == 7.3
 
 
 def test_assemble_mixed_parity_pair_2d():

@@ -4,15 +4,15 @@
 bindings; a renamed or bypassed binding would read zero there.  This runs a
 small ``kato`` scenario, a small ``kernel`` scenario whose spectrum is cut
 (counted on the band), a small ``distance --method dM`` scenario with a
-variable coefficient and a small lattice scenario under the tracer so such a
-change fails here.  Every CSV a scenario writes must pass the traced
+variable coefficient, a small lattice scenario and a small m = 2 ``twist``
+scenario under the tracer so such a change fails here.  Every CSV a scenario writes must pass the traced
 ``write_csv``: its bytes counter equals the size of the CSV files written.
 """
 
 import os
 
 import pytest
-from test_cli import DISTANCE_CFG, KATO_CFG, KERNEL_CUT_CFG, LATTICE_CFG, _write
+from test_cli import DISTANCE_CFG, KATO_CFG, KERNEL_CUT_CFG, LATTICE_CFG, TWIST_CFG, _write
 
 from heatlab.cli import main
 
@@ -44,3 +44,22 @@ def test_layers_traced(tmp_path, monkeypatch, args, text, keys):
         assert tracer.counts[key] > 0, key
     csv_bytes = sum(f.stat().st_size for f in out.glob("*.csv"))
     assert csv_bytes > 0 and tracer.counts["reporting.write_csv.bytes"] == csv_bytes
+
+
+def test_twist_sweep_traced_once_per_lambda(tmp_path, monkeypatch):
+    # k(lambda) on an m = 2 band is bisected with banded Cholesky factors,
+    # which the tracer does not see; the sweep must still go through the
+    # module binding of lower_bound_k, once per lambda
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    text = TWIST_CFG.replace("m = 1", "m = 2").replace("lambda_count = 25", "lambda_count = 6")
+    cfg = _write(tmp_path, text)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert main(["twist", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.counts["twist.growth_fit.calls"] == 1
+    assert tracer.counts["twist.lower_bound_k.calls"] == 6
