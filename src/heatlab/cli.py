@@ -188,8 +188,9 @@ def run_kato(cfg, outdir, manifest):
     spectral = eigendecompose(op0)
     u = np.zeros(grid.node_count)
     u[grid.nearest_node(spec.domain.center())] = 1.0 / op0.mass
-    ratios = [(kc.delta, miyadera_ratio(spectral, vminus, kc.delta, u)),
-              (kc.delta / 2, miyadera_ratio(spectral, vminus, kc.delta / 2, u))]
+    panels = {}  # both deltas integrate the same spectrum, V_- and u
+    ratios = [(d, miyadera_ratio(spectral, vminus, d, u, panels))
+              for d in (kc.delta, kc.delta / 2)]
     manifest.stop()
     write_csv(os.path.join(outdir, "miyadera.csv"), ("delta", "ratio"), ratios)
     return 0
@@ -222,7 +223,10 @@ def run_twist(cfg, outdir, manifest):
     write_text(os.path.join(outdir, "twist_summary.txt"), summary)
     if vvals is not None:
         op_v = assemble(spec, grid, potential=vvals)
-        rep_v = growth_fit(op_v, profile, lambdas)
+        # the twist leaves the diagonal alone, so adding diag(V) moves each
+        # lowest eigenvalue by a value in [min V, max V] (Weyl)
+        weyl = [(k - np.max(vvals), k - np.min(vvals)) for k in rep.k_values]
+        rep_v = growth_fit(op_v, profile, lambdas, brackets=weyl)
         write_csv(os.path.join(outdir, "twist_potential.csv"),
                   ("lambda", "k", "model_fit"),
                   list(zip(rep_v.lambdas, rep_v.k_values, rep_v.model(rep_v.lambdas))))

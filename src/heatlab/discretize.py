@@ -193,19 +193,31 @@ def _key_float(k):
     return x if k >= 0 else -x
 
 
-def band_lowest(band):
+def _factors(band, key):
+    """Whether ``B - s I`` has a banded Cholesky factor, ``s`` the double of
+    ``key``."""
+    shifted = np.array(band, order="F")
+    shifted[0] -= _key_float(key)
+    return sla.lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
+
+
+def band_lowest(band, bracket=None):
     """Smallest eigenvalue of the symmetric matrix B held in LAPACK lower band
     storage.
 
     A tridiagonal (or diagonal) band goes to ``eig_banded``, whose Sturm count
-    needs no reduction there.  A wider band is bisected between the Gershgorin
-    lower bound and the smallest diagonal entry: ``B - s I`` has a banded
-    Cholesky factor (``dpbtrf``) exactly when ``s`` lies below the smallest
-    eigenvalue (Sylvester), and the bisection runs over the doubles in order,
-    so it ends after at most 64 factorizations with the two bracketing shifts
-    adjacent doubles.  The result is the largest shift that factored (the
-    Gershgorin bound if none did): a lower bound, within a few
-    ``eps ||B||_max`` of ``eig_banded``'s value.
+    needs no reduction there; it ignores ``bracket``.  A wider band is
+    bisected over the doubles in order, one ``dpbtrf`` per step, until the
+    two bracketing shifts are adjacent doubles: ``B - s I`` has a banded
+    Cholesky factor exactly when ``s`` lies below the smallest eigenvalue
+    (Sylvester).  It starts from the Gershgorin bracket (at most 64 steps) or
+    from ``bracket = (lo, hi)``, a guess checked with two factorizations
+    (``lo`` must factor, ``hi`` must not) and widened 16-fold about its
+    centre, from at least ``eps ||B||_max``, until it passes or covers the
+    Gershgorin bracket; a wrong guess costs factorizations, never accuracy.
+    The result is the largest shift that factored (the Gershgorin bound if
+    none did): a lower bound, within a few ``eps ||B||_max`` of
+    ``eig_banded``'s value.
     """
     kd, n = band.shape[0] - 1, band.shape[1]
     if kd < 2:
@@ -217,12 +229,20 @@ def band_lowest(band):
         a = np.abs(band[k, : n - k])
         radius[: n - k] += a
         radius[k:] += a
-    lo, hi = _float_key(np.min(band[0] - radius)), _float_key(np.min(band[0]))
+    g_lo, g_hi = _float_key(np.min(band[0] - radius)), _float_key(np.min(band[0]))
+    lo, hi = g_lo, g_hi
+    if bracket is not None and np.all(np.isfinite(bracket)):
+        centre = 0.5 * (bracket[0] + bracket[1])
+        half = max(0.5 * (bracket[1] - bracket[0]), np.finfo(float).eps * np.max(np.abs(band)))
+        while True:  # each end clamped into the Gershgorin bracket, which needs no check
+            lo = min(max(_float_key(centre - half), g_lo), g_hi)
+            hi = max(min(_float_key(centre + half), g_hi), g_lo)
+            if (lo == g_lo or _factors(band, lo)) and (hi == g_hi or not _factors(band, hi)):
+                break
+            half *= 16.0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        shifted = np.array(band, order="F")
-        shifted[0] -= _key_float(mid)
-        if sla.lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0:
+        if _factors(band, mid):
             lo = mid
         else:
             hi = mid
@@ -240,8 +260,7 @@ class DiscreteOperator:
     Every extreme eigenvalue, and the count below a cut spectrum's cut, is
     read from it: the lowest by :func:`band_lowest` (banded Cholesky
     bisection to adjacent doubles, or ``eig_banded`` on a tridiagonal band).
-    ``operator_matrix()`` is the dense copy, built on first use, for
-    resolvents.
+    ``operator_matrix()`` is the dense copy, built on first use.
     """
 
     grid: Grid
@@ -285,15 +304,17 @@ class DiscreteOperator:
     def resolvent(self, lam):
         """Dense (H + lam)^-1 for lam above -lambda_min, read-only.  The last
         one is kept, so the Kato norm and the weighted-L2 check at one lambda
-        share a solve."""
+        share a solve.  ``H + lam`` is built in one array from the sparse
+        form."""
         if self._resolvent is None or self._resolvent[0] != lam:
             lo = self.lowest_eigenvalue()
             if lam <= -lo:
                 raise ValueError(f"lambda = {lam} is not above -lambda_min = {-lo}")
             self._resolvent = None  # free the old matrix before solving
-            H = self.operator_matrix()
-            eye = np.eye(H.shape[0])
-            R = np.linalg.solve(H + lam * eye, eye)
+            A = self.form_matrix.toarray()
+            A /= self.mass
+            A.flat[:: A.shape[0] + 1] += lam
+            R = np.linalg.solve(A, np.eye(A.shape[0]))
             R.flags.writeable = False
             self._resolvent = (lam, R)
         return self._resolvent[1]

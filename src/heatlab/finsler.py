@@ -26,16 +26,8 @@ shorten such a node leaves the settled set through another open node, so it
 is at least the smallest open distance plus ``delta`` long.  Rounding is
 monotone, so the same holds for the computed sums, and the values equal
 ``scipy.sparse.csgraph.dijkstra`` on the same symmetric graph bit for bit.
-From the centre of 512 x 512 nodes a constant ``a`` takes 360 phases,
-``a = exp(8*x1)`` 1,559.  At 512 x 512 the table holds 17 MB, and the
-lattice takes 0.15-0.19 s (2-core host, one BLAS thread) with its peak
-memory 26 MB above the process's pre-lattice baseline (0.26-0.32 s and
-42 MB with a column per move, which held each weight twice); the phases add
-no memory.  ``csgraph`` would need the graph in CSR besides the table:
-even built from the table without a copy (int32 columns, ``inf`` self-loops
-for off-grid moves) and solved as undirected, it peaked 54 MB above the
-baseline, and importing it costs 2.3 MB more, which would put the 512 x 512
-benchmark run near 140 MB against the 115 MB its memory bound allows.
+The table holds 8 doubles per node and the phases add no memory, where
+``csgraph`` would need the graph in CSR besides the table.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
@@ -286,12 +278,13 @@ def _derivative_stencil(k):
 @lru_cache(maxsize=16)
 def _cap_rows(N, m):
     """Read-only ``A`` of ``A phi <= b`` on N nodes, built once per ``(N, m)``:
-    ``+D_k, -D_k`` for k = 1 (the slope slabs) to m."""
+    ``+D_k, -D_k`` for k = 1 (the slope slabs) to m, in CSC, the format
+    HiGHS takes."""
     blocks = []
     for k in range(1, m + 1):
         D = sp.diags(list(_derivative_stencil(k)), list(range(k + 1)), shape=(N - k, N))
         blocks += [D, -D]
-    A = sp.vstack(blocks, format="csr")
+    A = sp.vstack(blocks, format="csc")
     for arr in (A.data, A.indices, A.indptr):
         arr.flags.writeable = False
     return A
@@ -334,7 +327,8 @@ def distance_dm_1d(spec, M, y1, y2, npoints=201):
     b = np.concatenate([cap for slab in slabs for cap in (slab, slab)])  # rows of A
     c = np.zeros(npoints)
     c[-1] = -1.0
-    bounds = [(0.0, 0.0)] + [(None, None)] * (npoints - 1)
+    bounds = np.full((npoints, 2), [-np.inf, np.inf])
+    bounds[0] = 0.0
     # the k-th difference rows bound D^k phi by M h^k (down to 1e-7), so
     # HiGHS's default 1e-7 feasibility tolerance would let them overshoot
     res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs",

@@ -47,9 +47,8 @@ _RESIDUAL_FLOOR_FACTOR = 8 * np.finfo(float).eps
 UNDERFLOW_EXPONENT = 746.0
 # Up to N/4 kept modes, shift-invert Lanczos holds at most half an N x N
 # array (its basis of 2k + 1 vectors) where the dense path builds the matrix,
-# a copy and N x N eigenvectors.  Its time grows faster than k: with one BLAS
-# thread at m = 2 it matched the full call at N/6 modes (k = 133 of 800,
-# 0.13 s) and took twice as long at N/4 (k = 200 of 800, 0.27 s).
+# a copy and N x N eigenvectors.  Its time grows faster than k, and at N/4
+# modes it costs more than the full dense call.
 LANCZOS_MAX_SHARE = 1 / 4
 HEALTH_BLOCK = 64  # eigenvectors per block of SpectralData.health
 

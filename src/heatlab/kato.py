@@ -162,7 +162,7 @@ def weighted_l2_check(op0, vminus, lam):
     return status, wnorm, kn
 
 
-def miyadera_integral(spectral, vminus, delta, u):
+def miyadera_integral(spectral, vminus, delta, u, panels=None):
     """int_0^delta || V_- e^{-t H0} u ||_1 dt by composite Gauss-Legendre.
 
     First split at delta/8; below it the panels are geometrically graded
@@ -172,6 +172,11 @@ def miyadera_integral(spectral, vminus, delta, u):
     the panel's first node.  Doubling all panel counts must not move the
     value by more than ``SETTLE_TOL`` relative, else a QuadratureError.
     The spectrum must be complete: the integral starts at t = 0.
+
+    ``panels`` maps a panel's exact float edges ``(lo, hi)`` to its
+    integral.  Calls with the same spectrum, ``V_-`` and ``u`` may share one
+    dict, so that a panel common to the two panel sets of the settle check,
+    or to two deltas, is integrated once; the sums are the same bits.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -182,17 +187,23 @@ def miyadera_integral(spectral, vminus, delta, u):
     V, lam, mass = spectral.eigenvectors, spectral.eigenvalues, spectral.mass
     coeffs = mass * (V.T @ u)
     nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    panels = {} if panels is None else panels
+
+    def panel(lo, hi):
+        if (lo, hi) not in panels:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = mid + half * nodes
+            k = np.count_nonzero(np.exp(-lam * t[0]))  # ascending l: the zeros are a tail
+            ut = V[:, :k] @ (np.exp(-np.outer(lam[:k], t)) * coeffs[:k, None])
+            panels[lo, hi] = half * float(weights @ (vminus @ np.abs(ut) * mass))
+        return panels[lo, hi]
 
     def integrate(factor):
         graded = delta / 8.0 * 2.0 ** (-np.arange(8 * factor, -1, -1.0))
         edges = np.concatenate([[0.0], graded, np.linspace(delta / 8, delta, 7 * factor + 1)[1:]])
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            t = mid + half * nodes
-            k = np.count_nonzero(np.exp(-lam * t[0]))  # ascending l: the zeros are a tail
-            ut = V[:, :k] @ (np.exp(-np.outer(lam[:k], t)) * coeffs[:k, None])
-            total += half * float(weights @ (vminus @ np.abs(ut) * mass))
+            total += panel(lo, hi)
         return total
 
     v1 = integrate(1)
@@ -205,8 +216,9 @@ def miyadera_integral(spectral, vminus, delta, u):
     return v2
 
 
-def miyadera_ratio(spectral, vminus, delta, u):
-    """Integral normalized by ||u||_1; shrinks with delta."""
+def miyadera_ratio(spectral, vminus, delta, u, panels=None):
+    """Integral normalized by ||u||_1; shrinks with delta.  ``panels`` as in
+    :func:`miyadera_integral`."""
     u = np.asarray(u, dtype=float)
     l1 = float(np.sum(np.abs(u)) * spectral.mass)
-    return miyadera_integral(spectral, vminus, delta, u) / l1
+    return miyadera_integral(spectral, vminus, delta, u, panels) / l1

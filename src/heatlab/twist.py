@@ -9,7 +9,8 @@ band storage, entry ``H_ij cosh(l (phi_i - phi_j))``, and neither
 ``exp(l phi)`` nor a dense twisted matrix is formed.  The symmetric part
 realizes the real part of the twisted form for real vectors, and
 ``k(l) = -lambda_min`` of that symmetric part, bisected on the band with
-banded Cholesky factors (``eig_banded`` for m = 1).
+banded Cholesky factors from a bracket the sweep guesses (``eig_banded``
+for m = 1).
 Sweeping l over a decade and fitting ``k(l) = kappa l^(2m) + c`` measures
 the growth coefficient, to be compared with the sharp constant k_m;
 combining k(l) with a distance and optimizing over l assembles the
@@ -27,6 +28,7 @@ from .discretize import band_lowest
 from .symbols import as_field, eval_symbol, sharp_constants, decay_constant_from_growth
 
 OVERFLOW_GUARD = 600.0
+BRACKET_REL = 1e-3  # half-width of an extrapolated k bracket, relative to the guess
 
 
 class OverflowGuardError(ValueError):
@@ -106,15 +108,16 @@ def twisted_form(op, profile, lam):
     return bands
 
 
-def lower_bound_k(op, profile, lam):
+def lower_bound_k(op, profile, lam, bracket=None):
     """k(lam) = -lambda_min of the symmetrized twisted form (no clipping).
 
     For m >= 2 lambda_min is the largest shift at which the band minus the
     shift has a banded Cholesky factor, bisected to adjacent doubles (see
-    :func:`band_lowest`), so the value is bounded above; it differs from
-    ``eig_banded``'s by at most 2.9 ``eps ||B||_max`` on the twisted bands of
-    the ``twist-1600`` benchmark run.  For m = 1 it is ``eig_banded``'s."""
-    return -band_lowest(twisted_form(op, profile, lam))
+    :func:`band_lowest`), so the value is bounded above; an optional
+    ``bracket = (k_lo, k_hi)`` guesses k and only saves factorizations.  For
+    m = 1 it is ``eig_banded``'s."""
+    band = twisted_form(op, profile, lam)
+    return -band_lowest(band, None if bracket is None else (-bracket[1], -bracket[0]))
 
 
 @dataclass
@@ -134,17 +137,29 @@ class TwistReport:
         return self.kappa * np.asarray(lam) ** (2 * self.m) + self.intercept
 
 
-def growth_fit(op, profile, lambdas, residual_flag=0.05):
+def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
     """Sweep k(lam) and fit kappa lam^(2m) + c on the top decade.
 
     The grid must span at least one decade.  The fit is flagged unreliable
-    when the residual exceeds ``residual_flag`` of k(lam_max).
+    when the residual exceeds ``residual_flag`` of k(lam_max).  Each k is
+    bisected from a bracket (see :func:`band_lowest`): ``brackets[i]`` when
+    the caller gives one ``(k_lo, k_hi)`` per sorted lambda, else, from the
+    third lambda on, ``BRACKET_REL`` about the line in ``lam^(2m)`` through
+    the previous two k.  A bracket only saves factorizations; k is the same.
     """
     lambdas = np.asarray(sorted(lambdas), dtype=float)
     if lambdas[-1] / lambdas[0] < 10.0 * (1 - 1e-12):
         raise ValueError("lambda grid must span at least one decade")
-    ks = np.array([lower_bound_k(op, profile, lam) for lam in lambdas])
     m = op.m
+    ks = []
+    for i, lam in enumerate(lambdas):
+        bracket = None if brackets is None else brackets[i]
+        if bracket is None and i >= 2:
+            p0, p1 = lambdas[i - 2] ** (2 * m), lambdas[i - 1] ** (2 * m)
+            guess = ks[-1] + (ks[-1] - ks[-2]) * (lam ** (2 * m) - p1) / (p1 - p0)
+            bracket = (guess - BRACKET_REL * abs(guess), guess + BRACKET_REL * abs(guess))
+        ks.append(lower_bound_k(op, profile, lam, bracket))
+    ks = np.array(ks)
     top = lambdas >= lambdas[-1] / 10.0
     A = np.vstack([lambdas[top] ** (2 * m), np.ones(int(top.sum()))]).T
     coef, *_ = np.linalg.lstsq(A, ks[top], rcond=None)

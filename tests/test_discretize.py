@@ -155,6 +155,22 @@ def test_band_lowest_is_the_last_shift_that_factors(m):
     assert abs(lo - ref[0]) <= 8 * np.finfo(float).eps * np.max(np.abs(band))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_band_lowest_bracket_never_moves_the_value(m):
+    # the bands of test_band_lowest_is_the_last_shift_that_factors; a bracket
+    # above, below, of zero width or around the eigenvalue, or beyond the
+    # Gershgorin bracket, costs factorizations only
+    g = Grid.make((0.0, 1.0), 300)
+    spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
+    op = assemble(spec, g, potential="20*x^2")
+    band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
+    lo = band_lowest(band)
+    w = 1e-3 * abs(lo)
+    for bracket in ((lo + w, lo + 2 * w), (lo - 2 * w, lo - w), (lo, lo), (lo - w, lo + w),
+                    (1e30, 2e30), (-2e30, -1e30)):
+        assert band_lowest(band, bracket) == lo, bracket
+
+
 def test_band_lowest_of_diagonal_bands_is_exact():
     diag = np.zeros((3, 5))
     diag[0] = [3.0, -1.5, 2.0, 0.1, -1.25]

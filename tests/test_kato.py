@@ -258,6 +258,19 @@ def test_miyadera_panels_equal_per_node_reference(unit_m1_400_op, spectral_400, 
             assert got == pytest.approx(ref, rel=1e-13)
 
 
+def test_miyadera_shared_panels_equal_separate_calls(unit_m1_400_op, spectral_400,
+                                                    singular_vminus):
+    # the kato runner's two deltas share one panel dict: the same bits as
+    # separate calls, with each distinct panel integrated once
+    u = _delta_like(unit_m1_400_op)
+    panels = {}
+    for delta in (0.02, 0.01):
+        shared = miyadera_ratio(spectral_400, singular_vminus, delta, u, panels)
+        assert shared == miyadera_ratio(spectral_400, singular_vminus, delta, u)
+    assert len(panels) == 59  # of 2 x (16 + 31) panels
+    assert all(lo < hi for lo, hi in panels)
+
+
 def test_miyadera_zero_potential(unit_m1_400_op, spectral_400):
     u = _delta_like(unit_m1_400_op)
     assert miyadera_integral(spectral_400, np.zeros(400), 0.01, u) == 0.0

@@ -72,6 +72,51 @@ def test_growth_fit_m1_exact_identity(unit_m1):
     assert rep.k_zero == pytest.approx(-np.pi**2, abs=0.01)
 
 
+def _sweep_pieces():
+    g = Grid.make((0.0, 1.0), 300)
+    spec = SymbolSpec.isotropic(2, 1, "1+0.5*x", domain=[(0, 1)])
+    free, with_v = assemble(spec, g), assemble(spec, g, potential="20*x^2")
+    return free, with_v, TwistProfile.from_expression(g, "x", 2), np.geomspace(3.0, 30.0, 12)
+
+
+def _weyl(free_k, op_v):
+    return [(k - np.max(op_v.potential), k - np.min(op_v.potential)) for k in free_k]
+
+
+def test_bracketed_sweeps_equal_cold_calls():
+    # extrapolated brackets, and the Weyl brackets of a potential sweep, only
+    # save factorizations: every k equals the unbracketed per-lambda value
+    op0, op_v, prof, lams = _sweep_pieces()
+    free = growth_fit(op0, prof, lams)
+    reps = ((op0, free), (op_v, growth_fit(op_v, prof, lams)),
+            (op_v, growth_fit(op_v, prof, lams, brackets=_weyl(free.k_values, op_v))))
+    for op, rep in reps:
+        assert np.array_equal(rep.k_values, [lower_bound_k(op, prof, lam) for lam in lams])
+
+
+def test_bracketed_sweep_factorization_count(monkeypatch):
+    # counts measured on this sweep: 757 factorizations for 12 cold calls,
+    # 646 extrapolated, 511 with Weyl brackets
+    op0, op_v, prof, lams = _sweep_pieces()
+    op0.lowest_eigenvalue(), op_v.lowest_eigenvalue()  # k_zero: not part of the sweep
+    calls = []
+    real = sla.lapack.dpbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla.lapack, "dpbtrf", counted)
+    free = growth_fit(op0, prof, lams)
+    n_free = len(calls)
+    growth_fit(op_v, prof, lams, brackets=_weyl(free.k_values, op_v))
+    n_weyl = len(calls) - n_free
+    for lam in lams:
+        lower_bound_k(op_v, prof, lam)
+    n_cold = len(calls) - n_free - n_weyl
+    assert n_cold >= 750 and n_free <= 650 and n_weyl <= 515
+
+
 def test_growth_fit_requires_a_decade(unit_m1):
     op, prof = unit_m1
     with pytest.raises(ValueError, match="decade"):
