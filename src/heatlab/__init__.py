@@ -10,7 +10,6 @@ from .symbols import (  # noqa: F401
     ExprField,
     SharpConstants,
     SymbolSpec,
-    TableField,
     ellipticity_constant,
     eval_symbol,
     gamma_coefficients,
@@ -18,9 +17,9 @@ from .symbols import (  # noqa: F401
     is_strongly_convex,
     sharp_constants,
 )
-from .discretize import Grid, DiscreteOperator, assemble, difference_operator  # noqa: F401
+from .discretize import Grid, DiscreteOperator, assemble  # noqa: F401
 from .heatkernel import eigendecompose, fourier_oracle, kernel, semigroup_check  # noqa: F401
-from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d, length_element  # noqa: F401
-from .twist import TwistProfile, assemble_gaussian_bound, growth_fit, lower_bound_k  # noqa: F401
+from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d  # noqa: F401
+from .twist import TwistProfile, growth_fit, lower_bound_k  # noqa: F401
 from .experiments import fit_gaussian_exponent, verify_perturbed_bound, verify_sharp_bound  # noqa: F401
 from .config import RunConfig, load_config  # noqa: F401

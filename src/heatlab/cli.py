@@ -108,10 +108,15 @@ def constants_table(m):
 
 def run_kernel(cfg, outdir, manifest):
     spec, grid, vvals = operator_pieces(cfg.operator)
+    k = cfg.kernel
+    if spec.n == 1:
+        (lo, hi), = spec.domain.bounds
+        for key, values in (("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list)):
+            if any(not lo <= v <= hi for v in values):
+                raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
     manifest.start("assemble")
     op = assemble(spec, grid, potential=vvals)
     manifest.stop()
-    k = cfg.kernel
     manifest.start("eigendecompose")
     spectral = eigendecompose(op, t_min=min(k.t_list))
     manifest.stop()

@@ -269,7 +269,10 @@ def config_from_text(text):
         raise ConfigError("domain needs 2 numbers per axis; the default has one axis",
                           key="operator.domain")
     if isinstance(o.grid_n, list):
-        o.grid_n = tuple(o.grid_n) * (o.n if len(o.grid_n) == 1 and o.n > 1 else 1)
+        if len(o.grid_n) not in (1, o.n):
+            raise ConfigError(f"expected a comma list of 1 or {o.n} integers",
+                              key="operator.grid_n")
+        o.grid_n = tuple(o.grid_n) * (o.n if len(o.grid_n) == 1 else 1)
     if len(cfg.kernel.x_list) != len(cfg.kernel.y_list):
         raise ConfigError("x_list and y_list must zip", key="kernel.x_list")
     if len(cfg.distance.y1_list) != len(cfg.distance.y2_list):

@@ -16,10 +16,6 @@ Stencil conventions:
   energy with weights at edge midpoints,
 * pairs with mismatched parities fall back to node-centered central first
   differences (the forward/backward average), with an effective 2h spacing.
-
-The public :func:`difference_operator` always returns the node-centered
-version (central composition); the staggered factors are internal to
-assembly.
 """
 
 from __future__ import annotations
@@ -143,25 +139,6 @@ def _axis_factor(N, h, count, staggered):
     return op
 
 
-def difference_operator(grid, alpha):
-    """Node-centered realization of D^alpha (sparse).
-
-    Even per-axis counts are composed second differences; odd counts apply
-    one central first difference (2h effective spacing) on top.
-    """
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != grid.n:
-        raise ValueError("multi-index dimension must match the grid")
-    for k, N in zip(alpha, grid.npts):
-        if k + 1 > N:
-            raise ValueError(f"stencil of order {k} exceeds grid with N={N}")
-    op = None
-    for ax, k in enumerate(alpha):
-        f = _axis_factor(grid.npts[ax], grid.h[ax], k, staggered=False)
-        op = f if op is None else sp.kron(op, f, format="csr")
-    return op.tocsr()
-
-
 def _pair_factor(grid, alpha, parity_match):
     """Derivative factor for one side of a coefficient pair, plus per axis
     whether it is staggered (maps nodes to edges)."""
@@ -260,7 +237,7 @@ class DiscreteOperator:
     Every extreme eigenvalue, and the count below a cut spectrum's cut, is
     read from it: the lowest by :func:`band_lowest` (banded Cholesky
     bisection to adjacent doubles, or ``eig_banded`` on a tridiagonal band).
-    ``operator_matrix()`` is the dense copy, built on first use.
+    ``operator_matrix()`` builds a dense copy on each call.
     """
 
     grid: Grid
@@ -271,7 +248,6 @@ class DiscreteOperator:
     provenance: str = ""
 
     band: np.ndarray = field(init=False, repr=False, compare=False)
-    _operator: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _lowest: float | None = field(default=None, init=False, repr=False, compare=False)
     _resolvent: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -290,10 +266,9 @@ class DiscreteOperator:
         return self.grid.cell_volume
 
     def operator_matrix(self):
-        """Dense form matrix in operator normalization (eigenvalues of H)."""
-        if self._operator is None:
-            self._operator = self.form_matrix.toarray() / self.mass
-        return self._operator
+        """Dense form matrix in operator normalization (eigenvalues of H), not
+        kept."""
+        return self.form_matrix.toarray() / self.mass
 
     def lowest_eigenvalue(self):
         """Smallest eigenvalue of the operator, from the band, computed once."""
@@ -320,33 +295,14 @@ class DiscreteOperator:
         return self._resolvent[1]
 
     def release_dense(self):
-        """Drop the dense operator and the kept resolvent (N^2 doubles each);
-        the next use builds them again."""
-        self._operator = None
+        """Drop the kept resolvent (N^2 doubles); the next one is solved
+        again."""
         self._resolvent = None
-
-    def quadratic_form(self, u):
-        return float(u @ self.form_matrix @ u)
-
-    def l2_norm_sq(self, u):
-        return float(self.mass * np.dot(u, u))
 
     def symmetry_defect(self):
         F = self.form_matrix
         scale = max(1.0, float(abs(F).max()))
         return float(abs(F - F.T).max()) / scale
-
-    def manifest_summary(self):
-        lines = [
-            f"dimension: {self.grid.n}",
-            f"interior points: {self.grid.npts}",
-            f"spacing: {self.grid.h}",
-            f"half-order m: {self.m}",
-            f"symmetry defect: {self.symmetry_defect():.3e}",
-            f"provenance: {self.provenance}",
-        ]
-        lines.append(f"lowest eigenvalue: {self.lowest_eigenvalue():.6e}")
-        return "\n".join(lines)
 
 
 def assemble(spec, grid, potential=None):
@@ -418,74 +374,3 @@ def _ellipticity_samples(grid, per_axis=9):
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Garding and Sobolev checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GardingReport:
-    c1: float
-    c2: float
-    notes: str = ""
-
-
-def seminorm_gram(grid, m):
-    """Sparse form matrix of the H^m seminorm plus L^2 term (unit isotropic symbol)."""
-    unit = SymbolSpec.isotropic(m, grid.n, 1.0, domain=grid.bounds)
-    sem = assemble(unit, grid).form_matrix
-    return sem + grid.cell_volume * sp.identity(grid.node_count, format="csr")
-
-
-def garding_check(op):
-    """One valid coercivity pair (c1, c2) for the assembled form with V = 0.
-
-    c1 is half the sampled ellipticity constant; c2 is the negative part of
-    the smallest eigenvalue of ``Q0 - c1 * S_m`` in operator units, where
-    S_m is the discretized (H^m seminorm + L^2) Gram matrix.
-    """
-    if op.potential is not None and np.any(op.potential != 0.0):
-        raise ValueError("garding_check expects the free form (V = 0)")
-    c1 = 0.5 * ellipticity_constant(op.spec, op.grid.node_coordinates(), 128)
-    S = seminorm_gram(op.grid, op.m)
-    M = (op.form_matrix - c1 * S).toarray()
-    lo = sla.eigh(M, eigvals_only=True, subset_by_index=(0, 0), driver="evr")[0]
-    c2 = max(0.0, -lo / op.mass)
-    return GardingReport(c1=c1, c2=c2, notes="c1 = ellipticity/2; c2 from eigenvalue shift")
-
-
-def sobolev_ratio(op, trials=64, rng=None, modes=16):
-    """max over trial vectors of ||u||_inf / (Q0(u) + ||u||_2^2)^(n/4m) ||u||_2^(1-n/2m).
-
-    Requires 2m > n.  Trial vectors are random combinations of the first
-    ``modes`` Dirichlet sine modes per axis, a resolution-independent family,
-    so the maximum is stable under grid refinement at fixed geometry.
-    """
-    m, n = op.m, op.grid.n
-    if 2 * m <= n:
-        raise ValueError("sobolev_ratio requires 2m > n")
-    rng = np.random.default_rng(rng if rng is not None else 0)
-    axes = []
-    for ax in range(n):
-        lo, hi = op.grid.bounds[ax]
-        xi = (op.grid.axis_nodes(ax) - lo) / (hi - lo)
-        axes.append(np.sin(np.pi * np.outer(np.arange(1, modes + 1), xi)))
-    best = 0.0
-    for _ in range(trials):
-        u = None
-        for ax in range(n):
-            coef = rng.standard_normal(modes)
-            part = coef @ axes[ax]
-            u = part if u is None else np.multiply.outer(u, part)
-        best = max(best, sobolev_trial_ratio(op, np.asarray(u).ravel()))
-    return best
-
-
-def sobolev_trial_ratio(op, u):
-    m, n = op.m, op.grid.n
-    q = op.quadratic_form(u)
-    l2sq = op.l2_norm_sq(u)
-    return float(
-        np.max(np.abs(u)) / ((q + l2sq) ** (n / (4 * m)) * l2sq ** (0.5 * (1 - n / (2 * m))))
-    )

@@ -123,10 +123,6 @@ def _check_positive(ok, pts):
         raise ValueError(f"degenerate symbol at x={pts[int(np.argmin(ok))]}")
 
 
-def length_element(spec, x, eta):
-    return LengthElement(spec)(x, eta)
-
-
 def reciprocal_root(spec, x):
     """a(x)^(-1/2m) for 1D specs (the exact 1D length density), at one
     coordinate or an array of them; Python's float ``pow`` per element, since
@@ -339,21 +335,3 @@ def distance_dm_1d(spec, M, y1, y2, npoints=201):
     dual = float(b @ res.ineqlin.marginals)
     gap = abs(res.fun - dual) / abs(res.fun)
     return DmResult(float(sgn * res.x[-1]), True, defect, int(res.nit), gap)
-
-
-def dm_convergence_check(spec, pairs, M_list, npoints=201, ratio_tol=1e-3):
-    """Ratios d_M / d per pair; non-decreasing in M within the solver tolerance."""
-    rows = []
-    for y1, y2 in pairs:
-        d = distance_1d(spec, y1, y2, panels=2 * (npoints - 1))
-        ratios = []
-        for M in M_list:
-            r = distance_dm_1d(spec, M, y1, y2, npoints=npoints)
-            if not r.converged:
-                raise RuntimeError(f"capped-distance solver failed at M={M}")
-            ratios.append(abs(r.value) / abs(d))
-        for a, b in zip(ratios, ratios[1:]):
-            if b < a - ratio_tol:
-                raise RuntimeError("d_M ratios decreased beyond solver tolerance")
-        rows.append({"pair": (y1, y2), "d": d, "M": list(M_list), "ratios": ratios})
-    return rows

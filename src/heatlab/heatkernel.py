@@ -19,16 +19,13 @@ band (``dsbevx``) and takes their eigenvectors by shift-invert Lanczos on
 the sparse operator (ARPACK through ``scipy.sparse.linalg.eigsh``, from a
 fixed start vector), with the shift below the lowest band eigenvalue.  One
 inverse step and a Rayleigh-Ritz step on the block bring the residuals under
-the same ``8 eps ||H||`` floor LAPACK meets (ARPACK's vectors reached 12
-times it on ``kernel-oracle``).  Each eigenvalue is the Rayleigh quotient
-``v^T H v``, not ARPACK's Ritz value, which loses digits far from the shift;
-each must agree with its band eigenvalue to that floor, so a mode the
-iteration missed raises.  The spectrum records ``t_min`` and every kernel
-function refuses an earlier time.  The stock quartic verdicts keep 75 of
-their 800 modes, the perturbed one 19, ``kernel-oracle`` 74 of 1,200.  The
-complete dense decomposition is taken instead when the cut is at or above a
-Gershgorin bound on the spectrum, or when more than the share
-``LANCZOS_MAX_SHARE`` of the modes lies below it.
+the same ``8 eps ||H||`` floor LAPACK meets.  Each eigenvalue is the Rayleigh
+quotient ``v^T H v``, not ARPACK's Ritz value, which loses digits far from
+the shift; each must agree with its band eigenvalue to that floor, so a mode
+the iteration missed raises.  The spectrum records ``t_min`` and every kernel
+function refuses an earlier time.  The complete dense decomposition is taken
+instead when the cut is at or above a Gershgorin bound on the spectrum, or
+when more than the share ``LANCZOS_MAX_SHARE`` of the modes lies below it.
 """
 
 from __future__ import annotations
@@ -277,18 +274,6 @@ def _composite_gl(m, a, t, r, xi_max, npanels, order):
     w = (half[:, None] * weights[None, :]).ravel()
     f = np.exp(-a * x ** (2 * m) * t) * np.cos(x * r)
     return float(np.dot(f, w) / np.pi)
-
-
-def ondiag_bound(field, m, n):
-    """Fitted on-diagonal prefactor: max over samples of |K(t,x,x)| t^(n/2m)."""
-    vals = [
-        abs(v) * t ** (n / (2 * m))
-        for t, x, y, v in field.rows()
-        if x == y
-    ]
-    if not vals:
-        raise ValueError("field contains no on-diagonal samples")
-    return max(vals)
 
 
 def trace_identity_defect(spectral, t):

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .discretize import POTENTIAL_WARN_THRESHOLD, band_lowest
 
@@ -77,17 +76,6 @@ def form_bound(op0, vminus, eps):
 
 def form_bound_report(op0, vminus, epsilons):
     return FormBoundReport(list(epsilons), [form_bound(op0, vminus, e) for e in epsilons])
-
-
-def consequence_q0q(op_v, op0, eps, c_eps):
-    """Check  Q0(u) <= (Q(u) + c ||u||^2) / (1 - eps)  as a matrix inequality."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    A = (op_v.operator_matrix() + c_eps * np.eye(op_v.grid.node_count)) / (1.0 - eps)
-    M = A - op0.operator_matrix()
-    lo = sla.eigh(M, eigvals_only=True, subset_by_index=(0, 0), driver="evr")[0]
-    scale = max(1.0, float(np.max(np.abs(A))))
-    return bool(lo >= -1e-10 * scale)
 
 
 @dataclass

@@ -113,31 +113,6 @@ class ExprField(CoefficientField):
         return v
 
 
-@dataclass(frozen=True)
-class TableField(CoefficientField):
-    """Samples on 1D axis nodes; linear interpolation between nodes."""
-
-    nodes: tuple
-    values: tuple
-
-    @classmethod
-    def from_samples(cls, nodes, values):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if nodes.shape != values.shape or nodes.ndim != 1:
-            raise ValueError("nodes and values must be matching 1D arrays")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("tabulated field contains non-finite values")
-        return cls(tuple(nodes), tuple(values))
-
-    def at(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(np.interp(x[0], self.nodes, self.values))
-
-    def at_many(self, points):
-        return np.interp(np.atleast_2d(points)[:, 0], self.nodes, self.values)
-
-
 def as_field(value, n):
     if isinstance(value, CoefficientField):
         return value

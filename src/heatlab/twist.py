@@ -12,20 +12,17 @@ realizes the real part of the twisted form for real vectors, and
 banded Cholesky factors from a bracket the sweep guesses (``eig_banded``
 for m = 1).
 Sweeping l over a decade and fitting ``k(l) = kappa l^(2m) + c`` measures
-the growth coefficient, to be compared with the sharp constant k_m;
-combining k(l) with a distance and optimizing over l assembles the
-Gaussian bound.
+the growth coefficient, to be compared with the sharp constant k_m.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import band_lowest
-from .symbols import as_field, eval_symbol, sharp_constants, decay_constant_from_growth
+from .symbols import as_field, eval_symbol, sharp_constants
 
 OVERFLOW_GUARD = 600.0
 BRACKET_REL = 1e-3  # half-width of an extrapolated k bracket, relative to the guess
@@ -40,10 +37,8 @@ class TwistProfile:
     """phi sampled on grid nodes plus derivative samples up to order m.
 
     Derivatives are one-sided-corrected gradients of the node samples (the
-    profile is not subject to Dirichlet truncation).  Feasibility:
-
-    * full class: |phi^(k)| <= M for 1 <= k <= m,
-    * symbol class: A(x, phi') <= 1 and |phi^(k)| <= M for 2 <= k <= m.
+    profile is not subject to Dirichlet truncation).  Feasibility (symbol
+    class): A(x, phi') <= 1 and |phi^(k)| <= M for 2 <= k <= m.
     """
 
     grid: object
@@ -68,9 +63,6 @@ class TwistProfile:
         fld = as_field(text_or_field, grid.n)
         vals = fld.at_many(grid.node_coordinates())
         return cls.from_values(grid, vals, m)
-
-    def feasible_full(self, M, tol=1e-8):
-        return all(np.max(np.abs(d)) <= M + tol for d in self.derivatives.values())
 
     def feasible_symbol(self, spec, M, tol=1e-8):
         a = eval_symbol(spec, self.grid.node_coordinates(), self.derivatives[1][:, None])
@@ -131,7 +123,6 @@ class TwistReport:
     k_m: float
     eps_report: float    # max(0, kappa - k_m)
     reliable: bool
-    k_zero: float = 0.0  # untwisted bound -lambda_min(H)
 
     def model(self, lam):
         return self.kappa * np.asarray(lam) ** (2 * self.m) + self.intercept
@@ -177,60 +168,6 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
         k_m=km,
         eps_report=max(0.0, kappa - km),
         reliable=residual <= residual_flag,
-        k_zero=-op.lowest_eigenvalue(),
-    )
-
-
-@dataclass
-class GaussianBoundValue:
-    bound: float           # grid infimum, with the (1+delta) safety factor
-    bound_closed: float    # closed-form lambda*, same safety factor
-    lambda_star: float
-    ideal_exponent: float  # inf_l(-l d + l^(2m) kappa t), no safety factor
-    grid_interior: bool    # lambda* strictly inside the swept grid
-
-
-def assemble_gaussian_bound(report, d, t, prefactor, delta=0.01):
-    """Bound value  prefactor * t^(-n/2m) * inf_l exp(-l d + (1+delta) k(l) t).
-
-    Uses the swept k(l) on the grid and, in parallel, the closed form at
-    ``l* = (d / (2m kappa (1+delta) t))^(1/(2m-1))`` from the fitted model;
-    the two agree when l* is interior to the grid (else the extend-grid flag
-    ``grid_interior`` is false).  n = 1 (the sweeps are one-dimensional).
-    """
-    if report.kappa <= 0:
-        raise ValueError("fitted growth coefficient must be positive")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    m = report.m
-    n = 1
-    pref = prefactor * t ** (-n / (2 * m))
-    lams = np.concatenate([[0.0], report.lambdas])
-    kvals = np.concatenate([[report.k_zero], report.k_values])
-    exponents = -lams * d + (1 + delta) * kvals * t
-    i = int(np.argmin(exponents))
-    bound_grid = pref * math.exp(float(exponents[i]))
-    kappa_eff = report.kappa * (1 + delta)
-    if d == 0.0:
-        lam_star = 0.0
-        bound_closed = pref * math.exp((1 + delta) * report.k_zero * t)
-    else:
-        lam_star = (d / (2 * m * kappa_eff * t)) ** (1.0 / (2 * m - 1))
-        sigma_eff = decay_constant_from_growth(kappa_eff, m)
-        expo = (
-            -sigma_eff * d ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1))
-            + (1 + delta) * report.intercept * t
-        )
-        bound_closed = pref * math.exp(expo)
-    sigma_ideal = decay_constant_from_growth(report.kappa, m)
-    ideal = -sigma_ideal * d ** (2 * m / (2 * m - 1)) / t ** (1.0 / (2 * m - 1)) if d > 0 else 0.0
-    interior = bool(report.lambdas[0] < lam_star < report.lambdas[-1])
-    return GaussianBoundValue(
-        bound=float(bound_grid),
-        bound_closed=float(bound_closed),
-        lambda_star=float(lam_star),
-        ideal_exponent=float(ideal),
-        grid_interior=interior,
     )
 
 

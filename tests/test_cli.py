@@ -195,6 +195,18 @@ def test_lattice_source_off_the_domain_rejected(tmp_path, capsys, source):
     assert not os.path.exists(os.path.join(out, "distance.csv"))
 
 
+@pytest.mark.parametrize("key, old, new", [("x_list", "x_list = 0, 0", "x_list = 9, 0"),
+                                          ("y_list", "y_list = 0.5, 1.0", "y_list = 0.5, -8.5")],
+                         ids=["x_list", "y_list"])
+def test_kernel_points_off_the_domain_rejected(tmp_path, capsys, key, old, new):
+    # a sample point outside the domain used to snap to the edge node
+    cfg = _write(tmp_path, KERNEL_CFG.replace(old, new))
+    out = str(tmp_path / "out")
+    assert main(["kernel", "--config", cfg, "--out", out]) == 2
+    assert f"kernel.{key}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "kernel.csv"))
+
+
 def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
     cfg = _write(tmp_path, LATTICE_CFG.replace("source = 0.5, 0.5", "source = 0, 1"))
     assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

@@ -92,6 +92,7 @@ def test_value_type_errors():
         ("[operator]\ngrid_n = 40.7\n", "operator.grid_n"),
         ("[operator]\ngrid_n = 1e400\n", "operator.grid_n"),
         ("[operator]\nn = 2\ngrid_n = 40, nan\n", "operator.grid_n"),
+        ("[operator]\nn = 2\ndomain = 0, 1, 0, 1\ngrid_n = 40, 40, 40\n", "operator.grid_n"),
     ):
         with pytest.raises(ConfigError, match=f"integer.*key '{re.escape(key)}'"):
             config_from_text(text)

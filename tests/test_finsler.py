@@ -14,20 +14,18 @@ from heatlab.finsler import (
     distance_lattice_2d,
     _cap_rows,
     _slope_caps,
-    dm_convergence_check,
-    length_element,
 )
-from heatlab.symbols import SymbolSpec, TableField, eval_symbol
+from heatlab.symbols import SymbolSpec, eval_symbol
 
 SPEC_VAR = SymbolSpec.isotropic(2, 1, "(1+x)^4", domain=[(0, 1)])
 LN2 = float(np.log(2.0))
 
 
 def test_length_element_1d():
-    assert length_element(SymbolSpec.isotropic(1, 1, 1.0), [0.0], [1.0]) == 1.0
+    assert LengthElement(SymbolSpec.isotropic(1, 1, 1.0))([0.0], [1.0]) == 1.0
     spec16 = SymbolSpec.isotropic(2, 1, 16.0)
-    assert length_element(spec16, [0.3], [1.0]) == pytest.approx(0.5)
-    assert length_element(spec16, [0.3], [-2.0]) == pytest.approx(1.0)
+    assert LengthElement(spec16)([0.3], [1.0]) == pytest.approx(0.5)
+    assert LengthElement(spec16)([0.3], [-2.0]) == pytest.approx(1.0)
 
 
 def test_length_element_isotropic_2d_is_euclidean():
@@ -57,7 +55,7 @@ def test_length_element_homogeneity_and_positivity():
 def test_degenerate_symbol_rejected():
     bad = SymbolSpec.isotropic(1, 1, "x-0.5", domain=[(0, 1)])
     with pytest.raises(ValueError, match="degenerate"):
-        length_element(bad, [0.25], [1.0])
+        LengthElement(bad)([0.25], [1.0])
 
 
 SPEC_ISO_VAR = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(-3, 3), (-3, 3)])
@@ -226,23 +224,6 @@ def test_slope_caps_equal_per_point_reference(spec):
     assert np.array_equal(_slope_caps(spec, xs), ref)
 
 
-def test_dm_convergence_table():
-    rows = dm_convergence_check(SPEC_VAR, [(0.0, 1.0)], [0.1, 0.5, 1.0, 5.0])
-    ratios = rows[0]["ratios"]
-    assert all(b >= a - 1e-3 for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] >= 0.98
-
-
-def test_dm_convergence_rough_coefficient_reported():
-    # tabulated noise: convergence may stall below 1; the table is still produced
-    rng = np.random.default_rng(8)
-    nodes = np.linspace(0.0, 1.0, 101)
-    rough = TableField.from_samples(nodes, 1.0 + 0.5 * rng.random(101))
-    spec = SymbolSpec.isotropic(2, 1, rough, domain=[(0, 1)])
-    rows = dm_convergence_check(spec, [(0.0, 1.0)], [0.5, 2.0])
-    assert 0.0 < rows[0]["ratios"][0] <= 1.0 + 1e-6
-
-
 def test_lattice_distance_isotropic_2d():
     iso = SymbolSpec.isotropic(2, 2, 1.0, domain=[(0, 1), (0, 1)])
     fld = distance_lattice_2d(iso, (0.5, 0.5), npts=48)
@@ -369,7 +350,7 @@ def test_distance_comparison_under_coefficient_gap():
     d_ref = distance_dm_1d(ref, 1.0, 0.0, 1.0).value
     d_pert = distance_dm_1d(pert, 1.0, 0.0, 1.0).value
     ratios = [
-        length_element(ref, [x], [1.0]) / length_element(pert, [x], [1.0])
+        LengthElement(ref)([x], [1.0]) / LengthElement(pert)([x], [1.0])
         for x in np.linspace(0.05, 0.95, 19)
     ]
     c_emp = (max(ratios) - 1.0) / delta

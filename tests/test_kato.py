@@ -6,7 +6,6 @@ import scipy.linalg as sla
 
 from heatlab.kato import (
     KatoCurve,
-    consequence_q0q,
     form_bound,
     form_bound_report,
     kato_norm,
@@ -83,22 +82,6 @@ def test_form_bound_rejects_bad_eps(unit_m1_400_op):
         form_bound(unit_m1_400_op, np.full(400, -1.0), 0.5)
 
 
-def test_consequence_bound(unit_m1_400_op):
-    op0 = unit_m1_400_op
-    assert consequence_q0q(op0, op0, 0.5, 0.0)  # V = 0, holds with slack
-
-    op_v = make_line_operator(1, n_pts=400, bounds=(0.0, 1.0),
-                              potential=np.full(400, -5.0))
-    c = form_bound(op0, np.full(400, 5.0), 0.5)
-    assert consequence_q0q(op_v, op0, 0.5, c)
-
-    rng = np.random.default_rng(5)
-    vm = rng.uniform(0.0, 10.0, 400)
-    op_r = make_line_operator(1, n_pts=400, bounds=(0.0, 1.0), potential=-vm)
-    c_r = form_bound(op0, vm, 0.3)
-    assert consequence_q0q(op_r, op0, 0.3, c_r)
-
-
 def test_kato_norm_zero_and_duality(unit_m1_400_op, singular_vminus):
     assert kato_norm(unit_m1_400_op, np.zeros(400), 10.0) == 0.0
     for lam in (1.0, 100.0):
@@ -157,7 +140,7 @@ def test_kato_norm_curve_releases_dense_matrices(monkeypatch):
     op = make_line_operator(1, n_pts=100, bounds=(0.0, 1.0))
     kato_norm_curve(op, np.ones(100), [1.0, 10.0, 100.0])
     assert len(solves) == 3
-    assert op._operator is None and op._resolvent is None
+    assert op._resolvent is None
 
 
 def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):

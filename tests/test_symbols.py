@@ -11,7 +11,6 @@ from heatlab.symbols import (
     ConstantField,
     ExprField,
     SymbolSpec,
-    TableField,
     _ScaledField,
     _golden_min,
     as_field,
@@ -254,10 +253,9 @@ def test_as_field_keeps_expressions(text):
 
 
 @pytest.mark.parametrize("fld", [
-    TableField.from_samples([0.0, 0.3, 1.0], [1.0, 2.5, 1.7]),
     _ScaledField(ExprField.from_text("1+x^2", 1), 3.0),
     ExprField.from_text("exp(x)", 1),
-], ids=["table", "scaled", "expr"])
+], ids=["scaled", "expr"])
 def test_at_many_equals_at(fld):
     pts = np.linspace(-0.2, 1.2, 57)[:, None]
     assert np.array_equal(fld.at_many(pts), [fld.at(x) for x in pts])

@@ -4,12 +4,10 @@ import scipy.linalg as sla
 
 from conftest import make_line_operator
 from heatlab.discretize import Grid, assemble
-from heatlab.heatkernel import ondiag_bound, spectral_field
 from heatlab.symbols import SymbolSpec, sharp_constants
 from heatlab.twist import (
     OverflowGuardError,
     TwistProfile,
-    assemble_gaussian_bound,
     growth_fit,
     lower_bound_k,
     perturbation_stability,
@@ -32,8 +30,6 @@ def unit_m2():
 def test_profile_derivatives_and_feasibility(unit_m1):
     op, prof = unit_m1
     assert np.allclose(prof.derivatives[1], 1.0, atol=1e-10)
-    assert prof.feasible_full(1.0)
-    assert not prof.feasible_full(0.5)
     assert prof.feasible_symbol(op.spec, 1.0)
     assert not TwistProfile.from_expression(op.grid, "1.01*x", 1).feasible_symbol(op.spec, 1.0)
 
@@ -69,7 +65,7 @@ def test_growth_fit_m1_exact_identity(unit_m1):
     assert rep.kappa == pytest.approx(1.0, abs=1e-3)
     assert rep.intercept == pytest.approx(-np.pi**2, abs=0.05)
     assert rep.reliable
-    assert rep.k_zero == pytest.approx(-np.pi**2, abs=0.01)
+    assert lower_bound_k(op, prof, 0.0) == pytest.approx(-np.pi**2, abs=0.01)
 
 
 def _sweep_pieces():
@@ -96,9 +92,9 @@ def test_bracketed_sweeps_equal_cold_calls():
 
 def test_bracketed_sweep_factorization_count(monkeypatch):
     # counts measured on this sweep: 757 factorizations for 12 cold calls,
-    # 646 extrapolated, 511 with Weyl brackets
+    # 646 extrapolated, 511 with Weyl brackets; a sweep factors for its
+    # lambdas only
     op0, op_v, prof, lams = _sweep_pieces()
-    op0.lowest_eigenvalue(), op_v.lowest_eigenvalue()  # k_zero: not part of the sweep
     calls = []
     real = sla.lapack.dpbtrf
 
@@ -216,55 +212,6 @@ def test_overflow_guard_triggers(unit_m1):
     op, prof = unit_m1
     with pytest.raises(OverflowGuardError):
         twisted_form(op, prof, 1e7)
-
-
-def test_gaussian_bound_closed_form_values():
-    rep1 = _synthetic_report(m=1, kappa=1.0)
-    out = assemble_gaussian_bound(rep1, d=1.0, t=0.25, prefactor=1.0, delta=0.01)
-    assert out.ideal_exponent == pytest.approx(-1.0, rel=1e-12)
-
-    rep2 = _synthetic_report(m=2, kappa=8.0)
-    out2 = assemble_gaussian_bound(rep2, d=1.0, t=1.0, prefactor=1.0, delta=0.01)
-    assert out2.ideal_exponent == pytest.approx(-sharp_constants(2).sigma_m, rel=1e-12)
-
-    # grid infimum vs closed form within 0.5% when lambda* is interior
-    assert out.grid_interior
-    assert out.bound == pytest.approx(out.bound_closed, rel=5e-3)
-    assert out2.grid_interior
-    assert out2.bound == pytest.approx(out2.bound_closed, rel=5e-3)
-
-
-def test_gaussian_bound_diagonal_case():
-    rep = _synthetic_report(m=1, kappa=1.0, k_zero=-2.0)
-    out = assemble_gaussian_bound(rep, d=0.0, t=0.5, prefactor=2.0, delta=0.01)
-    expected = 2.0 * 0.5**-0.5 * np.exp(1.01 * (-2.0) * 0.5)
-    assert out.bound == pytest.approx(expected, rel=1e-12)
-    assert out.lambda_star == 0.0
-
-
-def _synthetic_report(m, kappa, k_zero=0.0):
-    from heatlab.twist import TwistReport
-
-    lambdas = np.geomspace(1e-3, 1e3, 2001)
-    ks = kappa * lambdas ** (2 * m)
-    return TwistReport(
-        m=m, lambdas=lambdas, k_values=ks, kappa=kappa, intercept=0.0,
-        fit_residual=0.0, k_m=sharp_constants(m).k_m,
-        eps_report=max(0.0, kappa - sharp_constants(m).k_m), reliable=True,
-        k_zero=k_zero,
-    )
-
-
-def test_end_to_end_bound_dominates_kernel_samples(line_m1, line_m1_op):
-    # spectral samples on the centered window, bound assembled from the sweep
-    prof = TwistProfile.from_expression(line_m1_op.grid, "x", 1)
-    rep = growth_fit(line_m1_op, prof, np.geomspace(1.0, 10.0, 30))
-    pairs = [(-0.5 * r, 0.5 * r) for r in np.linspace(0.0, 2.0, 11)]
-    fld = spectral_field(line_m1, 1, [0.05, 0.1, 0.5], pairs)
-    prefactor = ondiag_bound(fld, 1, 1)
-    for t, x, y, v in fld.rows():
-        out = assemble_gaussian_bound(rep, abs(y - x), t, prefactor)
-        assert abs(v) <= out.bound * 1.05
 
 
 def test_perturbation_stability_zero_gap(unit_m2):
