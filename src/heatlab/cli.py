@@ -24,7 +24,7 @@ from .heatkernel import eigendecompose, fourier_oracle, spectral_field
 from .kato import form_bound_report, kato_norm_curve, miyadera_ratio, sample_potential
 from .reporting import Manifest, ensure_outdir, format_float_17, grid_rows, write_csv, write_text
 from .symbols import sharp_constants
-from .twist import TwistProfile, growth_fit
+from .twist import FIT_MIN_POINTS, TwistProfile, growth_fit
 
 
 def main(argv=None):
@@ -107,13 +107,14 @@ def constants_table(m):
 
 
 def run_kernel(cfg, outdir, manifest):
+    if cfg.operator.n != 1:
+        raise ConfigError("kernel fields are tabulated for 1D grids only", key="operator.n")
     spec, grid, vvals = operator_pieces(cfg.operator)
     k = cfg.kernel
-    if spec.n == 1:
-        (lo, hi), = spec.domain.bounds
-        for key, values in (("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list)):
-            if any(not lo <= v <= hi for v in values):
-                raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
+    (lo, hi), = spec.domain.bounds
+    for key, values in (("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list)):
+        if any(not lo <= v <= hi for v in values):
+            raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
     manifest.start("assemble")
     op = assemble(spec, grid, potential=vvals)
     manifest.stop()
@@ -202,15 +203,19 @@ def run_kato(cfg, outdir, manifest):
 
 
 def run_twist(cfg, outdir, manifest):
-    spec, grid, vvals = operator_pieces(cfg.operator)
     tc = cfg.twist
+    lambdas = np.geomspace(tc.lambda_min, tc.lambda_max, tc.lambda_count)
+    fitted = np.count_nonzero(lambdas >= tc.lambda_max / 10.0)
+    if fitted < FIT_MIN_POINTS:
+        raise ConfigError(f"the fitted top decade holds {fitted} lambdas; the fit needs "
+                          f"{FIT_MIN_POINTS} or more", key="twist.lambda_count")
+    spec, grid, vvals = operator_pieces(cfg.operator)
     manifest.start("assemble")
     op0 = assemble(spec, grid)
     manifest.stop()
     profile = TwistProfile.from_expression(grid, tc.phi, spec.m)
     if not profile.feasible_symbol(spec, tc.M):
         raise ValueError("twist profile is infeasible for the symbol class at this M")
-    lambdas = np.geomspace(tc.lambda_min, tc.lambda_max, tc.lambda_count)
     manifest.start("sweep")
     rep = growth_fit(op0, profile, lambdas)
     manifest.stop()

@@ -277,6 +277,9 @@ def config_from_text(text):
         raise ConfigError("x_list and y_list must zip", key="kernel.x_list")
     if len(cfg.distance.y1_list) != len(cfg.distance.y2_list):
         raise ConfigError("y1_list and y2_list must zip", key="distance.y1_list")
+    lams = cfg.kato.lambdas
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ConfigError("lambdas must be strictly increasing", key="kato.lambdas")
     _reject_unknown(raw)
 
     # defaults too: twist.phi = "x" does not parse when n = 2

@@ -20,6 +20,7 @@ Stencil conventions:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -158,43 +159,33 @@ def _sample_points(grid, stag):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _float_key(x):
-    """Integer that orders doubles as they compare, adjacent doubles one apart
-    (both zeros are 0)."""
-    i = int(np.float64(x).view(np.int64))
-    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
-
-
-def _key_float(k):
-    x = float(np.int64(abs(k)).view(np.float64))
-    return x if k >= 0 else -x
-
-
-def _factors(band, key):
-    """Whether ``B - s I`` has a banded Cholesky factor, ``s`` the double of
-    ``key``."""
+def _factors(band, shift):
+    """Whether ``B - shift I`` has a banded Cholesky factor."""
     shifted = np.array(band, order="F")
-    shifted[0] -= _key_float(key)
+    shifted[0] -= shift
     return sla.lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)[1] == 0
 
 
 def band_lowest(band, bracket=None):
     """Smallest eigenvalue of the symmetric matrix B held in LAPACK lower band
-    storage.
+    storage, to the double-precision floor ``eps ||B||_max``.
 
     A tridiagonal (or diagonal) band goes to ``eig_banded``, whose Sturm count
     needs no reduction there; it ignores ``bracket``.  A wider band is
-    bisected over the doubles in order, one ``dpbtrf`` per step, until the
-    two bracketing shifts are adjacent doubles: ``B - s I`` has a banded
-    Cholesky factor exactly when ``s`` lies below the smallest eigenvalue
-    (Sylvester).  It starts from the Gershgorin bracket (at most 64 steps) or
-    from ``bracket = (lo, hi)``, a guess checked with two factorizations
+    bisected, one ``dpbtrf`` per step: ``B - s I`` has a banded Cholesky
+    factor exactly when ``s`` lies below the smallest eigenvalue (Sylvester).
+    Rounding blurs that test over a few ``eps ||B||_max``, so the shifts are
+    the lattice ``q Z``, ``q`` the power of two at or above ``eps ||B||_max``.
+    The bisection starts from the Gershgorin bracket mapped onto the lattice
+    or from ``bracket = (lo, hi)``, a guess checked with two factorizations
     (``lo`` must factor, ``hi`` must not) and widened 16-fold about its
-    centre, from at least ``eps ||B||_max``, until it passes or covers the
-    Gershgorin bracket; a wrong guess costs factorizations, never accuracy.
-    The result is the largest shift that factored (the Gershgorin bound if
-    none did): a lower bound, within a few ``eps ||B||_max`` of
-    ``eig_banded``'s value.
+    centre, from at least ``q``, until it passes or covers the Gershgorin
+    bracket; a wrong guess costs factorizations, never accuracy.  The result,
+    whatever the bracket, is the largest ``j q`` at which ``B - j q I``
+    factored (the lattice point at or below the Gershgorin bound if none
+    did): a lower bound within a few ``eps ||B||_max`` of ``eig_banded``'s
+    value.  A band with zero off-diagonals returns its smallest diagonal
+    entry.
     """
     kd, n = band.shape[0] - 1, band.shape[1]
     if kd < 2:
@@ -206,24 +197,29 @@ def band_lowest(band, bracket=None):
         a = np.abs(band[k, : n - k])
         radius[: n - k] += a
         radius[k:] += a
-    g_lo, g_hi = _float_key(np.min(band[0] - radius)), _float_key(np.min(band[0]))
-    lo, hi = g_lo, g_hi
+    g_lo, g_hi = float(np.min(band[0] - radius)), float(np.min(band[0]))
+    if g_lo == g_hi:
+        return g_lo
+    frac, e = math.frexp(np.finfo(float).eps * float(np.max(np.abs(band))))
+    q = math.ldexp(1.0, e - 1 if frac == 0.5 else e)
+    j_lo, j_hi = math.floor(g_lo / q), math.ceil(g_hi / q)
+    lo, hi = j_lo, j_hi
     if bracket is not None and np.all(np.isfinite(bracket)):
         centre = 0.5 * (bracket[0] + bracket[1])
-        half = max(0.5 * (bracket[1] - bracket[0]), np.finfo(float).eps * np.max(np.abs(band)))
+        half = max(0.5 * (bracket[1] - bracket[0]), q)
         while True:  # each end clamped into the Gershgorin bracket, which needs no check
-            lo = min(max(_float_key(centre - half), g_lo), g_hi)
-            hi = max(min(_float_key(centre + half), g_hi), g_lo)
-            if (lo == g_lo or _factors(band, lo)) and (hi == g_hi or not _factors(band, hi)):
+            lo = min(max(math.floor((centre - half) / q), j_lo), j_hi)
+            hi = max(min(math.ceil((centre + half) / q), j_hi), j_lo)
+            if (lo == j_lo or _factors(band, lo * q)) and (hi == j_hi or not _factors(band, hi * q)):
                 break
             half *= 16.0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _factors(band, mid):
+        if _factors(band, mid * q):
             lo = mid
         else:
             hi = mid
-    return _key_float(lo)
+    return lo * q
 
 
 @dataclass
@@ -236,7 +232,8 @@ class DiscreteOperator:
     entries, zero-padded, for k up to the largest offset of a stored entry.
     Every extreme eigenvalue, and the count below a cut spectrum's cut, is
     read from it: the lowest by :func:`band_lowest` (banded Cholesky
-    bisection to adjacent doubles, or ``eig_banded`` on a tridiagonal band).
+    bisection on a lattice of spacing about ``eps ||B||_max``, or
+    ``eig_banded`` on a tridiagonal band).
     ``operator_matrix()`` builds a dense copy on each call.
     """
 

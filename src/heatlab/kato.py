@@ -8,9 +8,11 @@ weighted resolvent, found by Lanczos iteration (ARPACK through
 same bits.  :func:`kato_norm_curve` is the one sweep over lambda; its
 :class:`KatoCurve` enforces the decay in lambda and the interpolation bound
 (weighted-L2 <= L1->L1).  The Miyadera quadrature is one matrix product per
-panel over the modes still alive at the panel's first node: the eigenvalues
-ascend, so the weights ``exp(-l t)`` that underflow to 0.0 there are a tail
-that the product skips.  It needs the complete spectrum.
+panel over the modes that can change it: the eigenvalues ascend, so the
+modes weighted below ``2^-63`` of the first at the panel's first node are a
+tail, and the product skips it when the tail's bound stays below ``2^-53``
+of the panel (else it keeps every mode whose weight is nonzero there).  It
+needs the complete spectrum.
 Singular potentials enter as grid traces, clipped (with a warning) at 1e12.
 """
 
@@ -26,6 +28,8 @@ from .discretize import POTENTIAL_WARN_THRESHOLD, band_lowest
 INTERPOLATION_SLACK = 1e-8  # allowance of  weighted-L2 norm <= L1->L1 norm
 GAUSS_ORDER = 32  # Miyadera nodes per panel
 SETTLE_TOL = 1e-6  # Miyadera relative change allowed when the panels double
+TAIL_WEIGHT = 2.0**-63  # Miyadera modes below this share of the first one's weight...
+TAIL_REL = 2.0**-53  # ...are dropped from a panel if their bound stays below this share of it
 
 
 def sample_potential(field_or_values, grid, clip=POTENTIAL_WARN_THRESHOLD):
@@ -156,10 +160,16 @@ def miyadera_integral(spectral, vminus, delta, u, panels=None):
     First split at delta/8; below it the panels are geometrically graded
     toward t = 0 (the integrand has a square-root layer from the high
     modes), above it they are uniform; each panel is one product
-    ``V @ (exp(-outer(l, t)) * c)`` over the modes whose weight is nonzero at
-    the panel's first node.  Doubling all panel counts must not move the
-    value by more than ``SETTLE_TOL`` relative, else a QuadratureError.
-    The spectrum must be complete: the integral starts at t = 0.
+    ``V @ (exp(-outer(l, t)) * c)`` over the modes k with
+    ``exp(-(l_k - l_0) t_0) >= TAIL_WEIGHT`` (2^-63) at the panel's first
+    node t_0.  Mode k adds at most ``a_k exp(-l_k t)`` to the integrand,
+    ``a_k = h |c_k| (V_-^T |v_k|)``, so the dropped modes move the panel by
+    at most ``(hi - lo) sum a_k exp(-l_k t_0)`` (the larger end's weight for
+    a negative l_k); when that exceeds ``TAIL_REL`` (2^-53) of the panel,
+    the panel keeps every mode whose weight is nonzero at t_0.  Doubling all
+    panel counts must not move the value by more than ``SETTLE_TOL``
+    relative, else a QuadratureError.  The spectrum must be complete: the
+    integral starts at t = 0.
 
     ``panels`` maps a panel's exact float edges ``(lo, hi)`` to its
     integral.  Calls with the same spectrum, ``V_-`` and ``u`` may share one
@@ -174,16 +184,28 @@ def miyadera_integral(spectral, vminus, delta, u, panels=None):
     u = np.asarray(u, dtype=float)
     V, lam, mass = spectral.eigenvectors, spectral.eigenvalues, spectral.mass
     coeffs = mass * (V.T @ u)
+    # mode k adds at most reach[k] exp(-l_k t) to the integrand at time t
+    reach = mass * np.abs(coeffs) * (vminus @ np.abs(V))
     nodes, weights = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     panels = {} if panels is None else panels
+
+    def gauss(t, k):
+        ut = V[:, :k] @ (np.exp(-np.outer(lam[:k], t)) * coeffs[:k, None])
+        return float(weights @ (vminus @ np.abs(ut) * mass))
 
     def panel(lo, hi):
         if (lo, hi) not in panels:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             t = mid + half * nodes
-            k = np.count_nonzero(np.exp(-lam * t[0]))  # ascending l: the zeros are a tail
-            ut = V[:, :k] @ (np.exp(-np.outer(lam[:k], t)) * coeffs[:k, None])
-            panels[lo, hi] = half * float(weights @ (vminus @ np.abs(ut) * mass))
+            alive = np.count_nonzero(np.exp(-lam * t[0]))  # ascending l: the zeros are a tail
+            cut = min(alive, np.count_nonzero(np.exp(-(lam - lam[0]) * t[0]) >= TAIL_WEIGHT))
+            value = half * gauss(t, cut)
+            if cut < alive:
+                l_tail = lam[cut:alive]
+                top = np.maximum(np.exp(-l_tail * t[0]), np.exp(-l_tail * t[-1]))
+                if (hi - lo) * float(reach[cut:alive] @ top) > TAIL_REL * value:
+                    value = half * gauss(t, alive)
+            panels[lo, hi] = value
         return panels[lo, hi]
 
     def integrate(factor):

@@ -10,9 +10,12 @@ band storage, entry ``H_ij cosh(l (phi_i - phi_j))``, and neither
 realizes the real part of the twisted form for real vectors, and
 ``k(l) = -lambda_min`` of that symmetric part, bisected on the band with
 banded Cholesky factors from a bracket the sweep guesses (``eig_banded``
-for m = 1).
-Sweeping l over a decade and fitting ``k(l) = kappa l^(2m) + c`` measures
-the growth coefficient, to be compared with the sharp constant k_m.
+for m = 1).  The bisection stops at the double-precision floor: for m >= 2,
+k is a multiple of ``q``, the power of two at or above ``eps ||B||_max`` of
+the twisted band.
+Sweeping l over a decade and fitting ``k(l) = kappa l^(2m) + c`` on at
+least three points of the top decade measures the growth coefficient, to
+be compared with the sharp constant k_m.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .symbols import as_field, eval_symbol, sharp_constants
 
 OVERFLOW_GUARD = 600.0
 BRACKET_REL = 1e-3  # half-width of an extrapolated k bracket, relative to the guess
+FIT_MIN_POINTS = 3  # a line through two points fits with zero residual
 
 
 class OverflowGuardError(ValueError):
@@ -103,11 +107,12 @@ def twisted_form(op, profile, lam):
 def lower_bound_k(op, profile, lam, bracket=None):
     """k(lam) = -lambda_min of the symmetrized twisted form (no clipping).
 
-    For m >= 2 lambda_min is the largest shift at which the band minus the
-    shift has a banded Cholesky factor, bisected to adjacent doubles (see
-    :func:`band_lowest`), so the value is bounded above; an optional
-    ``bracket = (k_lo, k_hi)`` guesses k and only saves factorizations.  For
-    m = 1 it is ``eig_banded``'s."""
+    For m >= 2 lambda_min is the largest multiple of ``q`` (the power of two
+    at or above ``eps ||B||_max`` of the twisted band) at which the band
+    minus it has a banded Cholesky factor (see :func:`band_lowest`), so the
+    value is bounded above and good to the floor ``eps ||B||_max``; an
+    optional ``bracket = (k_lo, k_hi)`` guesses k and only saves
+    factorizations.  For m = 1 it is ``eig_banded``'s."""
     band = twisted_form(op, profile, lam)
     return -band_lowest(band, None if bracket is None else (-bracket[1], -bracket[0]))
 
@@ -131,16 +136,23 @@ class TwistReport:
 def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
     """Sweep k(lam) and fit kappa lam^(2m) + c on the top decade.
 
-    The grid must span at least one decade.  The fit is flagged unreliable
-    when the residual exceeds ``residual_flag`` of k(lam_max).  Each k is
+    The grid must span at least one decade and hold ``FIT_MIN_POINTS`` (3)
+    lambdas in its top decade: a line through two points has zero residual,
+    so ``reliable`` would mean nothing.  The fit is flagged unreliable when
+    the residual exceeds ``residual_flag`` of k(lam_max).  Each k is
     bisected from a bracket (see :func:`band_lowest`): ``brackets[i]`` when
     the caller gives one ``(k_lo, k_hi)`` per sorted lambda, else, from the
     third lambda on, ``BRACKET_REL`` about the line in ``lam^(2m)`` through
-    the previous two k.  A bracket only saves factorizations; k is the same.
+    the previous two k.  A bracket only saves factorizations; k is the same
+    multiple of the band's ``q``.
     """
     lambdas = np.asarray(sorted(lambdas), dtype=float)
     if lambdas[-1] / lambdas[0] < 10.0 * (1 - 1e-12):
         raise ValueError("lambda grid must span at least one decade")
+    top = lambdas >= lambdas[-1] / 10.0
+    if np.count_nonzero(top) < FIT_MIN_POINTS:
+        raise ValueError(f"the fitted top decade holds {np.count_nonzero(top)} lambdas; "
+                         f"the fit needs {FIT_MIN_POINTS} or more")
     m = op.m
     ks = []
     for i, lam in enumerate(lambdas):
@@ -151,7 +163,6 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
             bracket = (guess - BRACKET_REL * abs(guess), guess + BRACKET_REL * abs(guess))
         ks.append(lower_bound_k(op, profile, lam, bracket))
     ks = np.array(ks)
-    top = lambdas >= lambdas[-1] / 10.0
     A = np.vstack([lambdas[top] ** (2 * m), np.ones(int(top.sum()))]).T
     coef, *_ = np.linalg.lstsq(A, ks[top], rcond=None)
     kappa, c = float(coef[0]), float(coef[1])

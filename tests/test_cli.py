@@ -207,6 +207,20 @@ def test_kernel_points_off_the_domain_rejected(tmp_path, capsys, key, old, new):
     assert not os.path.exists(os.path.join(out, "kernel.csv"))
 
 
+def test_kernel_on_two_axes_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # the 2D operator used to be assembled and decomposed before the kernel
+    # sampler refused it
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator assembled")
+
+    monkeypatch.setattr(heatlab.cli, "assemble", refuse)
+    cfg = _write(tmp_path, KERNEL_CFG.replace("n = 1\ndomain = -8, 8", "n = 2\ndomain = -8, 8, -8, 8"))
+    out = str(tmp_path / "out")
+    assert main(["kernel", "--config", cfg, "--out", out]) == 2
+    assert "operator.n" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "kernel.csv"))
+
+
 def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
     cfg = _write(tmp_path, LATTICE_CFG.replace("source = 0.5, 0.5", "source = 0, 1"))
     assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -264,6 +278,16 @@ def test_twist_scenario_summary(tmp_path):
     lines = open(os.path.join(out, "twist.csv")).read().splitlines()
     assert lines[0] == "lambda,k,model_fit"
     assert len(lines) == 26
+
+
+def test_twist_needs_three_lambdas_in_the_fitted_decade(tmp_path, capsys):
+    # a line through two points has zero residual, so a 2-point fit used to
+    # PASS whatever its kappa
+    cfg = _write(tmp_path, TWIST_CFG.replace("lambda_count = 25", "lambda_count = 2"))
+    out = str(tmp_path / "out")
+    assert main(["twist", "--config", cfg, "--out", out]) == 2
+    assert "twist.lambda_count" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "twist_summary.txt"))
 
 
 def test_kato_scenario_files(tmp_path):

@@ -85,16 +85,19 @@ def test_expression_errors_carry_offset():
 
 
 def test_value_type_errors():
-    for text, key in (
-        ("[operator]\nm = 1.5\n", "operator.m"),
-        ("[operator]\nm = 1e400\n", "operator.m"),
-        ("[operator]\nm = nan\n", "operator.m"),
-        ("[operator]\ngrid_n = 40.7\n", "operator.grid_n"),
-        ("[operator]\ngrid_n = 1e400\n", "operator.grid_n"),
-        ("[operator]\nn = 2\ngrid_n = 40, nan\n", "operator.grid_n"),
-        ("[operator]\nn = 2\ndomain = 0, 1, 0, 1\ngrid_n = 40, 40, 40\n", "operator.grid_n"),
+    for text, key, what in (
+        ("[operator]\nm = 1.5\n", "operator.m", "integer"),
+        ("[operator]\nm = 1e400\n", "operator.m", "integer"),
+        ("[operator]\nm = nan\n", "operator.m", "integer"),
+        ("[operator]\ngrid_n = 40.7\n", "operator.grid_n", "integer"),
+        ("[operator]\ngrid_n = 1e400\n", "operator.grid_n", "integer"),
+        ("[operator]\nn = 2\ngrid_n = 40, nan\n", "operator.grid_n", "integer"),
+        ("[operator]\nn = 2\ndomain = 0, 1, 0, 1\ngrid_n = 40, 40, 40\n", "operator.grid_n",
+         "integer"),
+        ("[kato]\nlambdas = 100, 10, 1\n", "kato.lambdas", "strictly increasing"),
+        ("[kato]\nlambdas = 1, 1, 10\n", "kato.lambdas", "strictly increasing"),
     ):
-        with pytest.raises(ConfigError, match=f"integer.*key '{re.escape(key)}'"):
+        with pytest.raises(ConfigError, match=f"{what}.*key '{re.escape(key)}'"):
             config_from_text(text)
     with pytest.raises(ConfigError, match="number"):
         config_from_text('[verify]\ntolerance = "big"\n')

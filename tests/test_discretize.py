@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import heatlab.discretize
 from heatlab.discretize import (
@@ -132,16 +134,52 @@ def _factors(band, shift):
     return sla.lapack.dpbtrf(shifted, lower=1)[1] == 0
 
 
+def _lattice_unit(band):
+    """The power of two at or above eps ||B||_max."""
+    return 2.0 ** np.ceil(np.log2(np.finfo(float).eps * np.max(np.abs(band))))
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_band_lowest_is_the_last_shift_that_factors(m):
     g = Grid.make((0.0, 1.0), 300)
     spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
     op = assemble(spec, g, potential="20*x^2")
     band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
-    lo = band_lowest(band)
-    assert _factors(band, lo) and not _factors(band, np.nextafter(lo, np.inf))
+    lo, q = band_lowest(band), _lattice_unit(band)
+    assert (lo / q).is_integer()
+    assert _factors(band, lo) and not _factors(band, lo + q)
     ref = sla.eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
     assert abs(lo - ref[0]) <= 8 * np.finfo(float).eps * np.max(np.abs(band))
+
+
+@st.composite
+def _spd_bands(draw):
+    """A random symmetric band with kd = 2 to 4, its diagonal shifted so that
+    the smallest eigenvalue is a drawn fraction of ||B||_max above zero."""
+    kd = draw(st.integers(2, 4))
+    n = draw(st.integers(kd + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    band = np.zeros((kd + 1, n))
+    for k in range(kd + 1):
+        band[k, : n - k] = rng.uniform(-1.0, 1.0, n - k)
+    band *= 10.0 ** draw(st.integers(-6, 12))
+    lowest = sla.eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
+    band[0] += draw(st.floats(1e-14, 1.0)) * np.max(np.abs(band)) - lowest[0]
+    return band
+
+
+@settings(max_examples=200, deadline=None)
+@given(band=_spd_bands(), ends=st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 4.0)),
+       width=st.integers(-16, 1))
+def test_band_lowest_on_the_lattice_for_any_bracket(band, ends, width):
+    # the bisection's answer is a lattice point that factors next to one
+    # that does not, and a bracket about, beside or far from it keeps it
+    lo, q = band_lowest(band), _lattice_unit(band)
+    assert (lo / q).is_integer()
+    assert _factors(band, lo) and not _factors(band, lo + q)
+    w = 10.0 ** width * np.max(np.abs(band))
+    bracket = (lo + ends[0] * w, lo + (ends[0] + ends[1]) * w)
+    assert band_lowest(band, bracket) == lo, bracket
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import heatlab.kato
 from heatlab.kato import (
     KatoCurve,
     form_bound,
@@ -19,7 +20,7 @@ from conftest import make_line_operator
 from heatlab.config import OperatorConfig
 from heatlab.discretize import assemble
 from heatlab.experiments import operator_pieces
-from heatlab.heatkernel import eigendecompose
+from heatlab.heatkernel import SpectralData, eigendecompose
 
 
 def test_form_bound_zero_potential(unit_m1_400_op):
@@ -252,6 +253,47 @@ def test_miyadera_shared_panels_equal_separate_calls(unit_m1_400_op, spectral_40
         assert shared == miyadera_ratio(spectral_400, singular_vminus, delta, u)
     assert len(panels) == 59  # of 2 x (16 + 31) panels
     assert all(lo < hi for lo, hi in panels)
+
+
+def _panels(spectral, vminus, delta, u, monkeypatch, **constants):
+    # miyadera_integral's panel dict with kato module constants overridden
+    with monkeypatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(heatlab.kato, name, value)
+        panels = {}
+        miyadera_integral(spectral, vminus, delta, u, panels)
+    return panels
+
+
+def test_miyadera_cut_panels_equal_all_alive_mode_panels(unit_m1_400_op, spectral_400,
+                                                         singular_vminus, monkeypatch):
+    # a panel drops the modes weighted below 2^-63 of the first at its first
+    # node when their bound stays below 2^-53 of the panel; TAIL_WEIGHT = 0
+    # keeps every mode alive there
+    u = _delta_like(unit_m1_400_op)
+    cut = _panels(spectral_400, singular_vminus, 0.02, u, monkeypatch)
+    full = _panels(spectral_400, singular_vminus, 0.02, u, monkeypatch, TAIL_WEIGHT=0.0)
+    lam = spectral_400.eigenvalues
+    x0 = np.polynomial.legendre.leggauss(heatlab.kato.GAUSS_ORDER)[0][0]
+    dropped = 0
+    for (lo, hi), value in cut.items():
+        t0 = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x0
+        dropped += np.count_nonzero((np.exp(-(lam - lam[0]) * t0) < 2.0**-63)
+                                    & (np.exp(-lam * t0) > 0.0))
+        assert abs(value - full[lo, hi]) <= 2.0**-53 * value
+    assert dropped > 1000  # mode-panel pairs skipped
+
+
+def test_miyadera_panel_keeps_every_mode_when_the_tail_bound_fails(monkeypatch):
+    # exact modes (node vectors, h = 1/4) and u on the top mode 1e30 times
+    # more than on the first: where the weight rule would drop the top mode
+    # it carries the panel, its bound fails and the panel keeps it
+    spectral = SpectralData(np.array([1.0, 2.0, 4.0, 1e4]), 2.0 * np.eye(4), None, 0.25)
+    u, vminus = np.array([1.0, 0.0, 0.0, 1e30]), np.ones(4)
+    full = _panels(spectral, vminus, 0.02, u, monkeypatch, TAIL_WEIGHT=0.0)
+    assert _panels(spectral, vminus, 0.02, u, monkeypatch) == full
+    unchecked = _panels(spectral, vminus, 0.02, u, monkeypatch, TAIL_REL=np.inf)
+    assert any(unchecked[k] < 0.5 * full[k] for k in full)
 
 
 def test_miyadera_zero_potential(unit_m1_400_op, spectral_400):
