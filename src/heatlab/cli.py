@@ -24,7 +24,7 @@ from .heatkernel import eigendecompose, fourier_oracle, spectral_field
 from .kato import form_bound_report, kato_norm_curve, miyadera_ratio, sample_potential
 from .reporting import Manifest, ensure_outdir, format_float_17, grid_rows, write_csv, write_text
 from .symbols import sharp_constants
-from .twist import FIT_MIN_POINTS, TwistProfile, growth_fit
+from .twist import TwistProfile, growth_fit
 
 
 def main(argv=None):
@@ -205,10 +205,6 @@ def run_kato(cfg, outdir, manifest):
 def run_twist(cfg, outdir, manifest):
     tc = cfg.twist
     lambdas = np.geomspace(tc.lambda_min, tc.lambda_max, tc.lambda_count)
-    fitted = np.count_nonzero(lambdas >= tc.lambda_max / 10.0)
-    if fitted < FIT_MIN_POINTS:
-        raise ConfigError(f"the fitted top decade holds {fitted} lambdas; the fit needs "
-                          f"{FIT_MIN_POINTS} or more", key="twist.lambda_count")
     spec, grid, vvals = operator_pieces(cfg.operator)
     manifest.start("assemble")
     op0 = assemble(spec, grid)

@@ -29,6 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
 
+import numpy as np
+
 SCENARIOS = ("constants", "kernel", "distance", "kato", "twist", "verify")
 DISTANCE_METHODS = ("exact1d", "lattice", "dM")
 
@@ -251,6 +253,7 @@ def _reject_unknown(raw):
 
 def config_from_text(text):
     from . import exprlang
+    from .twist import FIT_MIN_POINTS
 
     raw = parse_config_text(text)
     cfg = RunConfig()
@@ -280,6 +283,17 @@ def config_from_text(text):
     lams = cfg.kato.lambdas
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("lambdas must be strictly increasing", key="kato.lambdas")
+    if not cfg.kato.delta > 0:
+        raise ConfigError("delta must be positive", key="kato.delta")
+    if not all(0.0 < eps < 1.0 for eps in cfg.kato.eps_list):
+        raise ConfigError("every eps must lie in (0, 1)", key="kato.eps_list")
+    for section, sweep in (("twist", cfg.twist), ("verify", cfg.verify)):
+        if section == "twist" or sweep.target == "perturbed":  # the sweeps growth_fit fits
+            lams = np.geomspace(sweep.lambda_min, sweep.lambda_max, sweep.lambda_count)
+            fitted = np.count_nonzero(lams >= sweep.lambda_max / 10.0)
+            if fitted < FIT_MIN_POINTS:
+                raise ConfigError(f"the fitted top decade holds {fitted} lambdas; the fit "
+                                  f"needs {FIT_MIN_POINTS} or more", key=f"{section}.lambda_count")
     _reject_unknown(raw)
 
     # defaults too: twist.phi = "x" does not parse when n = 2

@@ -4,8 +4,8 @@ The assembled object is the sparse (CSR) form matrix of ``Q(u) = sum
 (D^a)^T a_ab D^b h^n + diag(V) h^n`` on interior nodes, with values outside
 the grid treated as zero.  The form-based construction guarantees symmetry
 and mirrors the variational definition of the operator.  Extreme
-eigenvalues come from the operator's LAPACK band; a dense matrix is built
-only for complete spectra and resolvents.
+eigenvalues come from the operator's LAPACK band; ``operator_matrix`` builds
+a dense matrix only where a complete spectrum or a Kato resolvent needs it.
 
 Stencil conventions:
 
@@ -222,10 +222,11 @@ def band_lowest(band, bracket=None):
     return lo * q
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperator:
     """Grid, sparse h^n-weighted symmetric form matrix, optional sampled
-    potential.
+    potential: a value that holds what :func:`assemble` computed and nothing
+    derived later.
 
     ``band`` is the operator matrix ``form_matrix / mass`` in LAPACK lower
     band storage: row k holds the k-th subdiagonal in its first N - k
@@ -233,8 +234,8 @@ class DiscreteOperator:
     Every extreme eigenvalue, and the count below a cut spectrum's cut, is
     read from it: the lowest by :func:`band_lowest` (banded Cholesky
     bisection on a lattice of spacing about ``eps ||B||_max``, or
-    ``eig_banded`` on a tridiagonal band).
-    ``operator_matrix()`` builds a dense copy on each call.
+    ``eig_banded`` on a tridiagonal band).  :meth:`operator_matrix` is the
+    one place the operator goes dense.
     """
 
     grid: Grid
@@ -242,20 +243,18 @@ class DiscreteOperator:
     form_matrix: sp.csr_matrix
     potential: np.ndarray | None
     spec: SymbolSpec
-    provenance: str = ""
 
     band: np.ndarray = field(init=False, repr=False, compare=False)
-    _lowest: float | None = field(default=None, init=False, repr=False, compare=False)
-    _resolvent: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         F = self.form_matrix
         rows, cols = F.nonzero()
         n = F.shape[0]
-        self.band = np.zeros((int(np.max(np.abs(rows - cols))) + 1, n))
-        for k in range(self.band.shape[0]):
-            self.band[k, : n - k] = F.diagonal(-k) / self.mass
-        self.band.flags.writeable = False
+        band = np.zeros((int(np.max(np.abs(rows - cols))) + 1, n))
+        for k in range(band.shape[0]):
+            band[k, : n - k] = F.diagonal(-k) / self.mass
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
 
     @property
     def mass(self):
@@ -263,38 +262,11 @@ class DiscreteOperator:
         return self.grid.cell_volume
 
     def operator_matrix(self):
-        """Dense form matrix in operator normalization (eigenvalues of H), not
-        kept."""
-        return self.form_matrix.toarray() / self.mass
-
-    def lowest_eigenvalue(self):
-        """Smallest eigenvalue of the operator, from the band, computed once."""
-        if self._lowest is None:
-            self._lowest = band_lowest(self.band)
-        return self._lowest
-
-    def resolvent(self, lam):
-        """Dense (H + lam)^-1 for lam above -lambda_min, read-only.  The last
-        one is kept, so the Kato norm and the weighted-L2 check at one lambda
-        share a solve.  ``H + lam`` is built in one array from the sparse
-        form."""
-        if self._resolvent is None or self._resolvent[0] != lam:
-            lo = self.lowest_eigenvalue()
-            if lam <= -lo:
-                raise ValueError(f"lambda = {lam} is not above -lambda_min = {-lo}")
-            self._resolvent = None  # free the old matrix before solving
-            A = self.form_matrix.toarray()
-            A /= self.mass
-            A.flat[:: A.shape[0] + 1] += lam
-            R = np.linalg.solve(A, np.eye(A.shape[0]))
-            R.flags.writeable = False
-            self._resolvent = (lam, R)
-        return self._resolvent[1]
-
-    def release_dense(self):
-        """Drop the kept resolvent (N^2 doubles); the next one is solved
-        again."""
-        self._resolvent = None
+        """A new dense matrix of the operator (eigenvalues of H), divided by
+        the mass in place."""
+        H = self.form_matrix.toarray()
+        H /= self.mass
+        return H
 
     def symmetry_defect(self):
         F = self.form_matrix
@@ -360,7 +332,6 @@ def assemble(spec, grid, potential=None):
         form_matrix=form,
         potential=vvals,
         spec=spec,
-        provenance=f"assembled m={spec.m} n={spec.n} N={grid.npts}",
     )
 
 

@@ -26,7 +26,7 @@ from .finsler import distance_1d, distance_dm_1d
 from .heatkernel import eigendecompose, spectral_field
 from .kato import form_bound, sample_potential
 from .symbols import SymbolSpec, is_strongly_convex, sharp_constants, decay_constant_from_growth
-from .twist import TwistProfile, perturbation_stability
+from .twist import TwistProfile, growth_fit
 
 UNDERFLOW_FLOOR = 1e-250
 
@@ -248,38 +248,40 @@ def verify_sharp_bound(cfg: RunConfig):
 def verify_perturbed_bound(cfg: RunConfig):
     """Stability pipeline: measure the growth-coefficient drift per unit of
     coefficient perturbation, degrade the target constant accordingly, and
-    run the sharp pipeline against the degraded target."""
+    run the sharp pipeline against the degraded target; FAIL when either
+    growth fit is unreliable."""
     return _verdict_pipeline(cfg, label="perturbed")
 
 
 def _perturbed_target(cfg, spec_pert, grid, amax_pert):
-    """Degraded target constant and its note; ``amax_pert`` is the largest
-    value of the perturbed coefficient at the grid nodes.  The two stability
-    operators are freed on return, before the verdict pipeline builds its own."""
+    """Degraded target constant, its note and whether both growth fits are
+    reliable; ``amax_pert`` is the largest value of the perturbed coefficient
+    at the grid nodes.  The two stability operators are freed on return,
+    before the verdict pipeline builds its own."""
     v = cfg.verify
     if v.delta_coeff <= 0:
         raise ValueError("perturbed target needs delta_coeff > 0")
     opcfg = cfg.operator
     spec_ref = SymbolSpec.isotropic(opcfg.m, opcfg.n, v.reference_a, domain=opcfg.domain)
-    op_ref = assemble(spec_ref, grid)
-    op_pert = assemble(spec_pert, grid)
 
     nodes = grid.node_coordinates()
     amax = max(float(np.max(spec_ref.scalar_field().at_many(nodes))), amax_pert)
     slope = amax ** (-1.0 / (2 * opcfg.m))
-    phivals = slope * nodes[:, 0]
-    profile = TwistProfile.from_values(grid, phivals, opcfg.m)
+    profile = TwistProfile.from_values(grid, slope * nodes[:, 0], opcfg.m)
     lambdas = np.geomspace(v.lambda_min, v.lambda_max, v.lambda_count)
-    pstab = perturbation_stability(op_ref, op_pert, v.delta_coeff, profile, lambdas)
-    sig_ref = decay_constant_from_growth(pstab.kappa_ref, opcfg.m)
-    sig_pert = decay_constant_from_growth(pstab.kappa_pert, opcfg.m)
+    ref = growth_fit(assemble(spec_ref, grid), profile, lambdas)
+    pert = growth_fit(assemble(spec_pert, grid), profile, lambdas)
+    sig_ref = decay_constant_from_growth(ref.kappa, opcfg.m)
+    sig_pert = decay_constant_from_growth(pert.kappa, opcfg.m)
     c_emp = abs(sig_pert - sig_ref) / v.delta_coeff
     target = sharp_constants(opcfg.m).sigma_m - c_emp * v.delta_coeff
     note = (
-        f"kappa_ref={pstab.kappa_ref!r} kappa_pert={pstab.kappa_pert!r} "
-        f"c_emp={c_emp!r} delta={v.delta_coeff!r}"
+        f"kappa_ref={ref.kappa!r} kappa_pert={pert.kappa!r} "
+        f"c_emp={c_emp!r} delta={v.delta_coeff!r} "
+        f"fit_residual_ref={ref.fit_residual!r} reliable_ref={ref.reliable} "
+        f"fit_residual_pert={pert.fit_residual!r} reliable_pert={pert.reliable}"
     )
-    return target, note
+    return target, note, ref.reliable and pert.reliable
 
 
 def _verdict_pipeline(cfg, label):
@@ -293,10 +295,11 @@ def _verdict_pipeline(cfg, label):
     conv = is_strongly_convex(spec, grid.node_coordinates())
     if not conv.strongly_convex:
         raise ValueError(f"symbol is not strongly convex (min eig {conv.min_eigenvalue:.3e})")
-    sigma_target, target_note = sharp_constants(opcfg.m).sigma_m, None
+    sigma_target, target_note, fits_reliable = sharp_constants(opcfg.m).sigma_m, None, True
     if label == "perturbed":
         # in 1D the form at a node is the coefficient there: the check sampled it
-        sigma_target, target_note = _perturbed_target(cfg, spec, grid, conv.form_scale)
+        sigma_target, target_note, fits_reliable = _perturbed_target(cfg, spec, grid,
+                                                                     conv.form_scale)
 
     notes = [f"strong convexity: min eigenvalue {conv.min_eigenvalue!r}"]
     if vvals is not None:
@@ -357,6 +360,7 @@ def _verdict_pipeline(cfg, label):
 
     passed = bool(
         fit.verdict_ok and eps <= v.tolerance and worst["ratio"] <= 1.0 + 0.05
+        and fits_reliable
     )
     notes.append(f"fit residual {fit.residual!r} over {fit.n_samples} samples")
     if target_note is not None:

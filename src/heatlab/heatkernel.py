@@ -130,10 +130,8 @@ def eigendecompose(op, t_min=0.0):
             w, v = _lanczos_pairs(op.form_matrix / op.mass, low, cut,
                                   _RESIDUAL_FLOOR_FACTOR * norm_bound)
             return SpectralData(w, v / np.sqrt(op.mass), op.grid, op.mass, t_min)
-    # a dense copy of its own that LAPACK may overwrite, not the operator's kept one
-    H = op.form_matrix.toarray(order="F")  # LAPACK order, so eigh makes no copy
-    H /= op.mass
-    w, v = sla.eigh(H, overwrite_a=True)
+    # H is exactly symmetric, so its transpose is H in LAPACK order: eigh makes no copy
+    w, v = sla.eigh(op.operator_matrix().T, overwrite_a=True)
     v /= np.sqrt(op.mass)
     return SpectralData(w, v, op.grid, op.mass)
 
@@ -193,7 +191,7 @@ def semigroup_check(spectral, t, s):
 
 @dataclass
 class HeatKernelField:
-    """Sampled kernel values with provenance; rows are (t, x, y, K)."""
+    """Sampled kernel values and the method that gave them; rows are (t, x, y, K)."""
 
     m: int
     n: int

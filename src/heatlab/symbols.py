@@ -98,10 +98,6 @@ class ExprField(CoefficientField):
     expr: object
     n: int
 
-    @classmethod
-    def from_text(cls, text, n):
-        return cls(exprlang.parse(text, n), n)
-
     def at(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         try:

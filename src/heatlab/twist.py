@@ -167,7 +167,7 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
     coef, *_ = np.linalg.lstsq(A, ks[top], rcond=None)
     kappa, c = float(coef[0]), float(coef[1])
     scale = abs(ks[top][-1]) if ks[top][-1] != 0 else 1.0
-    residual = float(np.max(np.abs(ks[top] - A @ coef))) / scale
+    residual = float(np.max(np.abs(ks[top] - A @ coef)) / scale)
     km = sharp_constants(m).k_m
     return TwistReport(
         m=m,
@@ -181,29 +181,3 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
         reliable=residual <= residual_flag,
     )
 
-
-@dataclass
-class PerturbationReport:
-    delta_coeff: float
-    kappa_ref: float
-    kappa_pert: float
-    delta_kappa: float
-    slope: float           # delta_kappa / delta_coeff
-    intercept_drift: float
-
-
-def perturbation_stability(op_ref, op_pert, delta_coeff, profile, lambdas):
-    """Growth-coefficient drift between a reference operator and a perturbed
-    one with max-norm coefficient gap ``delta_coeff``; the shared profile must
-    be feasible for both symbols."""
-    rep_ref = growth_fit(op_ref, profile, lambdas)
-    rep_pert = growth_fit(op_pert, profile, lambdas)
-    dk = abs(rep_pert.kappa - rep_ref.kappa)
-    return PerturbationReport(
-        delta_coeff=delta_coeff,
-        kappa_ref=rep_ref.kappa,
-        kappa_pert=rep_pert.kappa,
-        delta_kappa=dk,
-        slope=dk / delta_coeff if delta_coeff > 0 else 0.0,
-        intercept_drift=abs(rep_pert.intercept - rep_ref.intercept),
-    )

@@ -318,9 +318,8 @@ def test_kato_csv_is_the_curve(tmp_path):
 def test_kato_exits_2_when_interpolation_fails(tmp_path, monkeypatch, capsys):
     check = heatlab.kato.weighted_l2_check
 
-    def inflated(op0, vminus, lam):
-        status, wnorm, kn = check(op0, vminus, lam)
-        return status, kn + 1.0, kn
+    def inflated(R, vminus):
+        return check(R, vminus) + 1.0
 
     monkeypatch.setattr(heatlab.kato, "weighted_l2_check", inflated)
     cfg = _write(tmp_path, KATO_CFG)

@@ -96,9 +96,16 @@ def test_value_type_errors():
          "integer"),
         ("[kato]\nlambdas = 100, 10, 1\n", "kato.lambdas", "strictly increasing"),
         ("[kato]\nlambdas = 1, 1, 10\n", "kato.lambdas", "strictly increasing"),
+        ("[kato]\ndelta = -0.01\n", "kato.delta", "positive"),
+        ("[kato]\neps_list = 0.5, 1\n", "kato.eps_list", r"lie in \(0, 1\)"),
+        ("[kato]\neps_list = 0, 0.5\n", "kato.eps_list", r"lie in \(0, 1\)"),
+        ("[twist]\nlambda_count = 2\n", "twist.lambda_count", "holds 2 lambdas"),
+        ("[verify]\ntarget = perturbed\nlambda_count = 2\n", "verify.lambda_count",
+         "holds 2 lambdas"),
     ):
         with pytest.raises(ConfigError, match=f"{what}.*key '{re.escape(key)}'"):
             config_from_text(text)
+    config_from_text("[verify]\nlambda_count = 2\n")  # a sharp verdict fits no growth
     with pytest.raises(ConfigError, match="number"):
         config_from_text('[verify]\ntolerance = "big"\n')
     with pytest.raises(ConfigError, match="duplicate"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -16,8 +18,8 @@ from heatlab.discretize import (
     band_lowest,
 )
 from heatlab.heatkernel import eigendecompose
-from heatlab.kato import form_bound
-from heatlab.symbols import ExprField, SymbolSpec, as_field
+from heatlab.kato import form_bound, kato_norm_curve
+from heatlab.symbols import SymbolSpec, as_field
 from heatlab.twist import TwistProfile, growth_fit, lower_bound_k, twisted_form
 
 SPEC_M1 = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0, 1)])
@@ -64,7 +66,7 @@ def test_assemble_variable_coefficient_hand_oracle():
     g = Grid.make((0.0, 1.0), 7)
     h = g.h[0]
     a = lambda x: 2.0 + np.sin(2 * np.pi * x)
-    spec = SymbolSpec.isotropic(1, 1, ExprField.from_text("2+sin(2*pi*x)", 1), domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(1, 1, as_field("2+sin(2*pi*x)", 1), domain=[(0, 1)])
     N = g.npts[0]
     D = np.zeros((N + 1, N))
     for j in range(N + 1):
@@ -123,9 +125,33 @@ def test_extreme_eigenvalues_never_densify(monkeypatch):
     assert not op.band.flags.writeable
     prof = TwistProfile.from_expression(g, "x", 2)
     rep = growth_fit(op, prof, np.geomspace(2.0, 20.0, 6))
-    assert lower_bound_k(op, prof, 0.0) == -op.lowest_eigenvalue()
+    assert lower_bound_k(op, prof, 0.0) == -band_lowest(op.band)
     assert lower_bound_k(op, prof, 20.0) == rep.k_values[-1]
     assert form_bound(op, np.full(60, 1e4), 0.5) > 0.0
+
+
+def test_only_complete_spectra_and_kato_curves_densify(monkeypatch):
+    # operator_matrix is the one dense builder: a cut spectrum needs none,
+    # a complete spectrum and the Kato resolvents go through it
+    def refuse(self):
+        raise AssertionError("dense operator matrix requested")
+
+    monkeypatch.setattr(DiscreteOperator, "operator_matrix", refuse)
+    op = assemble(SPEC_M2, Grid.make((0.0, 1.0), 200))
+    cut = eigendecompose(op, t_min=1e-3)
+    assert 0 < len(cut.eigenvalues) < 200
+    with pytest.raises(AssertionError, match="dense operator"):
+        eigendecompose(op)
+    with pytest.raises(AssertionError, match="dense operator"):
+        kato_norm_curve(op, np.ones(200), [1.0, 10.0])
+
+
+def test_assembled_operator_is_frozen():
+    op = assemble(SPEC_M1, Grid.make((0.0, 1.0), 9))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.m = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.band = np.zeros_like(op.band)
 
 
 def _factors(band, shift):

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +19,16 @@ from heatlab.kato import (
 )
 from conftest import make_line_operator
 from heatlab.config import OperatorConfig
-from heatlab.discretize import assemble
+from heatlab.discretize import assemble, band_lowest
 from heatlab.experiments import operator_pieces
 from heatlab.heatkernel import SpectralData, eigendecompose
+
+
+def _dense_inverse(op, lam):
+    # (H + lam I)^-1, solved as kato_norm_curve solves it
+    A = op.operator_matrix()
+    A.flat[:: A.shape[0] + 1] += lam
+    return np.linalg.solve(A, np.eye(A.shape[0]))
 
 
 def test_form_bound_zero_potential(unit_m1_400_op):
@@ -65,7 +73,7 @@ def test_form_bound_matches_dense_top_eigenvalue(m, n_pts):
     x = op.grid.node_coordinates()[:, 0]
     singular = np.minimum(x**-0.5, 1e6)
     rng = np.random.default_rng(m)
-    lam0 = op.lowest_eigenvalue()
+    lam0 = band_lowest(op.band)
     for vminus in (singular, 2.0 * lam0 * singular, rng.uniform(0.0, 3.0 * lam0, n_pts)):
         for eps in (0.1, 0.5, 0.9):
             M = np.diag(vminus) - eps * op.operator_matrix()
@@ -84,10 +92,11 @@ def test_form_bound_rejects_bad_eps(unit_m1_400_op):
 
 
 def test_kato_norm_zero_and_duality(unit_m1_400_op, singular_vminus):
-    assert kato_norm(unit_m1_400_op, np.zeros(400), 10.0) == 0.0
+    assert kato_norm(_dense_inverse(unit_m1_400_op, 10.0), np.zeros(400)) == 0.0
     for lam in (1.0, 100.0):
-        a = kato_norm(unit_m1_400_op, singular_vminus, lam)
-        R = unit_m1_400_op.resolvent(lam)  # dual form: max row sum of R V_-
+        R = _dense_inverse(unit_m1_400_op, lam)
+        a = kato_norm(R, singular_vminus)
+        # dual form: max row sum of R V_-
         b = float(np.max(np.sum(np.abs(R) * singular_vminus[None, :], axis=1)))
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, a))
 
@@ -96,8 +105,8 @@ def test_kato_norm_resolvent_bound_for_unit_potential(unit_m1_400_op):
     ones = np.ones(400)
     prev = None
     for lam in (1.0, 10.0, 100.0):
-        n_lam = kato_norm(unit_m1_400_op, ones, lam)
-        n_10lam = kato_norm(unit_m1_400_op, ones, 10 * lam)
+        n_lam = kato_norm(_dense_inverse(unit_m1_400_op, lam), ones)
+        n_10lam = kato_norm(_dense_inverse(unit_m1_400_op, 10 * lam), ones)
         assert n_10lam < n_lam
         # sub-Markovian resolvent: L1 norm at most 1/lambda
         assert n_lam <= 1.0 / lam + 1e-10
@@ -127,54 +136,50 @@ def test_kato_norm_curve_equals_separate_calls(unit_m1_400_op, singular_vminus):
     lambdas = [1.0, 10.0, 1000.0]
     curve = kato_norm_curve(unit_m1_400_op, singular_vminus, lambdas)
     assert curve.lambdas == lambdas
+    H, eye = unit_m1_400_op.operator_matrix(), np.eye(400)
     for lam, kn, wnorm in zip(lambdas, curve.norms, curve.weighted):
-        assert kn == kato_norm(unit_m1_400_op, singular_vminus, lam)
-        assert wnorm == weighted_l2_check(unit_m1_400_op, singular_vminus, lam)[1]
+        R = _dense_inverse(unit_m1_400_op, lam)
+        assert np.max(np.abs((H + lam * eye) @ R - eye)) <= 1e-8
+        assert kn == kato_norm(R, singular_vminus)
+        assert wnorm == weighted_l2_check(R, singular_vminus)
 
 
 def test_kato_norm_curve_releases_dense_matrices(monkeypatch):
-    # the curve solves one resolvent per lambda; neither it nor the dense
-    # operator outlives the curve
-    solves = []
+    # the curve solves one resolvent per lambda and frees it before the next
+    # solve; none outlives the curve
+    solved = []
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+
+    def tracked(a, b):
+        assert all(ref() is None for ref in solved)
+        R = solve(a, b)
+        solved.append(weakref.ref(R))
+        return R
+
+    monkeypatch.setattr(np.linalg, "solve", tracked)
     op = make_line_operator(1, n_pts=100, bounds=(0.0, 1.0))
     kato_norm_curve(op, np.ones(100), [1.0, 10.0, 100.0])
-    assert len(solves) == 3
-    assert op._resolvent is None
+    assert len(solved) == 3
+    assert all(ref() is None for ref in solved)
 
 
 def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
     op = unit_m1_400_op
     with pytest.raises(ValueError):
-        kato_norm(op, np.ones(400), -1e9)
-    lo = op.lowest_eigenvalue()
+        kato_norm_curve(op, np.ones(400), [-1e9])
+    lo = band_lowest(op.band)
     ref = sla.eigh(op.operator_matrix(), eigvals_only=True, subset_by_index=(0, 0))[0]
     assert lo == pytest.approx(ref, rel=1e-12)
     for lam in (-lo, -lo - 1.0):
         with pytest.raises(ValueError, match="not above"):
-            kato_norm(op, np.ones(400), lam)
-    assert kato_norm(op, np.ones(400), -lo + 1.0) > 0.0
-
-
-def test_resolvent_kept_for_the_last_lambda(unit_m1_400_op):
-    op = unit_m1_400_op
-    H, eye = op.operator_matrix(), np.eye(400)
-    R = op.resolvent(10.0)
-    assert op.resolvent(10.0) is R
-    assert not R.flags.writeable
-    assert np.max(np.abs((H + 10.0 * eye) @ R - eye)) <= 1e-8
-    R2 = op.resolvent(100.0)
-    assert R2 is not R
-    assert np.max(np.abs((H + 100.0 * eye) @ R2 - eye)) <= 1e-8
+            kato_norm_curve(op, np.ones(400), [-lo + 1.0, lam])
+    assert kato_norm_curve(op, np.ones(400), [-lo + 1.0]).norms[0] > 0.0
 
 
 def test_weighted_l2_bounded_by_kato_norm(unit_m1_400_op, singular_vminus):
     for lam in (1.0, 10.0, 1000.0):
-        status, wnorm, kn = weighted_l2_check(unit_m1_400_op, singular_vminus, lam)
-        assert status == "pass"
-        assert wnorm <= kn + 1e-8
-        assert kn == kato_norm(unit_m1_400_op, singular_vminus, lam)
+        R = _dense_inverse(unit_m1_400_op, lam)
+        assert weighted_l2_check(R, singular_vminus) <= kato_norm(R, singular_vminus) + 1e-8
 
 
 def test_weighted_l2_top_eigenvalue_equals_full_spectrum(unit_m1_400_op, singular_vminus):
@@ -184,25 +189,23 @@ def test_weighted_l2_top_eigenvalue_equals_full_spectrum(unit_m1_400_op, singula
         support = vminus > 0
         sq = np.sqrt(vminus[support])
         for lam in (1.0, 100.0):
-            _, wnorm, _ = weighted_l2_check(unit_m1_400_op, vminus, lam)
-            R = unit_m1_400_op.resolvent(lam)
+            R = _dense_inverse(unit_m1_400_op, lam)
+            wnorm = weighted_l2_check(R, vminus)
             Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
             ref = float(np.max(np.abs(sla.eigh(Mw, eigvals_only=True))))
             assert wnorm == pytest.approx(ref, rel=1e-13)
 
 
 def test_weighted_l2_unit_weight_and_half_support(unit_m1_400_op):
-    status, wnorm, kn = weighted_l2_check(unit_m1_400_op, np.ones(400), 10.0)
-    assert status == "pass" and wnorm <= kn + 1e-8
+    R = _dense_inverse(unit_m1_400_op, 10.0)
     half = np.zeros(400)
     half[:200] = 1.0
-    status, wnorm, kn = weighted_l2_check(unit_m1_400_op, half, 10.0)
-    assert status == "pass" and wnorm <= kn + 1e-8
+    for vminus in (np.ones(400), half):
+        assert weighted_l2_check(R, vminus) <= kato_norm(R, vminus) + 1e-8
 
 
 def test_weighted_l2_vacuous(unit_m1_400_op):
-    status, wnorm, kn = weighted_l2_check(unit_m1_400_op, np.zeros(400), 10.0)
-    assert status == "vacuous"
+    assert weighted_l2_check(_dense_inverse(unit_m1_400_op, 10.0), np.zeros(400)) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -344,16 +347,16 @@ def test_weighted_l2_lanczos_equals_dense_top_eigenvalue(unit_m1_400_op, singula
         support = vminus > 0
         sq = np.sqrt(vminus[support])
         for lam in (1.0, 10.0, 1e3, 1e5):
-            _, wnorm, _ = weighted_l2_check(unit_m1_400_op, vminus, lam)
-            R = unit_m1_400_op.resolvent(lam)
+            R = _dense_inverse(unit_m1_400_op, lam)
+            wnorm = weighted_l2_check(R, vminus)
             Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
             ref = float(np.linalg.eigvalsh(Mw)[-1])
             assert abs(wnorm - ref) <= 1e-12 * ref
-            assert weighted_l2_check(unit_m1_400_op, vminus, lam)[1] == wnorm  # fixed start
+            assert weighted_l2_check(R, vminus) == wnorm  # fixed start
     # a one-node support is its single entry, sqrt(V_-) R sqrt(V_-) there
-    R = unit_m1_400_op.resolvent(10.0)
+    R = _dense_inverse(unit_m1_400_op, 10.0)
     want = np.sqrt(2.5) * R[123, 123] * np.sqrt(2.5)
-    assert weighted_l2_check(unit_m1_400_op, one_node, 10.0)[1] == want
+    assert weighted_l2_check(R, one_node) == want
 
 
 def test_miyadera_rejects_cut_spectrum(unit_m1_400_op):

@@ -49,7 +49,7 @@ def test_eval_symbol_basic():
 
 
 def test_eval_symbol_failure_carries_location():
-    bad = SymbolSpec.isotropic(1, 1, ExprField.from_text("1/x", 1))
+    bad = SymbolSpec.isotropic(1, 1, as_field("1/x", 1))
     with pytest.raises(ValueError, match="failed at x"):
         eval_symbol(bad, [0.0], [1.0])
     # a batch names its first offending point
@@ -253,8 +253,8 @@ def test_as_field_keeps_expressions(text):
 
 
 @pytest.mark.parametrize("fld", [
-    _ScaledField(ExprField.from_text("1+x^2", 1), 3.0),
-    ExprField.from_text("exp(x)", 1),
+    _ScaledField(as_field("1+x^2", 1), 3.0),
+    as_field("exp(x)", 1),
 ], ids=["scaled", "expr"])
 def test_at_many_equals_at(fld):
     pts = np.linspace(-0.2, 1.2, 57)[:, None]

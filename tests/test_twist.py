@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import heatlab.experiments
 from conftest import make_line_operator
+from heatlab.config import config_from_text
 from heatlab.discretize import Grid, assemble
+from heatlab.experiments import _perturbed_target, operator_pieces, verify_perturbed_bound
 from heatlab.symbols import SymbolSpec, sharp_constants
 from heatlab.twist import (
     OverflowGuardError,
     TwistProfile,
     growth_fit,
     lower_bound_k,
-    perturbation_stability,
     twisted_form,
 )
 
@@ -224,13 +228,42 @@ def test_overflow_guard_triggers(unit_m1):
         twisted_form(op, prof, 1e7)
 
 
-def test_perturbation_stability_zero_gap(unit_m2):
-    op, prof = unit_m2
-    rep = perturbation_stability(op, op, 0.0, prof, np.geomspace(20.0, 200.0, 30))
-    assert rep.delta_kappa == 0.0
+PERTURBED = """
+scenario = verify
+[operator]
+m = 2
+n = 1
+domain = 0, 1
+grid_n = 800
+a = "1+0.1*sin(2*pi*x)"
+[verify]
+target = perturbed
+tolerance = 0.05
+delta_coeff = 0.1
+reference_a = "1"
+t_list = 0.00005, 0.0001, 0.00015, 0.0002
+pair_min = 0.1
+pair_max = 0.5
+pair_count = 40
+M_list = 5
+distance_method = dM
+lambda_min = 20
+lambda_max = 200
+"""
 
 
-def test_perturbation_stability_sign_symmetry():
+def test_perturbed_target_of_a_zero_gap_is_sigma_m():
+    # equal reference and perturbed coefficients: equal growth fits, no drift
+    cfg = config_from_text(PERTURBED.replace('a = "1+0.1*sin(2*pi*x)"', 'a = "1"')
+                           .replace("grid_n = 800", "grid_n = 400")
+                           .replace("lambda_max = 200", "lambda_max = 200\nlambda_count = 30"))
+    spec, grid, _ = operator_pieces(cfg.operator)
+    target, note, reliable = _perturbed_target(cfg, spec, grid, 1.0)
+    assert target == sharp_constants(2).sigma_m
+    assert "c_emp=0.0 " in note and reliable
+
+
+def test_growth_fit_drift_sign_symmetry():
     grid = Grid.make((0.0, 1.0), 400)
     delta = 0.1
     ref = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
@@ -239,6 +272,23 @@ def test_perturbation_stability_sign_symmetry():
     slope = (1.0 + delta) ** -0.25
     prof = TwistProfile.from_values(grid, slope * grid.node_coordinates()[:, 0], 2)
     lams = np.geomspace(20.0, 200.0, 30)
-    rep_up = perturbation_stability(assemble(ref, grid), assemble(up, grid), delta, prof, lams)
-    rep_dn = perturbation_stability(assemble(ref, grid), assemble(dn, grid), delta, prof, lams)
-    assert rep_up.delta_kappa == pytest.approx(rep_dn.delta_kappa, rel=0.25)
+    kappa_ref, kappa_up, kappa_dn = (growth_fit(assemble(spec, grid), prof, lams).kappa
+                                     for spec in (ref, up, dn))
+    assert abs(kappa_up - kappa_ref) == pytest.approx(abs(kappa_dn - kappa_ref), rel=0.25)
+
+
+def test_unreliable_growth_fit_fails_the_perturbed_verdict(monkeypatch):
+    # the stock perturbed verdict PASSes; flagging its second (perturbed)
+    # growth fit unreliable FAILs it while every other check still holds
+    fits = []
+
+    def flag_second(op, profile, lambdas):
+        fits.append(growth_fit(op, profile, lambdas))
+        return dataclasses.replace(fits[-1], reliable=len(fits) == 1)
+
+    monkeypatch.setattr(heatlab.experiments, "growth_fit", flag_second)
+    v = verify_perturbed_bound(config_from_text(PERTURBED))
+    assert len(fits) == 2 and all(f.reliable for f in fits)
+    assert "reliable_ref=True" in v.notes[-1] and "reliable_pert=False" in v.notes[-1]
+    assert v.fit.verdict_ok and v.eps <= v.tolerance and v.worst["ratio"] <= 1.05
+    assert not v.passed
