@@ -2,7 +2,7 @@
 
 Subcommands: ``constants``, ``kernel``, ``distance``, ``kato``, ``twist``,
 ``verify``.  All except ``constants`` take ``--config <path>`` (see
-``config`` module for the grammar), ``--out <dir>`` and ``--seed <int>``.
+``config`` module for the grammar) and ``--out <dir>``.
 Outputs are per-scenario CSV files plus ``manifest.txt`` (input echo,
 versions, timings) and, for ``verify``, a human-readable ``verdict.txt``.
 """
@@ -49,7 +49,6 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--seed", type=int, default=None)
         if name == "distance":
             p.add_argument("--method", choices=DISTANCE_METHODS, default=None)
             p.add_argument("--M", type=float, default=None)
@@ -72,8 +71,6 @@ def _dispatch(args):
         return 0
 
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     if cfg.scenario != args.command:
         cfg.scenario = args.command
     if getattr(args, "method", None) is not None:
@@ -81,7 +78,7 @@ def _dispatch(args):
     if getattr(args, "M", None) is not None:
         cfg.distance.M = args.M
     outdir = ensure_outdir(args.out)
-    manifest = Manifest(cfg.scenario, cfg.seed)
+    manifest = Manifest(cfg.scenario)
     with open(args.config, "r", encoding="utf-8") as fh:
         manifest.echo("config", args.config)
         for line in fh.read().splitlines():

@@ -122,7 +122,6 @@ class VerifyConfig:
 @dataclass
 class RunConfig:
     scenario: str = _key("word", "constants", SCENARIOS)
-    seed: int = _key("int", 0)
     operator: OperatorConfig = field(default_factory=OperatorConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     distance: DistanceConfig = field(default_factory=DistanceConfig)
@@ -289,11 +288,22 @@ def config_from_text(text):
         raise ConfigError("every eps must lie in (0, 1)", key="kato.eps_list")
     for section, sweep in (("twist", cfg.twist), ("verify", cfg.verify)):
         if section == "twist" or sweep.target == "perturbed":  # the sweeps growth_fit fits
+            if not sweep.lambda_min > 0:
+                raise ConfigError("lambda_min must be positive", key=f"{section}.lambda_min")
+            if not sweep.lambda_max >= 10 * sweep.lambda_min:
+                raise ConfigError("the lambda grid must span at least one decade",
+                                  key=f"{section}.lambda_max")
             lams = np.geomspace(sweep.lambda_min, sweep.lambda_max, sweep.lambda_count)
             fitted = np.count_nonzero(lams >= sweep.lambda_max / 10.0)
             if fitted < FIT_MIN_POINTS:
                 raise ConfigError(f"the fitted top decade holds {fitted} lambdas; the fit "
                                   f"needs {FIT_MIN_POINTS} or more", key=f"{section}.lambda_count")
+    if cfg.verify.target == "perturbed" and not cfg.verify.delta_coeff > 0:
+        raise ConfigError("the perturbed target needs delta_coeff > 0", key="verify.delta_coeff")
+    for path, values in (("kernel.t_list", cfg.kernel.t_list),
+                         ("verify.t_list", cfg.verify.t_list), ("verify.M_list", cfg.verify.M_list)):
+        if not all(v > 0 for v in values):
+            raise ConfigError("every value must be positive", key=path)
     _reject_unknown(raw)
 
     # defaults too: twist.phi = "x" does not parse when n = 2

@@ -16,15 +16,22 @@ Grammar (EBNF)::
             | "pow" | "min" | "max" ;
 
 "^" binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``; the exponent
-is parsed at the unary level, so ``2^-3`` is legal.  Expressions are
-immutable trees; evaluation is pure and deterministic.  Division by zero and
-domain violations (sqrt of a negative, ``0^-1``) raise :class:`EvalError`
-instead of propagating NaN.
+is parsed at the unary level, so ``2^-3`` is legal.  These are the rules of
+Python's ``**``, so :func:`parse` hands the text, ``^`` spelled ``**``, to
+Python's parser and maps its tree onto the grammar's nodes, refusing every
+other node and number form.  Python's tokenizer also refuses an integer
+with leading zeros (``007``; ``00.5`` is fine).  Expressions are immutable
+trees; evaluation is pure and deterministic.  Division by zero and domain
+violations (sqrt of a negative, ``0^-1``) raise :class:`EvalError` instead
+of propagating NaN.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 FUNCTIONS = {
@@ -101,157 +108,67 @@ class Call:
 Expr = Num | Const | Var | Neg | BinOp | Call
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._run()
-
-    def _run(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^(),":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j < len(text) and text[j] == ".":
-                    j += 1
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                if j < len(text) and text[j] in "eE":
-                    k = j + 1
-                    if k < len(text) and text[k] in "+-":
-                        k += 1
-                    if k < len(text) and text[k].isdigit():
-                        j = k
-                        while j < len(text) and text[j].isdigit():
-                            j += 1
-                self.tokens.append(("num", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(i, "a token", text)
-        self.tokens.append(("end", "", len(text)))
-
-
-class _Parser:
-    def __init__(self, text, n):
-        if not text or not text.strip():
-            raise ParseError(0, "a non-empty expression", text)
-        self.text = text
-        self.n = n
-        self.tokens = _Lexer(text).tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(tok[2], repr(kind), self.text)
-        return tok
-
-    def parse(self):
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(tok[2], "end of input or an operator", self.text)
-        return e
-
-    def expr(self):
-        left = self.term()
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            left = BinOp(op, left, self.term())
-        return left
-
-    def term(self):
-        left = self.unary()
-        while self.peek()[0] in "*/":
-            op = self.take()[0]
-            left = BinOp(op, left, self.unary())
-        return left
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val, off = self.take()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "ident":
-            if val in CONSTANTS:
-                return Const(val)
-            if val in FUNCTIONS:
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek()[0] == ",":
-                    self.take()
-                    args.append(self.expr())
-                self.expect(")")
-                arity = FUNCTIONS[val][0]
-                if len(args) != arity:
-                    raise ParseError(off, f"{arity} argument(s) to {val}", self.text)
-                return Call(val, tuple(args))
-            idx = self._var_index(val)
-            if idx is not None:
-                return Var(idx)
-            raise ParseError(off, "a known identifier", self.text)
-        raise ParseError(off, "an operand", self.text)
-
-    def _var_index(self, name):
-        if name == "x" and self.n == 1:
-            return 0
-        if len(name) >= 2 and name[0] == "x" and name[1:].isdigit():
-            k = int(name[1:])
-            if 1 <= k <= self.n:
-                return k - 1
-        return None
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# characters outside the grammar's alphabet, and a "**" the user typed
+_FOREIGN = re.compile(r"[^\w .+\-*/^(),]|\*\*", re.ASCII)
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+_VAR = re.compile(r"x\d+", re.ASCII)
 
 
 def parse(text, n):
     """Parse ``text`` as an expression in coordinates x1..xn.
 
-    Raises :class:`ParseError` with a byte offset on malformed input or on
-    identifiers outside the dimension.
+    Raises :class:`ParseError` with an offset into ``text`` on malformed
+    input or on identifiers outside the dimension.
     """
-    return _Parser(text, n).parse()
+    body = re.sub(r"\s", " ", text).lstrip()  # eval mode takes no newline or leading blank
+    lead = len(text) - len(body)
+    # text offset of each character of ``src``: a "^" becomes two
+    where = [lead + i for i, c in enumerate(body) for _ in range(1 + (c == "^"))] + [len(text)]
+
+    def fail(col, expected):
+        raise ParseError(where[max(0, min(col, len(where) - 1))], expected, text)
+
+    if bad := _FOREIGN.search(body):
+        raise ParseError(lead + bad.start(), "a token", text)
+    src = body.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "2in x" warns first; make that its error
+            tree = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:  # offset 0 marks the end; "; use an 0o prefix" is no advice here
+        fail(exc.offset - 1 if exc.offset else len(src), f"an expression ({exc.msg.split(';')[0]})")
+
+    def walk(node):
+        at = node.col_offset
+        if isinstance(node, ast.Constant):
+            literal = src[at:node.end_col_offset]
+            if not _NUMBER.fullmatch(literal):
+                fail(at, "a number of digits, '.' and an exponent")
+            return Num(float(literal))
+        if isinstance(node, ast.Name):
+            name = node.id
+            if name in CONSTANTS:
+                return Const(name)
+            k = 1 if name == "x" and n == 1 else int(name[1:]) if _VAR.fullmatch(name) else 0
+            if not 1 <= k <= n:
+                fail(at, f"'(' after {name}" if name in FUNCTIONS else "a known identifier")
+            return Var(k - 1)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in FUNCTIONS and node.func.col_offset == at:  # not (sin)(x)
+            name, arity = node.func.id, FUNCTIONS[node.func.id][0]
+            # the tree keeps no trailing comma: abs(x,) has one argument
+            tail = src[node.args[-1].end_col_offset:node.end_col_offset] if node.args else ""
+            if node.keywords or len(node.args) != arity or "," in tail:
+                fail(at, f"{arity} argument(s) to {name}, with no trailing ','")
+            return Call(name, tuple(walk(a) for a in node.args))
+        fail(at, "a number, constant, coordinate, operator or function call")
+
+    return walk(tree)
 
 
 def evaluate(e, x):

@@ -63,7 +63,7 @@ class Manifest:
     """Echo of the inputs plus versions, the BLAS build and its thread
     settings, and stage timings."""
 
-    def __init__(self, scenario, seed):
+    def __init__(self, scenario):
         import numpy
         import scipy
 
@@ -71,7 +71,6 @@ class Manifest:
 
         self.lines = [
             f"scenario: {scenario}",
-            f"seed: {seed}",
             f"heatlab: {__version__}",
             f"numpy: {numpy.__version__}",
             f"scipy: {scipy.__version__}",

@@ -359,13 +359,6 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert "ordre" in capsys.readouterr().err
 
 
-def test_seed_override_recorded(tmp_path):
-    cfg = _write(tmp_path, KERNEL_CFG)
-    out = str(tmp_path / "out")
-    assert main(["kernel", "--config", cfg, "--out", out, "--seed", "99"]) == 0
-    assert "seed: 99" in open(os.path.join(out, "manifest.txt")).read()
-
-
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the d_M solver imports linprog on first use; loading scipy.optimize
     # with the CLI would slow the start-up of every command

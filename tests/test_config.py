@@ -15,7 +15,6 @@ scenario = constants
 FULL = """
 # full kitchen sink
 scenario = verify
-seed = 11
 [operator]
 m = 2
 n = 1
@@ -45,7 +44,6 @@ def test_minimal_config():
 
 def test_full_config_roundtrip_fields():
     cfg = config_from_text(FULL)
-    assert cfg.seed == 11
     assert cfg.operator.m == 2
     assert cfg.operator.domain == ((-4.0, 4.0),)
     assert cfg.operator.grid_n == (800,)
@@ -70,7 +68,7 @@ def test_unknown_scenario_and_sections():
 
 def test_empty_unknown_section_rejected_with_line():
     with pytest.raises(ConfigError, match=r"unknown section 'bogus' \[line 3\]"):
-        config_from_text("seed = 1\n\n[bogus]\n")
+        config_from_text("scenario = kernel\n\n[bogus]\n")
 
 
 def test_two_axes_need_a_domain():
@@ -102,6 +100,19 @@ def test_value_type_errors():
         ("[twist]\nlambda_count = 2\n", "twist.lambda_count", "holds 2 lambdas"),
         ("[verify]\ntarget = perturbed\nlambda_count = 2\n", "verify.lambda_count",
          "holds 2 lambdas"),
+        ("[verify]\ntarget = perturbed\n", "verify.delta_coeff", "delta_coeff > 0"),
+        ("[verify]\ntarget = perturbed\ndelta_coeff = -0.1\n", "verify.delta_coeff",
+         "delta_coeff > 0"),
+        ("[twist]\nlambda_min = 0\n", "twist.lambda_min", "positive"),
+        ("[twist]\nlambda_min = -2\n", "twist.lambda_min", "positive"),
+        ("[twist]\nlambda_min = 20\nlambda_max = 150\n", "twist.lambda_max", "one decade"),
+        ("[verify]\ntarget = perturbed\ndelta_coeff = 0.1\nlambda_min = 0\n",
+         "verify.lambda_min", "positive"),
+        ("[verify]\ntarget = perturbed\ndelta_coeff = 0.1\nlambda_max = 100\n",
+         "verify.lambda_max", "one decade"),
+        ("[kernel]\nt_list = 0.1, 0\n", "kernel.t_list", "positive"),
+        ("[verify]\nt_list = -1e-3\n", "verify.t_list", "positive"),
+        ("[verify]\nM_list = 5, 0\n", "verify.M_list", "positive"),
     ):
         with pytest.raises(ConfigError, match=f"{what}.*key '{re.escape(key)}'"):
             config_from_text(text)
@@ -159,7 +170,7 @@ def test_allowed_words_error_names_path_and_words(text, path, words):
 
 def test_defaults_pinned():
     assert dataclasses.asdict(RunConfig()) == {
-        "scenario": "constants", "seed": 0,
+        "scenario": "constants",
         "operator": {"m": 1, "n": 1, "domain": ((0.0, 1.0),), "grid_n": (200,),
                      "a": "1", "potential": None},
         "kernel": {"t_list": [0.1], "x_list": [0.0], "y_list": [0.0],

@@ -7,7 +7,6 @@ from conftest import make_line_operator
 from heatlab.config import config_from_text
 from heatlab.experiments import (
     fit_gaussian_exponent,
-    verify_perturbed_bound,
     verify_sharp_bound,
 )
 from heatlab.finsler import distance_1d
@@ -120,13 +119,6 @@ def test_verify_rejects_nonconvex_symbol():
     cfg.operator.a = "-1"
     with pytest.raises(ValueError):
         verify_sharp_bound(cfg)
-
-
-def test_verify_perturbed_requires_gap():
-    cfg = config_from_text(VERIFY_M1)
-    cfg.verify.target = "perturbed"
-    with pytest.raises(ValueError, match="delta_coeff"):
-        verify_perturbed_bound(cfg)
 
 
 def test_verify_euclidean_distance_still_passes_constant_coefficients():

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,3 +112,37 @@ def test_min_max_pow_tanh():
     assert el.evaluate(el.parse("pow(2, 10)", 1), [0.0]) == 1024.0
     assert el.evaluate(el.parse("tanh(0)", 1), [0.0]) == 0.0
     assert el.evaluate(el.parse("e", 1), [0.0]) == math.e
+
+
+@pytest.mark.parametrize("text, tree", [
+    (" x ", el.Var(0)),
+    ("\tx", el.Var(0)),
+    ("1 +\n2", el.BinOp("+", el.Num(1.0), el.Num(2.0))),
+    ("5.", el.Num(5.0)),
+    (".5", el.Num(0.5)),
+    ("00.5", el.Num(0.5)),
+    ("1E+3", el.Num(1000.0)),
+    ("--x", el.Neg(el.Neg(el.Var(0)))),
+    ("2^-3^2", el.BinOp("^", el.Num(2.0), el.Neg(el.BinOp("^", el.Num(3.0), el.Num(2.0))))),
+])
+def test_accepted_forms(text, tree):
+    assert el.parse(text, 1) == tree
+
+
+@pytest.mark.parametrize("text", [
+    "x**2", "1_0", "0x1F", "1j", "True", "abs(x,)", "(1, 2)", "+x", "x.real", "x[0]",
+    "sin(x=1)", "x if 1 else 2", "1 < 2", "007",
+])
+def test_refused_forms(text):
+    with pytest.raises(el.ParseError) as err:
+        el.parse(text, 1)
+    assert 0 <= err.value.offset <= len(text)
+
+
+def test_readme_lists_every_function_and_constant():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Expression language", 1)[1].split("\n## ", 1)[0]
+    funcs = re.search(r"^FUNC\s*=(.*)$", section, re.M).group(1)
+    consts = re.search(r"^CONST\s*=(.*)$", section, re.M).group(1)
+    assert set(re.findall(r"\w+", funcs)) == set(el.FUNCTIONS)
+    assert set(re.findall(r"\w+", consts)) == set(el.CONSTANTS)
