@@ -4,7 +4,8 @@ Subcommands: ``constants``, ``kernel``, ``distance``, ``kato``, ``twist``,
 ``verify``.  All except ``constants`` take ``--config <path>`` (see
 ``config`` module for the grammar) and ``--out <dir>``.
 Outputs are per-scenario CSV files plus ``manifest.txt`` (input echo,
-versions, timings) and, for ``verify``, a human-readable ``verdict.txt``.
+versions, timings, and the error of a run that fails) and, for ``verify``,
+a human-readable ``verdict.txt``.
 """
 
 from __future__ import annotations
@@ -91,9 +92,14 @@ def _dispatch(args):
         "twist": run_twist,
         "verify": run_verify,
     }[cfg.scenario]
-    code = runner(cfg, outdir, manifest)
-    manifest.write(outdir)
-    return code
+    try:
+        return runner(cfg, outdir, manifest)
+    except Exception as exc:
+        manifest.stop()
+        manifest.echo("error", exc)
+        raise
+    finally:
+        manifest.write(outdir)
 
 
 def constants_table(m):
@@ -143,6 +149,8 @@ def run_distance(cfg, outdir, manifest):
             raise ConfigError(f"source must be a point of the domain {bounds}",
                               key="distance.source")
         fldist = distance_lattice_2d(spec, source, npts=d.lattice_n)
+        manifest.stop()
+        manifest.start("write csv")
         write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
                   grid_rows(fldist.axes, fldist.values))
     else:

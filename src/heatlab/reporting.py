@@ -4,9 +4,10 @@ CSV convention: comma separators, one header row, LF endings, floats as
 shortest round-trip decimals (Python repr), so identical runs produce
 byte-identical files on every platform.  A ``str`` cell, and a ``str`` row
 (one or more lines, each ending in LF), is written as it stands, so
-:func:`grid_rows` can format each axis coordinate of a grid once, join a
-block of lines at a time and still give the bytes of one
-:func:`format_value` per cell.
+:func:`grid_rows` can format each axis coordinate and each distinct value
+of a grid once, join a block of lines at a time and still give the bytes of
+one :func:`format_value` per cell.  Distinct values are keyed by their bit
+pattern, since ``-0.0 == 0.0`` but their ``repr``s differ.
 """
 
 from __future__ import annotations
@@ -42,12 +43,23 @@ def write_csv(path, header, rows):
 
 def grid_rows(axes, values):
     """Rows ``x1,x2,value`` of a field on a 2D grid, in node order (``x1``
-    outer, ``x2`` inner), as one ``str`` of lines per ``x1``: each axis
-    coordinate formatted once, each value by ``repr``, the bytes
-    :func:`format_value` gives."""
+    outer, ``x2`` inner), as one ``str`` of lines per ``x1``, with the bytes
+    :func:`format_value` gives.  Each axis coordinate and each distinct
+    value (by bit pattern) is formatted once.  A constant-coefficient
+    lattice repeats its values by symmetry: 33,153 to 58,632 distinct of
+    262,144 at 512 x 512.  A field with no repeats pays for the sort and
+    gather, about 0.08 s at that size."""
     ax1, ax2 = ([format_value(x) for x in axis.tolist()] for axis in axes)
-    for x1, block in zip(ax1, values.reshape(len(ax1), len(ax2)).tolist()):
-        yield "".join(f"{x1},{x2},{v!r}\n" for x2, v in zip(ax2, block))
+    bits = values.view(np.int64)
+    # not np.unique: its inverse's temporaries left a distance run's heap
+    # 3 MB higher, and without an inverse it hashes, 7 to 40 times slower
+    # than this sort on the 512 x 512 lattice
+    keys = np.sort(bits)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    cells = np.frompyfunc(repr, 1, 1)(keys.view(np.float64))
+    index = np.searchsorted(keys, bits).reshape(len(ax1), len(ax2))
+    for x1, row in zip(ax1, index):
+        yield "".join(f"{x1},{x2},{v}\n" for x2, v in zip(ax2, cells[row].tolist()))
 
 
 def write_text(path, text):

@@ -15,6 +15,7 @@ from heatlab.discretize import Grid, assemble
 from heatlab.experiments import operator_pieces
 from heatlab.finsler import distance_lattice_2d
 from heatlab.kato import kato_norm_curve, sample_potential
+from heatlab.reporting import format_value
 from heatlab.symbols import SymbolSpec
 
 KERNEL_CFG = """
@@ -182,6 +183,10 @@ def test_distance_scenario_lattice(tmp_path):
     lines = open(os.path.join(out, "distance.csv")).read().splitlines()
     assert lines[0] == "x1,x2,d"
     assert len(lines) == 24 * 24 + 1
+    # printing is timed apart from the solve
+    manifest = open(os.path.join(out, "manifest.txt")).read().splitlines()
+    stages = [ln.split(":")[0].strip() for ln in manifest[manifest.index("timings:") + 1:]]
+    assert stages == ["distance lattice", "write csv"]
 
 
 @pytest.mark.parametrize("source", ["0.5", "5, -3", "0.5, 0.5, 0.5"])
@@ -219,6 +224,10 @@ def test_kernel_on_two_axes_refused_before_any_work(tmp_path, capsys, monkeypatc
     assert main(["kernel", "--config", cfg, "--out", out]) == 2
     assert "operator.n" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "kernel.csv"))
+    # the failed run still leaves its manifest, naming the error
+    errors = [ln for ln in open(os.path.join(out, "manifest.txt")).read().splitlines()
+              if ln.startswith("error: ")]
+    assert len(errors) == 1 and "operator.n" in errors[0]
 
 
 def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
@@ -247,16 +256,20 @@ def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):
 
     write_csv = heatlab.cli.write_csv
     monkeypatch.setattr(heatlab.cli, "write_csv", recording_write_csv)
-    cfg = _write(tmp_path, LATTICE_CFG)
-    out = str(tmp_path / "out")
-    assert main(["distance", "--config", cfg, "--out", out]) == 0
-    assert kinds == [types.GeneratorType]  # no list of all rows is built
-    table = np.loadtxt(os.path.join(out, "distance.csv"), delimiter=",", skiprows=1)
     spec = SymbolSpec.isotropic(2, 2, "1", domain=[(0, 1), (0, 1)])
-    fld = distance_lattice_2d(spec, (0.5, 0.5), npts=24)
-    assert table.shape == (24 * 24, 3)
-    assert np.array_equal(table[:, :2], Grid.make(spec.domain.bounds, 24).node_coordinates())
-    assert np.array_equal(table[:, 2], fld.values)
+    nodes = Grid.make(spec.domain.bounds, 24).node_coordinates().tolist()
+    # a constant coefficient repeats values by reflection about the source,
+    # centred or not, and each distinct value is formatted once
+    for source in ((0.5, 0.5), (0.3, 0.6)):
+        cfg = _write(tmp_path, LATTICE_CFG.replace("0.5, 0.5", "{}, {}".format(*source)))
+        out = tmp_path / "out"
+        assert main(["distance", "--config", cfg, "--out", str(out)]) == 0
+        values = distance_lattice_2d(spec, source, npts=24).values
+        assert len(np.unique(values)) < values.size / 2
+        ref = "x1,x2,d\n" + "".join(",".join(map(format_value, (x1, x2, v))) + "\n"
+                                    for (x1, x2), v in zip(nodes, values.tolist()))
+        assert (out / "distance.csv").read_bytes() == ref.encode()
+    assert kinds == [types.GeneratorType] * 2  # no list of all rows is built
 
 
 def test_distance_method_flag_overrides_config(tmp_path):

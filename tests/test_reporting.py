@@ -1,8 +1,11 @@
 """CSV bytes: the cell of each value type, and the lattice rows in node order."""
 
+import itertools
 import math
 
+import hypothesis.strategies as st
 import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 
 from heatlab.discretize import Grid
 from heatlab.finsler import distance_lattice_2d
@@ -33,3 +36,26 @@ def test_lattice_csv_matches_row_by_row_reference(tmp_path):
                                 for p, v in zip(grid.node_coordinates(), fld.values))
     assert path.read_text() == ref
     assert len(ref.splitlines()) == 7 * 5 + 1
+
+
+# -0.0 and 0.0 compare equal but print apart; a float-keyed dedup merges them
+POOL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+       extra=st.lists(st.floats(), max_size=5),
+       picks=st.lists(st.integers(0, 13), min_size=81, max_size=81))
+@example(shape=(2, 2), extra=[], picks=[0, 1, 1, 0] + [0] * 77)
+def test_grid_rows_bytes_match_per_cell_reference(tmp_path, shape, extra, picks):
+    pool = POOL + tuple(extra)
+    n1, n2 = shape
+    values = np.array([pool[i % len(pool)] for i in picks[:n1 * n2]])
+    axes = (np.linspace(-1.0, 2.0, n1), np.linspace(0.0, 0.3, n2))
+    path = tmp_path / "field.csv"
+    write_csv(path, ("x1", "x2", "v"), grid_rows(axes, values))
+    cells = zip(itertools.product(*(a.tolist() for a in axes)), values.tolist())
+    ref = "x1,x2,v\n" + "".join(",".join(map(format_value, (x1, x2, v))) + "\n"
+                                for (x1, x2), v in cells)
+    assert path.read_bytes() == ref.encode()
