@@ -24,7 +24,7 @@ from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, fourier_oracle, spectral_field
 from .kato import form_bound_report, kato_norm_curve, miyadera_ratio, sample_potential
 from .reporting import Manifest, ensure_outdir, format_float_17, grid_rows, write_csv, write_text
-from .symbols import sharp_constants
+from .symbols import ConstantField, sharp_constants
 from .twist import TwistProfile, growth_fit
 
 
@@ -118,6 +118,9 @@ def run_kernel(cfg, outdir, manifest):
     for key, values in (("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list)):
         if any(not lo <= v <= hi for v in values):
             raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
+    a = spec.isotropic_coefficient
+    if k.oracle and not isinstance(a, ConstantField):
+        raise ConfigError("the Fourier oracle needs a constant operator.a", key="kernel.oracle")
     manifest.start("assemble")
     op = assemble(spec, grid, potential=vvals)
     manifest.stop()
@@ -130,7 +133,7 @@ def run_kernel(cfg, outdir, manifest):
     if k.oracle:
         for t in k.t_list:
             for x, y in zip(k.x_list, k.y_list):
-                rows.append((t, x, y, fourier_oracle(op.m, k.oracle_a, t, abs(y - x)),
+                rows.append((t, x, y, fourier_oracle(op.m, a.value, t, abs(y - x)),
                              "fourier-oracle"))
     manifest.stop()
     write_csv(os.path.join(outdir, "kernel.csv"), ("t", "x", "y", "K", "method"), rows)

@@ -71,8 +71,7 @@ class KernelConfig:
     t_list: list = _key("floats", [0.1])
     x_list: list = _key("floats", [0.0])
     y_list: list = _key("floats", [0.0])
-    oracle: bool = _key("bool", False)
-    oracle_a: float = _key("float", 1.0)
+    oracle: bool = _key("bool", False)  # also tabulate the whole-line kernel of the constant a
 
 
 @dataclass

@@ -12,22 +12,24 @@ The lattice graph is symmetric: a move and its reverse run along the same
 undirected edge, which has one weight, the length element at the midpoint
 ``x_u + vec/2`` of its forward move, one of the eight moves whose first
 nonzero component is positive.  The weights form one ``(nodes, 8)`` table,
-filled by one batched ``LengthElement`` call per forward move: isotropic
-symbols ``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
-symbols a direction search on arrays.  ``inf`` rows pad the table at both
-ends, so that a reverse move reads the edge from its target's row without a
-bounds test.  The shortest path settles nodes in phases over that table,
-Dial's buckets (CACM Algorithm 360, 1969) with the settle rule of Crauser,
-Mehlhorn, Meyer and Sanders (MFCS 1998): with ``delta`` the smallest edge
-weight, a phase settles every open node whose tentative distance is at most
-``delta`` above the smallest open one, then relaxes the settled nodes' 16
-moves with one gather per move.  The rule is exact: a path that could still
-shorten such a node leaves the settled set through another open node, so it
-is at least the smallest open distance plus ``delta`` long.  Rounding is
-monotone, so the same holds for the computed sums, and the values equal
-``scipy.sparse.csgraph.dijkstra`` on the same symmetric graph bit for bit.
-The table holds 8 doubles per node and the phases add no memory, where
-``csgraph`` would need the graph in CSR besides the table.
+filled move by move in blocks of whole grid rows, one batched
+``LengthElement`` call per block, so that filling it adds one block's
+temporaries to the table: isotropic symbols ``a(x) |xi|^(2m)`` take the
+closed form ``a(x)^(-1/2m) |eta|``, other symbols a direction search on
+arrays.  ``inf`` rows pad the table at both ends, so that a reverse move
+reads the edge from its target's row without a bounds test.  The shortest
+path settles nodes in phases over that table, Dial's buckets (CACM Algorithm
+360, 1969) with the settle rule of Crauser, Mehlhorn, Meyer and Sanders
+(MFCS 1998): with ``delta`` the smallest edge weight, a phase settles every
+open node whose tentative distance is at most ``delta`` above the smallest
+open one, then relaxes the settled nodes' 16 moves with one gather per move.
+The rule is exact: a path that could still shorten such a node leaves the
+settled set through another open node, so it is at least the smallest open
+distance plus ``delta`` long.  Rounding is monotone, so the same holds for
+the computed sums, and the values equal ``scipy.sparse.csgraph.dijkstra`` on
+the same symmetric graph bit for bit.  The table holds 8 doubles per node
+and the phases add no memory, where ``csgraph`` would need the graph in CSR
+besides the table.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
@@ -163,12 +165,21 @@ class DistanceField:
 _LATTICE_MOVES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
 
 
+# midpoints per length-element call while the edge table fills: a block of
+# whole grid rows, 32 rows of a 512-node axis
+_EDGE_BLOCK = 1 << 14
+
+
 def _edge_weights(p, ax, ay, h):
     """Edge-weight table and its padding ``pad = 2*ny + 1``: row ``pad + u``
     of the ``(nx*ny + 2*pad, 8)`` table holds the weight of the edge from
     node u along each forward move, the length element at the edge midpoint
-    ``x_u + vec/2``, one batched call per forward move.  Moves that leave
-    the grid and the ``pad`` rows at either end are ``inf``."""
+    ``x_u + vec/2``.  Each move is filled in blocks of whole grid rows, one
+    call per block of about ``_EDGE_BLOCK`` midpoints, so filling the table
+    adds one block's temporaries, not one move's; every operation of the
+    length element is elementwise, so the blocks give the bits of one call
+    per move.  Moves that leave the grid and the ``pad`` rows at either end
+    are ``inf``."""
     nx, ny = len(ax), len(ay)
     pad = 2 * ny + 1
     wts = np.full((nx * ny + 2 * pad, len(_LATTICE_MOVES)), np.inf)
@@ -178,10 +189,14 @@ def _edge_weights(p, ax, ay, h):
         j0, j1 = max(0, -dj), ny - max(0, dj)
         if di >= nx or j0 >= j1:
             continue
-        mids = np.empty((nx - di, j1 - j0, 2))
-        mids[..., 0] = (ax[:nx - di] + 0.5 * vec[0])[:, None]
-        mids[..., 1] = ay[j0:j1] + 0.5 * vec[1]
-        nodes[:nx - di, j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
+        xs, ys = ax[:nx - di] + 0.5 * vec[0], ay[j0:j1] + 0.5 * vec[1]
+        rows = max(1, _EDGE_BLOCK // len(ys))
+        for i in range(0, len(xs), rows):
+            x = xs[i:i + rows]
+            mids = np.empty((len(x), len(ys), 2))
+            mids[..., 0] = x[:, None]
+            mids[..., 1] = ys
+            nodes[i:i + len(x), j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
     return wts, pad
 
 

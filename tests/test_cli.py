@@ -14,6 +14,7 @@ from heatlab.config import load_config
 from heatlab.discretize import Grid, assemble
 from heatlab.experiments import operator_pieces
 from heatlab.finsler import distance_lattice_2d
+from heatlab.heatkernel import fourier_oracle
 from heatlab.kato import kato_norm_curve, sample_potential
 from heatlab.reporting import format_value
 from heatlab.symbols import SymbolSpec
@@ -31,7 +32,6 @@ t_list = 0.1, 0.5
 x_list = 0, 0
 y_list = 0.5, 1.0
 oracle = true
-oracle_a = 1.0
 """
 
 # m = 2 sampled from t = 1e-3 on: 75 of 400 modes lie below the cut
@@ -165,6 +165,30 @@ def test_kernel_csv_deterministic(tmp_path):
     b1 = open(os.path.join(out1, "kernel.csv"), "rb").read()
     b2 = open(os.path.join(out2, "kernel.csv"), "rb").read()
     assert b1 == b2
+
+
+def test_kernel_oracle_takes_the_operators_coefficient(tmp_path):
+    # the oracle rows used to describe a = 1 whatever operator.a said
+    cfg = _write(tmp_path, KERNEL_CFG.replace('a = "1"', 'a = "2"'))
+    out = str(tmp_path / "out")
+    assert main(["kernel", "--config", cfg, "--out", out]) == 0
+    rows = [ln.split(",") for ln in open(os.path.join(out, "kernel.csv")).read().splitlines()[1:]]
+    oracle = [r for r in rows if r[4] == "fourier-oracle"]
+    assert len(oracle) == 4
+    for t, x, y, K, _ in oracle:
+        assert float(K) == fourier_oracle(1, 2.0, float(t), abs(float(y) - float(x)))
+
+
+def test_kernel_oracle_on_a_variable_coefficient_refused(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator assembled")
+
+    monkeypatch.setattr(heatlab.cli, "assemble", refuse)
+    cfg = _write(tmp_path, KERNEL_CFG.replace('a = "1"', 'a = "1+x"'))
+    out = str(tmp_path / "out")
+    assert main(["kernel", "--config", cfg, "--out", out]) == 2
+    assert "kernel.oracle" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "kernel.csv"))
 
 
 def test_distance_scenario_dm(tmp_path):

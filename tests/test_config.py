@@ -174,7 +174,7 @@ def test_defaults_pinned():
         "operator": {"m": 1, "n": 1, "domain": ((0.0, 1.0),), "grid_n": (200,),
                      "a": "1", "potential": None},
         "kernel": {"t_list": [0.1], "x_list": [0.0], "y_list": [0.0],
-                   "oracle": False, "oracle_a": 1.0},
+                   "oracle": False},
         "distance": {"method": "exact1d", "M": 1.0, "y1_list": [0.0], "y2_list": [1.0],
                      "source": None, "lattice_n": 64},
         "kato": {"lambdas": [1.0, 10.0, 100.0, 1e3, 1e4, 1e5],

@@ -6,16 +6,19 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+import heatlab.finsler
 from heatlab.discretize import Grid
 from heatlab.finsler import (
+    _LATTICE_MOVES,
     LengthElement,
     distance_1d,
     distance_dm_1d,
     distance_lattice_2d,
     _cap_rows,
+    _edge_weights,
     _slope_caps,
 )
-from heatlab.symbols import SymbolSpec, eval_symbol
+from heatlab.symbols import CoefficientField, SymbolSpec, as_field, eval_symbol
 
 SPEC_VAR = SymbolSpec.isotropic(2, 1, "(1+x)^4", domain=[(0, 1)])
 LN2 = float(np.log(2.0))
@@ -338,6 +341,75 @@ def test_lattice_peak_memory_below_a_table_of_both_directions():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * 128**2
+
+
+def _edge_weights_one_call_per_move(p, ax, ay, h):
+    """The edge table built with one length-element call on all of a
+    move's midpoints."""
+    nx, ny = len(ax), len(ay)
+    pad = 2 * ny + 1
+    wts = np.full((nx * ny + 2 * pad, 8), np.inf)
+    nodes = wts[pad:pad + nx * ny].reshape(nx, ny, 8)
+    for k, (di, dj) in enumerate(_LATTICE_MOVES):
+        vec = np.array([di * h[0], dj * h[1]])
+        j0, j1 = max(0, -dj), ny - max(0, dj)
+        if di >= nx or j0 >= j1:
+            continue
+        mids = np.empty((nx - di, j1 - j0, 2))
+        mids[..., 0] = (ax[:nx - di] + 0.5 * vec[0])[:, None]
+        mids[..., 1] = ay[j0:j1] + 0.5 * vec[1]
+        nodes[:nx - di, j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
+    return wts, pad
+
+
+SPEC_CROSS = SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("2+0.2*x1", 2),
+                               ((0, 2), (0, 2)): as_field("2-0.1*x2*x1", 2),
+                               ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2)},
+                        SPEC_ISO_VAR.domain)
+
+
+@pytest.mark.parametrize("spec", [SPEC_ISO_VAR, SPEC_CROSS], ids=["iso-var", "cross"])
+@pytest.mark.parametrize("block", [1, 40, 100])
+def test_edge_table_in_row_blocks_equals_one_call_per_move(monkeypatch, spec, block):
+    # 23 rows of 16 or 17 midpoints: one row per call, then blocks of 2 or 5
+    # to 6 rows, each with a short last block on every move
+    grid = Grid.make(spec.domain.bounds, (23, 17))
+    ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
+    p = LengthElement(spec)
+    ref, ref_pad = _edge_weights_one_call_per_move(p, ax, ay, grid.h)
+    monkeypatch.setattr(heatlab.finsler, "_EDGE_BLOCK", block)
+    wts, pad = _edge_weights(p, ax, ay, grid.h)
+    assert pad == ref_pad
+    assert np.isinf(wts).any() and np.isfinite(wts).any()
+    assert np.array_equal(wts.view(np.int64), ref.view(np.int64))
+
+
+class _Wave(CoefficientField):
+    """1 + 0.3 sin(x1) cos(x2) on arrays.  Its expression takes 30 s to walk
+    point by point at 256 x 256 under tracemalloc, and the walk's Python
+    floats would only add to what the blocks hold."""
+
+    def at_many(self, points):
+        pts = np.atleast_2d(points)
+        return 1.0 + 0.3 * np.sin(pts[:, 0]) * np.cos(pts[:, 1])
+
+
+@pytest.mark.parametrize("a", [1.0, _Wave()], ids=["constant", "wave"])
+def test_edge_table_fill_adds_one_block_of_temporaries(a):
+    # one call per move held its midpoints, a(x), its root and the positivity
+    # mask over the whole grid: 2.0 MiB at 256 x 256
+    spec = SymbolSpec.isotropic(2, 2, a, domain=[(-3, 3), (-3, 3)])
+    p = LengthElement(spec)
+    grid = Grid.make(spec.domain.bounds, (256, 256))
+    ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
+    _edge_weights(p, ax[:4], ay[:4], grid.h)  # first-call work outside the trace
+    tracemalloc.start()
+    try:
+        wts, _ = _edge_weights(p, ax, ay, grid.h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - wts.nbytes < 1.25 * 2**20
 
 
 def test_distance_comparison_under_coefficient_gap():
