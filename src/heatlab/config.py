@@ -191,12 +191,10 @@ def parse_config_text(text):
                 raise ConfigError("unterminated string", line=line_no, key=key)
             data[section][key] = ("str", value[1:-1], line_no)
         elif "," in value:
-            toks = [t for t in value.split(",") if t.strip()]
-            data[section][key] = (
-                "list",
-                [_parse_scalar(t, line_no, key) for t in toks],
-                line_no,
-            )
+            toks = value.split(",")
+            if not all(t.strip() for t in toks):
+                raise ConfigError("empty element in a comma list", line=line_no, key=key)
+            data[section][key] = ("list", [_parse_scalar(t, line_no, key) for t in toks], line_no)
         else:
             data[section][key] = ("scalar", _parse_scalar(value, line_no, key), line_no)
     return data

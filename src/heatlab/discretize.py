@@ -1,11 +1,13 @@
-"""Finite-difference quadratic forms on uniform grids with Dirichlet ends.
+"""The finite-difference operator H on a uniform grid with Dirichlet ends.
 
-The assembled object is the sparse (CSR) form matrix of ``Q(u) = sum
-(D^a)^T a_ab D^b h^n + diag(V) h^n`` on interior nodes, with values outside
-the grid treated as zero.  The form-based construction guarantees symmetry
-and mirrors the variational definition of the operator.  Extreme
-eigenvalues come from the operator's LAPACK band; ``operator_matrix`` builds
-a dense matrix only where a complete spectrum or a Kato resolvent needs it.
+:func:`assemble` forms the quadratic form ``Q(u) = sum (D^a)^T a_ab D^b h^n
++ diag(V) h^n`` on interior nodes, with values outside the grid treated as
+zero, symmetrizes it and divides it by the mass ``h^n`` once: the result is
+the sparse (CSR) matrix of ``H``, the one representation of the operator.
+The form-based construction guarantees symmetry and mirrors the variational
+definition of the operator.  Extreme eigenvalues come from H's LAPACK band;
+``operator_matrix`` builds a dense H only where a complete spectrum or a
+Kato resolvent needs it.
 
 Stencil conventions:
 
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .symbols import SymbolSpec, as_field, ellipticity_constant
+from .symbols import ellipticity_constant
 
 POTENTIAL_WARN_THRESHOLD = 1e12
 
@@ -224,35 +226,31 @@ def band_lowest(band, bracket=None):
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Grid, sparse h^n-weighted symmetric form matrix, optional sampled
-    potential: a value that holds what :func:`assemble` computed and nothing
-    derived later.
+    """Grid and the sparse symmetric operator matrix H: a value that holds
+    what :func:`assemble` computed and nothing derived later.
 
-    ``band`` is the operator matrix ``form_matrix / mass`` in LAPACK lower
-    band storage: row k holds the k-th subdiagonal in its first N - k
-    entries, zero-padded, for k up to the largest offset of a stored entry.
-    Every extreme eigenvalue, and the count below a cut spectrum's cut, is
-    read from it: the lowest by :func:`band_lowest` (banded Cholesky
-    bisection on a lattice of spacing about ``eps ||B||_max``, or
-    ``eig_banded`` on a tridiagonal band).  :meth:`operator_matrix` is the
-    one place the operator goes dense.
+    ``band`` is ``matrix`` in LAPACK lower band storage: row k holds the k-th
+    subdiagonal in its first N - k entries, zero-padded, for k up to the
+    largest offset of a stored entry.  Every extreme eigenvalue, and the
+    count below a cut spectrum's cut, is read from it: the lowest by
+    :func:`band_lowest` (banded Cholesky bisection on a lattice of spacing
+    about ``eps ||B||_max``, or ``eig_banded`` on a tridiagonal band).
+    :meth:`operator_matrix` is the one place the operator goes dense.
     """
 
     grid: Grid
     m: int
-    form_matrix: sp.csr_matrix
-    potential: np.ndarray | None
-    spec: SymbolSpec
+    matrix: sp.csr_matrix
 
     band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        F = self.form_matrix
-        rows, cols = F.nonzero()
-        n = F.shape[0]
+        H = self.matrix
+        rows, cols = H.nonzero()
+        n = H.shape[0]
         band = np.zeros((int(np.max(np.abs(rows - cols))) + 1, n))
         for k in range(band.shape[0]):
-            band[k, : n - k] = F.diagonal(-k) / self.mass
+            band[k, : n - k] = H.diagonal(-k)
         band.flags.writeable = False
         object.__setattr__(self, "band", band)
 
@@ -262,24 +260,23 @@ class DiscreteOperator:
         return self.grid.cell_volume
 
     def operator_matrix(self):
-        """A new dense matrix of the operator (eigenvalues of H), divided by
-        the mass in place."""
-        H = self.form_matrix.toarray()
-        H /= self.mass
-        return H
+        """A new dense matrix of the operator H."""
+        return self.matrix.toarray()
 
     def symmetry_defect(self):
-        F = self.form_matrix
-        scale = max(1.0, float(abs(F).max()))
-        return float(abs(F - F.T).max()) / scale
+        H = self.matrix
+        scale = max(1.0, float(abs(H).max()))
+        return float(abs(H - H.T).max()) / scale
 
 
 def assemble(spec, grid, potential=None):
-    """Assemble the symmetric form matrix of the operator on the grid.
+    """Assemble the operator H on the grid: the symmetric form matrix divided
+    by the mass ``h^n`` once.
 
-    ``potential`` is a field, an expression string, a constant or an array of
-    node samples; it enters as ``diag(V) h^n``.  Lower-order derivative
-    coefficients are not supported (the principal part carries the analysis).
+    ``potential`` is ``None`` or an array of node samples, as
+    :func:`heatlab.kato.sample_potential` returns; it enters the form as
+    ``diag(V) h^n``.  Lower-order derivative coefficients are not supported
+    (the principal part carries the analysis).
     """
     if spec.n != grid.n:
         raise ValueError("symbol and grid dimension mismatch")
@@ -306,15 +303,10 @@ def assemble(spec, grid, potential=None):
         piece = (fa.T @ sp.diags(samples[key]) @ fb) * vol
         form = piece if form is None else form + piece
 
-    vvals = None
     if potential is not None:
-        if isinstance(potential, np.ndarray):
-            vvals = np.asarray(potential, dtype=float)
-            if vvals.shape != (grid.node_count,):
-                raise ValueError("potential sample array must match the grid")
-        else:
-            fld = as_field(potential, grid.n)
-            vvals = fld.at_many(grid.node_coordinates())
+        vvals = np.asarray(potential, dtype=float)
+        if vvals.shape != (grid.node_count,):
+            raise ValueError("potential sample array must match the grid")
         if not np.all(np.isfinite(vvals)):
             raise ValueError("non-finite potential sample")
         if np.max(np.abs(vvals)) > POTENTIAL_WARN_THRESHOLD:
@@ -326,13 +318,8 @@ def assemble(spec, grid, potential=None):
         form = form + sp.diags(vvals * vol)
 
     form = (0.5 * (form + form.T)).tocsr()
-    return DiscreteOperator(
-        grid=grid,
-        m=spec.m,
-        form_matrix=form,
-        potential=vvals,
-        spec=spec,
-    )
+    form.data /= vol
+    return DiscreteOperator(grid=grid, m=spec.m, matrix=form)
 
 
 def _ellipticity_samples(grid, per_axis=9):

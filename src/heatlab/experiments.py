@@ -311,7 +311,7 @@ def _verdict_pipeline(cfg, label):
 
     op = assemble(spec, grid, potential=vvals)
     spectral = eigendecompose(op, t_min=min(v.t_list))
-    floor, worst, defect = spectral.health(op.form_matrix / op.mass)
+    floor, worst, defect = spectral.health(op.matrix)
     notes.append(f"eigen health: residual floor 8 eps ||H||_max {floor!r}, worst residual "
                  f"over its bound {worst!r}, weighted orthonormality defect {defect!r}")
 
@@ -328,7 +328,7 @@ def _verdict_pipeline(cfg, label):
     fld = spectral_field(spectral, opcfg.m, v.t_list, all_pairs)
 
     method = v.distance_method
-    M_used = max(v.M_list) if v.M_list else 1.0
+    M_used = max(v.M_list)
     dist = _distance_table(spec, pairs, method, M_used)
     dist[(round(center, 12), round(center, 12))] = 0.0
 

@@ -119,16 +119,15 @@ def eigendecompose(op, t_min=0.0):
     if t_min < 0:
         raise ValueError("t_min must be nonnegative")
     if op.symmetry_defect() > 1e-12:
-        raise ValueError("form matrix is not symmetric")
+        raise ValueError("operator matrix is not symmetric")
     cut = UNDERFLOW_EXPONENT / t_min if t_min > 0 else np.inf
     # no eigenvalue exceeds the largest absolute row sum (Gershgorin)
-    norm_bound = abs(op.form_matrix).sum(axis=1).max() / op.mass
+    norm_bound = abs(op.matrix).sum(axis=1).max()
     if cut < norm_bound:
         low = sla.eig_banded(op.band, lower=True, eigvals_only=True, select="v",
                              select_range=(-np.inf, cut))
         if len(low) <= LANCZOS_MAX_SHARE * op.grid.node_count:
-            w, v = _lanczos_pairs(op.form_matrix / op.mass, low, cut,
-                                  _RESIDUAL_FLOOR_FACTOR * norm_bound)
+            w, v = _lanczos_pairs(op.matrix, low, cut, _RESIDUAL_FLOOR_FACTOR * norm_bound)
             return SpectralData(w, v / np.sqrt(op.mass), op.grid, op.mass, t_min)
     # H is exactly symmetric, so its transpose is H in LAPACK order: eigh makes no copy
     w, v = sla.eigh(op.operator_matrix().T, overwrite_a=True)

@@ -389,6 +389,15 @@ def test_verify_scenario_verdict(tmp_path):
     assert "numpy:" in manifest and "timings:" in manifest
 
 
+def test_verify_with_an_empty_m_list_refused(tmp_path, capsys):
+    # an empty list names no M for the verdict's d_M distances
+    cfg = _write(tmp_path, VERIFY_CFG + "M_list = ,\n")
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    assert "M_list" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "verdict.txt"))
+
+
 def test_bad_config_returns_error_code(tmp_path, capsys):
     cfg = _write(tmp_path, "scenario = kernel\n[operator]\nordre = 2\n")
     rc = main(["kernel", "--config", cfg, "--out", str(tmp_path / "o")])

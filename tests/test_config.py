@@ -127,6 +127,17 @@ def test_value_type_errors():
         config_from_text('[operator]\na = "1\n')
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[kernel]\nt_list = 0.1,,0.2\n", "t_list"),
+    ("[kernel]\nt_list = ,\n", "t_list"),
+    ("[verify]\nM_list = ,\n", "M_list"),
+], ids=["double-comma", "lone-comma", "verify-lone-comma"])
+def test_empty_list_elements_rejected(text, key):
+    # list = scalar { "," scalar }: an empty element is no scalar
+    with pytest.raises(ConfigError, match=f"empty element.*line 2, key '{key}'"):
+        config_from_text(text)
+
+
 def test_domain_length_must_match_dimension():
     with pytest.raises(ConfigError, match="domain"):
         config_from_text("[operator]\nn = 2\ndomain = 0, 1\n")

@@ -18,7 +18,7 @@ from heatlab.discretize import (
     band_lowest,
 )
 from heatlab.heatkernel import eigendecompose
-from heatlab.kato import form_bound, kato_norm_curve
+from heatlab.kato import form_bound, kato_norm_curve, sample_potential
 from heatlab.symbols import SymbolSpec, as_field
 from heatlab.twist import TwistProfile, growth_fit, lower_bound_k, twisted_form
 
@@ -57,7 +57,7 @@ def test_assemble_m1_tridiagonal_oracle():
     op = assemble(SPEC_M1, g)
     expected = (np.diag([2.0, 2.0, 2.0]) + np.diag([-1.0, -1.0], 1)
                 + np.diag([-1.0, -1.0], -1)) / h**2 * h
-    assert np.allclose(op.form_matrix.toarray(), expected, atol=1e-13)
+    assert np.allclose(op.matrix.toarray(), expected / h, atol=1e-13)
     assert op.symmetry_defect() == 0.0
 
 
@@ -77,29 +77,27 @@ def test_assemble_variable_coefficient_hand_oracle():
     W = np.diag([a(x) for x in g.axis_midpoints(0)])
     hand = D.T @ W @ D * h
     op = assemble(spec, g)
-    assert np.allclose(op.form_matrix.toarray(), hand, atol=1e-13)
+    assert np.allclose(op.matrix.toarray(), hand / h, atol=1e-13)
 
 
 def test_assemble_potential_additivity_exact():
     g = Grid.make((0.0, 1.0), 9)
     h = g.h[0]
     base = assemble(SPEC_M1, g)
-    shifted = assemble(SPEC_M1, g, potential=3.0)
-    assert np.array_equal(shifted.form_matrix.toarray(),
-                          base.form_matrix.toarray() + 3.0 * h * np.eye(9))
+    shifted = assemble(SPEC_M1, g, potential=np.full(9, 3.0))
+    assert np.array_equal(shifted.matrix.toarray(), base.matrix.toarray() + 3.0 * np.eye(9))
     v1 = np.linspace(0, 1, 9)
     v2 = np.linspace(2, -1, 9)
     both = assemble(SPEC_M1, g, potential=v1 + v2)
     first = assemble(SPEC_M1, g, potential=v1)
-    assert np.allclose(both.form_matrix.toarray(), first.form_matrix.toarray() + np.diag(v2) * h,
-                       atol=1e-15)
+    assert np.allclose(both.matrix.toarray(), first.matrix.toarray() + np.diag(v2), atol=1e-15)
 
 
 def test_assemble_m2_biharmonic_row():
     g = Grid.make((0.0, 1.0), 9)
     h = g.h[0]
     op = assemble(SPEC_M2, g)
-    interior = op.form_matrix.toarray()[4] / h
+    interior = op.matrix.toarray()[4]
     assert np.allclose(interior[2:7] * h**4, [1, -4, 6, -4, 1])
 
 
@@ -121,7 +119,7 @@ def test_extreme_eigenvalues_never_densify(monkeypatch):
 
     monkeypatch.setattr(DiscreteOperator, "operator_matrix", refuse)
     g = Grid.make((0.0, 1.0), 60)
-    op = assemble(SPEC_M2, g, potential="10*x^2")
+    op = assemble(SPEC_M2, g, potential=sample_potential("10*x^2", g))
     assert not op.band.flags.writeable
     prof = TwistProfile.from_expression(g, "x", 2)
     rep = growth_fit(op, prof, np.geomspace(2.0, 20.0, 6))
@@ -169,7 +167,7 @@ def _lattice_unit(band):
 def test_band_lowest_is_the_last_shift_that_factors(m):
     g = Grid.make((0.0, 1.0), 300)
     spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
-    op = assemble(spec, g, potential="20*x^2")
+    op = assemble(spec, g, potential=sample_potential("20*x^2", g))
     band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
     lo, q = band_lowest(band), _lattice_unit(band)
     assert (lo / q).is_integer()
@@ -215,7 +213,7 @@ def test_band_lowest_bracket_never_moves_the_value(m):
     # Gershgorin bracket, costs factorizations only
     g = Grid.make((0.0, 1.0), 300)
     spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
-    op = assemble(spec, g, potential="20*x^2")
+    op = assemble(spec, g, potential=sample_potential("20*x^2", g))
     band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
     lo = band_lowest(band)
     w = 1e-3 * abs(lo)
@@ -246,17 +244,23 @@ def test_assemble_mixed_parity_pair_2d():
     assert np.linalg.eigvalsh(op.operator_matrix())[0] > 0.0
 
 
-def _form_sampled_per_pair(spec, grid):
-    """assemble's form matrix with every pair's coefficient sampled anew."""
+def _matrix_sampled_per_pair(spec, grid, potential=None):
+    """assemble's H with every pair's coefficient sampled anew: the form plus
+    ``diag(V h^n)``, symmetrized, its data divided by h^n."""
+    vol = grid.cell_volume
     form = None
     for (a, b), fld in spec.coefficients.items():
         parity_match = all((ka - kb) % 2 == 0 for ka, kb in zip(a, b))
         fa, stag = _pair_factor(grid, a, parity_match)
         fb, _ = _pair_factor(grid, b, parity_match)
         cvals = fld.at_many(_sample_points(grid, stag))
-        piece = (fa.T @ sp.diags(cvals) @ fb) * grid.cell_volume
+        piece = (fa.T @ sp.diags(cvals) @ fb) * vol
         form = piece if form is None else form + piece
-    return (0.5 * (form + form.T)).tocsr()
+    if potential is not None:
+        form = form + sp.diags(potential * vol)
+    form = (0.5 * (form + form.T)).tocsr()
+    form.data /= vol
+    return form
 
 
 VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1), (0, 1)])
@@ -271,9 +275,38 @@ VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1),
 ], ids=["iso", "cross"])
 def test_assemble_samples_shared_fields_once_same_form(spec):
     g = Grid.make([(0, 1), (0, 1)], (20, 20))
-    form = assemble(spec, g).form_matrix
-    ref = _form_sampled_per_pair(spec, g)
-    assert form.shape == ref.shape and (form != ref).nnz == 0
+    H = assemble(spec, g).matrix
+    ref = _matrix_sampled_per_pair(spec, g)
+    assert H.shape == ref.shape and (H != ref).nnz == 0
+
+
+# (symbol, grid, potential expression or None)
+_VIEW_CASES = {
+    "m1-well": (SymbolSpec.isotropic(1, 1, 1.0, domain=[(-8, 8)]), Grid.make((-8.0, 8.0), 800),
+                "-10*exp(-x^2)"),
+    "m2-free": (SymbolSpec.isotropic(2, 1, 1.0, domain=[(-4, 4)]), Grid.make((-4.0, 4.0), 1200),
+                None),
+    "m2-quartic": (SymbolSpec.isotropic(2, 1, 1.0, domain=[(-4, 4)]),
+                   Grid.make((-4.0, 4.0), 800), "x^4"),
+    "m3-var": (SymbolSpec.isotropic(3, 1, "1+0.5*x", domain=[(0, 1)]), Grid.make((0.0, 1.0), 300),
+               "20*x^2"),
+    "2d-var": (VAR_ISO_2D, Grid.make([(0, 1), (0, 1)], (20, 20)), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VIEW_CASES))
+def test_sparse_dense_and_band_views_of_h_agree_bitwise(name):
+    # the Lanczos path and the health figures read op.matrix, a complete
+    # spectrum reads operator_matrix() and the band count reads op.band:
+    # all three are the one H, to the last bit
+    spec, g, pot = _VIEW_CASES[name]
+    v = None if pot is None else sample_potential(pot, g)
+    op = assemble(spec, g, potential=v)
+    assert (op.matrix != _matrix_sampled_per_pair(spec, g, v)).nnz == 0
+    assert np.array_equal(op.matrix.toarray().view(np.int64), op.operator_matrix().view(np.int64))
+    n = op.grid.node_count
+    for k, row in enumerate(op.band):
+        assert np.array_equal(row[: n - k].view(np.int64), op.matrix.diagonal(-k).view(np.int64))
 
 
 def test_assemble_samples_each_field_once_per_point_set(monkeypatch, point_evals):

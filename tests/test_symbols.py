@@ -263,7 +263,8 @@ def test_at_many_equals_at(fld):
 
 def test_assemble_constant_text_equals_float():
     grid = Grid.make((0.0, 1.0), 60)
-    ops = [assemble(SymbolSpec.isotropic(2, 1, a, domain=[(0, 1)]), grid) for a in ("1", 1.0)]
-    assert isinstance(ops[0].spec.isotropic_coefficient, ConstantField)
-    diff = ops[0].form_matrix != ops[1].form_matrix
+    specs = [SymbolSpec.isotropic(2, 1, a, domain=[(0, 1)]) for a in ("1", 1.0)]
+    assert isinstance(specs[0].isotropic_coefficient, ConstantField)
+    ops = [assemble(spec, grid) for spec in specs]
+    diff = ops[0].matrix != ops[1].matrix
     assert diff.nnz == 0

@@ -9,6 +9,7 @@ from conftest import make_line_operator
 from heatlab.config import config_from_text
 from heatlab.discretize import Grid, assemble
 from heatlab.experiments import _perturbed_target, operator_pieces, verify_perturbed_bound
+from heatlab.kato import sample_potential
 from heatlab.symbols import SymbolSpec, sharp_constants
 from heatlab.twist import (
     OverflowGuardError,
@@ -17,6 +18,10 @@ from heatlab.twist import (
     lower_bound_k,
     twisted_form,
 )
+
+
+# the symbol of make_line_operator(1, bounds=(0.0, 1.0))
+UNIT_M1_SPEC = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0.0, 1.0)])
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +39,8 @@ def unit_m2():
 def test_profile_derivatives_and_feasibility(unit_m1):
     op, prof = unit_m1
     assert np.allclose(prof.derivatives[1], 1.0, atol=1e-10)
-    assert prof.feasible_symbol(op.spec, 1.0)
-    assert not TwistProfile.from_expression(op.grid, "1.01*x", 1).feasible_symbol(op.spec, 1.0)
+    assert prof.feasible_symbol(UNIT_M1_SPEC, 1.0)
+    assert not TwistProfile.from_expression(op.grid, "1.01*x", 1).feasible_symbol(UNIT_M1_SPEC, 1.0)
 
 
 def test_zero_twist_returns_operator(unit_m1):
@@ -72,15 +77,20 @@ def test_growth_fit_m1_exact_identity(unit_m1):
     assert lower_bound_k(op, prof, 0.0) == pytest.approx(-np.pi**2, abs=0.01)
 
 
+SWEEP_POTENTIAL = "20*x^2"
+
+
 def _sweep_pieces():
     g = Grid.make((0.0, 1.0), 300)
     spec = SymbolSpec.isotropic(2, 1, "1+0.5*x", domain=[(0, 1)])
-    free, with_v = assemble(spec, g), assemble(spec, g, potential="20*x^2")
+    v = sample_potential(SWEEP_POTENTIAL, g)
+    free, with_v = assemble(spec, g), assemble(spec, g, potential=v)
     return free, with_v, TwistProfile.from_expression(g, "x", 2), np.geomspace(3.0, 30.0, 12)
 
 
 def _weyl(free_k, op_v):
-    return [(k - np.max(op_v.potential), k - np.min(op_v.potential)) for k in free_k]
+    v = sample_potential(SWEEP_POTENTIAL, op_v.grid)
+    return [(k - np.max(v), k - np.min(v)) for k in free_k]
 
 
 def test_bracketed_sweeps_equal_cold_calls():
@@ -145,7 +155,7 @@ def test_nonaffine_feasible_profile_stays_below_one(unit_m1):
     op, _ = unit_m1
     x = op.grid.node_coordinates()[:, 0]
     prof = TwistProfile.from_values(op.grid, np.sin(x), 1)  # |phi'| = cos <= 1
-    assert prof.feasible_symbol(op.spec, 1.0)
+    assert prof.feasible_symbol(UNIT_M1_SPEC, 1.0)
     rep = growth_fit(op, prof, np.geomspace(2.0, 20.0, 40))
     assert rep.kappa <= 1.0 + 0.05
 
