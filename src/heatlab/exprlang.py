@@ -24,6 +24,12 @@ with leading zeros (``007``; ``00.5`` is fine).  Expressions are immutable
 trees; evaluation is pure and deterministic.  Division by zero and domain
 violations (sqrt of a negative, ``0^-1``) raise :class:`EvalError` instead
 of propagating NaN.
+
+:func:`compile_expr` turns a tree, once, into one callable of a point: one
+closure per node, with no walk over the tree per point.  It does the tree's
+operations in the tree's order, with the same ``math`` functions, checks and
+:class:`EvalError` messages, so its values are those of the tree bit for
+bit.  :func:`evaluate` runs through it.
 """
 
 from __future__ import annotations
@@ -173,41 +179,89 @@ def parse(text, n):
 
 def evaluate(e, x):
     """Evaluate an expression tree at the point ``x`` (sequence of floats)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
+    return compile_expr(e, len(x))(x)
+
+
+def compile_expr(e, n):
+    """One callable of a point ``x``, a sequence of n coordinates, that
+    evaluates ``e``: each node a closure over its children's closures and its
+    own constant, so a point is no walk over the tree."""
+
+    def lower(e):
+        if isinstance(e, (Num, Const)):
+            v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+            return lambda x: v
+        if isinstance(e, Var):
+            i = e.index
+            if i < n:
+                return lambda x: float(x[i])
+
+            def outside(x):
+                raise EvalError(f"point has dimension {n}", e)
+            return outside
+        if isinstance(e, Neg):
+            f = lower(e.arg)
+            return lambda x: -f(x)
+        if isinstance(e, BinOp):
+            f, g = lower(e.left), lower(e.right)
+            if e.op == "+":
+                return lambda x: f(x) + g(x)
+            if e.op == "-":
+                return lambda x: f(x) - g(x)
+            if e.op == "*":
+                return lambda x: f(x) * g(x)
+            if e.op == "/":
+                def divide(x):
+                    a = f(x)
+                    b = g(x)
+                    if b == 0.0:
+                        raise EvalError("division by zero", e)
+                    return a / b
+                return divide
+            return lambda x: _power(f(x), g(x), e)
+        if isinstance(e, Call):
+            fs = [lower(a) for a in e.args]
+            if e.name == "pow":
+                f, g = fs
+                return lambda x: _power(f(x), g(x), e)
+            fn = FUNCTIONS[e.name][1]
+            if len(fs) == 2:
+                f, g = fs
+
+                def call2(x):
+                    a = f(x)
+                    b = g(x)
+                    try:
+                        return float(fn(a, b))
+                    except (ValueError, OverflowError) as exc:
+                        raise EvalError(str(exc), e) from exc
+                return call2
+            f, = fs
+            sqrt = e.name == "sqrt"
+
+            def call1(x):
+                a = f(x)
+                if sqrt and a < 0.0:
+                    raise EvalError("sqrt of a negative number", e)
+                try:
+                    return float(fn(a))
+                except (ValueError, OverflowError) as exc:
+                    raise EvalError(str(exc), e) from exc
+            return call1
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return lower(e)
+
+
+def reads_coordinates(e):
+    """Whether the value of ``e`` depends on the point."""
     if isinstance(e, Var):
-        if e.index >= len(x):
-            raise EvalError(f"point has dimension {len(x)}", e)
-        return float(x[e.index])
+        return True
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
+        return reads_coordinates(e.arg)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, x)
-        b = evaluate(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", e)
-            return a / b
-        return _power(a, b, e)
-    if isinstance(e, Call):
-        args = [evaluate(a, x) for a in e.args]
-        if e.name == "pow":
-            return _power(args[0], args[1], e)
-        if e.name == "sqrt" and args[0] < 0.0:
-            raise EvalError("sqrt of a negative number", e)
-        try:
-            return float(FUNCTIONS[e.name][1](*args))
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), e) from exc
-    raise TypeError(f"not an expression node: {e!r}")
+        return reads_coordinates(e.left) or reads_coordinates(e.right)
+    return isinstance(e, Call) and any(map(reads_coordinates, e.args))
 
 
 def _power(a, b, node):

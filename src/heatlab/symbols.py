@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,10 +76,11 @@ class CoefficientField:
     """Scalar field over the domain, evaluable at arbitrary points."""
 
     def at(self, x):
+        """Value at the point ``x``, a sequence of n coordinates."""
         raise NotImplementedError
 
     def at_many(self, points):
-        return np.array([self.at(p) for p in np.atleast_2d(points)])
+        return np.array([self.at(p) for p in np.atleast_2d(points).tolist()])
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,31 @@ class ConstantField(CoefficientField):
 
 @dataclass(frozen=True)
 class ExprField(CoefficientField):
+    """An expression in x1..xn, compiled at its first point; the compiled
+    callable is cached on the instance, outside ``==`` and ``hash``."""
+
     expr: object
     n: int
 
+    @cached_property
+    def _point(self):
+        return exprlang.compile_expr(self.expr, self.n)
+
     def at(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if len(x) != self.n:
+            raise ValueError(f"point x={_shown(x)} has {len(x)} coordinates; "
+                             f"the coefficient takes {self.n}")
         try:
-            v = exprlang.evaluate(self.expr, x)
+            v = self._point(x)
         except exprlang.EvalError as exc:
-            raise ValueError(f"coefficient evaluation failed at x={x}: {exc}") from exc
+            raise ValueError(f"coefficient evaluation failed at x={_shown(x)}: {exc}") from exc
         if not math.isfinite(v):
-            raise ValueError(f"coefficient evaluated to {v} at x={x}")
+            raise ValueError(f"coefficient evaluated to {v} at x={_shown(x)}")
         return v
+
+
+def _shown(x):
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def as_field(value, n):
@@ -114,10 +128,16 @@ def as_field(value, n):
         return value
     if isinstance(value, str):
         expr = exprlang.parse(value, n)
-        if isinstance(expr, (exprlang.Num, exprlang.Const)):
-            # a lone constant: at_many is one np.full, not a tree walk per point
-            return ConstantField(exprlang.evaluate(expr, ()))
-        return ExprField(expr, n)
+        if exprlang.reads_coordinates(expr):
+            return ExprField(expr, n)
+        # "2*pi" is one value: at_many is one np.full, and the oracle sees a constant
+        try:
+            v = exprlang.evaluate(expr, ())
+        except exprlang.EvalError as exc:
+            raise ValueError(f"coefficient evaluation failed: {exc}") from exc
+        if not math.isfinite(v):
+            raise ValueError(f"coefficient evaluated to {v}")
+        return ConstantField(v)
     return ConstantField(float(value))
 
 

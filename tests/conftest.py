@@ -69,6 +69,49 @@ def point_evals(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reference tree walk: the oracle for the compiled expressions
+# ---------------------------------------------------------------------------
+
+def walk_evaluate(e, x):
+    """Evaluate ``e`` at ``x`` by recursion over the tree, node by node."""
+    if isinstance(e, el.Num):
+        return e.value
+    if isinstance(e, el.Const):
+        return el.CONSTANTS[e.name]
+    if isinstance(e, el.Var):
+        if e.index >= len(x):
+            raise el.EvalError(f"point has dimension {len(x)}", e)
+        return float(x[e.index])
+    if isinstance(e, el.Neg):
+        return -walk_evaluate(e.arg, x)
+    if isinstance(e, el.BinOp):
+        a = walk_evaluate(e.left, x)
+        b = walk_evaluate(e.right, x)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0.0:
+                raise el.EvalError("division by zero", e)
+            return a / b
+        return el._power(a, b, e)
+    if isinstance(e, el.Call):
+        args = [walk_evaluate(a, x) for a in e.args]
+        if e.name == "pow":
+            return el._power(args[0], args[1], e)
+        if e.name == "sqrt" and args[0] < 0.0:
+            raise el.EvalError("sqrt of a negative number", e)
+        try:
+            return float(el.FUNCTIONS[e.name][1](*args))
+        except (ValueError, OverflowError) as exc:
+            raise el.EvalError(str(exc), e) from exc
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
 # random expression corpora (seeded, exact counts)
 # ---------------------------------------------------------------------------
 

@@ -179,6 +179,23 @@ def test_kernel_oracle_takes_the_operators_coefficient(tmp_path):
         assert float(K) == fourier_oracle(1, 2.0, float(t), abs(float(y) - float(x)))
 
 
+def test_kernel_oracle_takes_a_variable_free_expression(tmp_path):
+    # "2*2" is a constant operator.a, as "4" is
+    csv = []
+    for a in ("4", "2*2"):
+        cfg = _write(tmp_path, KERNEL_CFG.replace('a = "1"', f'a = "{a}"'))
+        out = tmp_path / a.replace("*", "x")
+        assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+        csv.append((out / "kernel.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
+def test_kernel_with_a_failing_constant_coefficient_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, KERNEL_CFG.replace('a = "1"', 'a = "1/(2-2)"'))
+    assert main(["kernel", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "division by zero in subexpression '1.0/(2.0-2.0)'" in capsys.readouterr().err
+
+
 def test_kernel_oracle_on_a_variable_coefficient_refused(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("operator assembled")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import random_precedence_text, random_tree, shunting_yard
+from conftest import random_precedence_text, random_tree, shunting_yard, walk_evaluate
 from heatlab import exprlang as el
 
 
@@ -91,6 +91,35 @@ def test_roundtrip_corpus_1000():
     for _ in range(1000):
         tree = random_tree(rng, depth=6, n=2)
         assert el.parse(el.pretty(tree), 2) == tree
+
+
+def _outcome(evaluate, tree, x):
+    """``repr`` of the value (so -0.0 is not 0.0), or the EvalError message."""
+    try:
+        return repr(evaluate(tree, x))
+    except el.EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+def test_compiled_equals_tree_walk_corpus_1000():
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        tree = random_tree(rng, depth=6, n=2)
+        for x in rng.uniform(-3.0, 3.0, (3, 2)).tolist():
+            assert _outcome(el.evaluate, tree, x) == _outcome(walk_evaluate, tree, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(3), st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_compiled_equals_tree_walk_hypothesis(tree, x):
+    assert _outcome(el.evaluate, tree, x) == _outcome(walk_evaluate, tree, x)
+
+
+def test_compiled_point_outside_dimension():
+    tree = el.parse("1/x1 + x2", 2)
+    for x in ([0.0], [2.0]):
+        assert _outcome(el.evaluate, tree, x) == _outcome(walk_evaluate, tree, x)
+    assert "point has dimension 1" in _outcome(el.evaluate, tree, [2.0])
 
 
 def test_precedence_oracle_500():

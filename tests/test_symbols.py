@@ -239,7 +239,7 @@ def test_symmetric_pair_closure_and_validation():
         SymbolSpec(0, 1, {}, None)
 
 
-@pytest.mark.parametrize("text", ["1", "2.5", "pi"])
+@pytest.mark.parametrize("text", ["1", "2.5", "pi", "2*2", "2*pi", "sqrt(2)", "-exp(0)"])
 def test_as_field_folds_lone_constants(text):
     fld = as_field(text, 2)
     assert isinstance(fld, ConstantField)
@@ -247,9 +247,43 @@ def test_as_field_folds_lone_constants(text):
     assert np.array_equal(fld.at_many(np.zeros((3, 2))), np.full(3, fld.value))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/(2-2)", "division by zero in subexpression '1.0/(2.0-2.0)'"),
+    ("sqrt(-1)", "sqrt of a negative number in subexpression 'sqrt(-1.0)'"),
+    ("1e308*10", "coefficient evaluated to inf"),
+])
+def test_as_field_refuses_a_failing_constant(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_field(text, 1)
+
+
 @pytest.mark.parametrize("text", ["x", "1+0*x"])
 def test_as_field_keeps_expressions(text):
     assert isinstance(as_field(text, 1), ExprField)
+
+
+def test_expr_field_refuses_a_point_of_another_dimension():
+    fld = as_field("1+x", 1)
+    with pytest.raises(ValueError, match=re.escape(f"x={np.array([0.5, 100.0])}")):
+        fld.at([0.5, 100.0])
+    with pytest.raises(ValueError, match="coordinates"):
+        fld.at_many(np.zeros((3, 2)))
+
+
+def test_expr_field_compiles_once(monkeypatch, point_evals):
+    compiles = []
+    compile_expr = exprlang.compile_expr
+
+    def counting(e, n):
+        compiles.append(e)
+        return compile_expr(e, n)
+
+    monkeypatch.setattr(exprlang, "compile_expr", counting)
+    fld = as_field("1+0.1*sin(2*pi*x)", 1)
+    pts = np.linspace(0.0, 1.0, 401)[:, None]
+    vals = fld.at_many(pts)
+    assert len(compiles) == 1 and point_evals["at"] == 401
+    assert np.array_equal(fld.at_many(pts), vals) and len(compiles) == 1
 
 
 @pytest.mark.parametrize("fld", [
