@@ -95,7 +95,6 @@ def _dispatch(args):
     try:
         return runner(cfg, outdir, manifest)
     except Exception as exc:
-        manifest.stop()
         manifest.echo("error", exc)
         raise
     finally:
@@ -121,21 +120,18 @@ def run_kernel(cfg, outdir, manifest):
     a = spec.isotropic_coefficient
     if k.oracle and not isinstance(a, ConstantField):
         raise ConfigError("the Fourier oracle needs a constant operator.a", key="kernel.oracle")
-    manifest.start("assemble")
-    op = assemble(spec, grid, potential=vvals)
-    manifest.stop()
-    manifest.start("eigendecompose")
-    spectral = eigendecompose(op, t_min=min(k.t_list))
-    manifest.stop()
-    manifest.start("kernel sweep")
-    fld = spectral_field(spectral, op.m, k.t_list, list(zip(k.x_list, k.y_list)))
-    rows = [(t, x, y, v, fld.method) for t, x, y, v in fld.rows()]
-    if k.oracle:
-        for t in k.t_list:
-            for x, y in zip(k.x_list, k.y_list):
-                rows.append((t, x, y, fourier_oracle(op.m, a.value, t, abs(y - x)),
-                             "fourier-oracle"))
-    manifest.stop()
+    with manifest.stage("assemble"):
+        op = assemble(spec, grid, potential=vvals)
+    with manifest.stage("eigendecompose"):
+        spectral = eigendecompose(op, t_min=min(k.t_list))
+    with manifest.stage("kernel sweep"):
+        rows = [(t, x, y, v, "spectral") for t, x, y, v in
+                spectral_field(spectral, k.t_list, list(zip(k.x_list, k.y_list)))]
+        if k.oracle:
+            for t in k.t_list:
+                for x, y in zip(k.x_list, k.y_list):
+                    rows.append((t, x, y, fourier_oracle(op.m, a.value, t, abs(y - x)),
+                                 "fourier-oracle"))
     write_csv(os.path.join(outdir, "kernel.csv"), ("t", "x", "y", "K", "method"), rows)
     return 0
 
@@ -143,20 +139,20 @@ def run_kernel(cfg, outdir, manifest):
 def run_distance(cfg, outdir, manifest):
     spec, grid, _ = operator_pieces(cfg.operator, with_potential=False)
     d = cfg.distance
-    manifest.start(f"distance {d.method}")
     if d.method == "lattice":
-        bounds = spec.domain.bounds
-        source = [0.5 * (lo + hi) for lo, hi in bounds] if d.source is None else d.source
-        if spec.n == 2 and (len(source) != 2 or any(
-                not lo <= s <= hi for s, (lo, hi) in zip(source, bounds))):
-            raise ConfigError(f"source must be a point of the domain {bounds}",
-                              key="distance.source")
-        fldist = distance_lattice_2d(spec, source, npts=d.lattice_n)
-        manifest.stop()
-        manifest.start("write csv")
-        write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
-                  grid_rows(fldist.axes, fldist.values))
-    else:
+        with manifest.stage("distance lattice"):
+            bounds = spec.domain.bounds
+            source = spec.domain.center() if d.source is None else d.source
+            if spec.n == 2 and (len(source) != 2 or any(
+                    not lo <= s <= hi for s, (lo, hi) in zip(source, bounds))):
+                raise ConfigError(f"source must be a point of the domain {bounds}",
+                                  key="distance.source")
+            fldist = distance_lattice_2d(spec, source, npts=d.lattice_n)
+        with manifest.stage("write csv"):
+            write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
+                      grid_rows(fldist.axes, fldist.values))
+        return 0
+    with manifest.stage(f"distance {d.method}"):
         rows = []
         for y1, y2 in zip(d.y1_list, d.y2_list):
             if d.method == "exact1d":
@@ -168,7 +164,6 @@ def run_distance(cfg, outdir, manifest):
                 val = res.value
             rows.append((y1, y2, val))
         write_csv(os.path.join(outdir, "distance.csv"), ("x", "y", "d"), rows)
-    manifest.stop()
     return 0
 
 
@@ -181,31 +176,27 @@ def run_kato(cfg, outdir, manifest):
         vminus = np.maximum(-vvals, 0.0)
     else:
         raise ValueError("kato scenario needs kato.vminus or operator.potential")
-    manifest.start("assemble")
-    op0 = assemble(spec, grid)
-    manifest.stop()
+    with manifest.stage("assemble"):
+        op0 = assemble(spec, grid)
 
-    manifest.start("form bounds")
-    fb = form_bound_report(op0, vminus, kc.eps_list)
-    manifest.stop()
+    with manifest.stage("form bounds"):
+        fb = form_bound_report(op0, vminus, kc.eps_list)
     write_csv(os.path.join(outdir, "form_bounds.csv"), ("eps", "c_eps"),
               list(zip(fb.epsilons, fb.c_eps)))
 
-    manifest.start("resolvent curve")
-    curve = kato_norm_curve(op0, vminus, kc.lambdas)
-    manifest.stop()
+    with manifest.stage("resolvent curve"):
+        curve = kato_norm_curve(op0, vminus, kc.lambdas)
     write_csv(os.path.join(outdir, "kato_curve.csv"),
               ("lambda", "kato_norm", "weighted_l2_norm"),
               zip(curve.lambdas, curve.norms, curve.weighted))
 
-    manifest.start("miyadera")
-    spectral = eigendecompose(op0)
-    u = np.zeros(grid.node_count)
-    u[grid.nearest_node(spec.domain.center())] = 1.0 / op0.mass
-    panels = {}  # both deltas integrate the same spectrum, V_- and u
-    ratios = [(d, miyadera_ratio(spectral, vminus, d, u, panels))
-              for d in (kc.delta, kc.delta / 2)]
-    manifest.stop()
+    with manifest.stage("miyadera"):
+        spectral = eigendecompose(op0)
+        u = np.zeros(grid.node_count)
+        u[grid.nearest_node(spec.domain.center())] = 1.0 / op0.mass
+        panels = {}  # both deltas integrate the same spectrum, V_- and u
+        ratios = [(d, miyadera_ratio(spectral, vminus, d, u, panels))
+                  for d in (kc.delta, kc.delta / 2)]
     write_csv(os.path.join(outdir, "miyadera.csv"), ("delta", "ratio"), ratios)
     return 0
 
@@ -214,15 +205,13 @@ def run_twist(cfg, outdir, manifest):
     tc = cfg.twist
     lambdas = np.geomspace(tc.lambda_min, tc.lambda_max, tc.lambda_count)
     spec, grid, vvals = operator_pieces(cfg.operator)
-    manifest.start("assemble")
-    op0 = assemble(spec, grid)
-    manifest.stop()
+    with manifest.stage("assemble"):
+        op0 = assemble(spec, grid)
     profile = TwistProfile.from_expression(grid, tc.phi, spec.m)
     if not profile.feasible_symbol(spec, tc.M):
         raise ValueError("twist profile is infeasible for the symbol class at this M")
-    manifest.start("sweep")
-    rep = growth_fit(op0, profile, lambdas)
-    manifest.stop()
+    with manifest.stage("sweep"):
+        rep = growth_fit(op0, profile, lambdas)
     rows = [(lam, k, fit) for lam, k, fit in zip(rep.lambdas, rep.k_values, rep.model(rep.lambdas))]
     write_csv(os.path.join(outdir, "twist.csv"), ("lambda", "k", "model_fit"), rows)
     verdict = "PASS" if rep.reliable and rep.kappa <= 1.1 * rep.k_m + 1e-6 else "FAIL"
@@ -248,12 +237,11 @@ def run_twist(cfg, outdir, manifest):
 
 
 def run_verify(cfg, outdir, manifest):
-    manifest.start("pipeline")
-    if cfg.verify.target == "perturbed":
-        verdict = verify_perturbed_bound(cfg)
-    else:
-        verdict = verify_sharp_bound(cfg)
-    manifest.stop()
+    with manifest.stage("pipeline"):
+        if cfg.verify.target == "perturbed":
+            verdict = verify_perturbed_bound(cfg)
+        else:
+            verdict = verify_sharp_bound(cfg)
     write_text(os.path.join(outdir, "verdict.txt"), verdict.render())
     write_csv(os.path.join(outdir, "verify_samples.csv"),
               ("t", "x", "y", "K", "d", "u", "bound"), verdict.samples)

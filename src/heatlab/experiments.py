@@ -7,14 +7,20 @@ only samples on the monotone envelope (running max of |K| in decreasing-d
 order at fixed t) enter the regression, so the zeros of the kernel do not
 poison the logs.
 
-A verdict document packages the fitted constants, the dominating prefactor
-(computed as the fixed point of ``G = max_s |K_s| t_s^(n/2m)
-exp((sigma-eps) u_s - G t_s)``), and the worst-case sample, so the claimed
-inequality can be re-checked from the emitted numbers alone.
+A verdict samples the kernel once, as one table of rows ``(t, x, y, K, d,
+u)`` with each pair's distance next to it, and the fit, the prefactor and
+the bound all read that table.  It packages the fitted constants, the
+dominating prefactor ``gamma`` and the worst-case sample, so the claimed
+inequality can be re-checked from the emitted numbers alone.  ``gamma`` is
+the least prefactor, not below the fit's, with which the bound dominates
+every sample, in closed form: ``max_s W0(c_s t_s) / t_s`` with ``c_s = |K_s|
+t_s^(n/2m) exp((sigma-eps) u_s)`` and ``W0`` the principal branch of
+Lambert's W.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,10 +42,6 @@ class FitReport:
     sigma_eff: float
     intercept: float
     residual: float        # max |y - fit| / (regression range of y)
-    t_window: tuple
-    distance_method: str
-    sigma_target: float
-    eps_eff: float         # sigma_target - sigma_eff
     n_samples: int
     verdict_ok: bool       # residual within 10% of the regression range
 
@@ -48,24 +50,19 @@ class FitReport:
         return math.exp(self.intercept)
 
 
-def fit_gaussian_exponent(field, distances, m, n, t_window, distance_method="given"):
-    """OLS fit of the Gaussian exponent over a sampled kernel field.
+def _gaussian_variable(t, d, m):
+    """``u = d^(2m/(2m-1)) t^(-1/(2m-1))``, in which the Gaussian exponent is linear."""
+    return d ** (2 * m / (2 * m - 1)) * t ** -(1.0 / (2 * m - 1))
 
-    ``distances`` maps a (x, y) pair to d(x, y); pass a dict keyed by
-    rounded pairs or a callable.  Requires at least 8 distinct distances and
-    3 times inside the window, and drops samples below the underflow floor.
+
+def fit_gaussian_exponent(samples, m, n, t_window):
+    """OLS fit of the Gaussian exponent over kernel samples, rows ``(t, d, K)``.
+
+    Requires at least 8 distinct distances and 3 times inside the window,
+    and drops samples at d = 0 or below the underflow floor.
     """
-    lookup = distances if callable(distances) else _dict_lookup(distances)
-    pairs = []
-    for t, x, y, v in field.rows():
-        if not (t_window[0] <= t <= t_window[1]):
-            continue
-        if abs(v) <= UNDERFLOW_FLOOR:
-            continue
-        d = lookup(x, y)
-        if d is None or d <= 0.0:
-            continue
-        pairs.append((t, d, v))
+    pairs = [(t, d, v) for t, d, v in samples
+             if t_window[0] <= t <= t_window[1] and abs(v) > UNDERFLOW_FLOOR and d > 0.0]
     ts = sorted({p[0] for p in pairs})
     dvals = sorted({p[1] for p in pairs})
     if len(dvals) < 8 or len(ts) < 3:
@@ -74,9 +71,7 @@ def fit_gaussian_exponent(field, distances, m, n, t_window, distance_method="giv
         )
     if m >= 2:
         pairs = _monotone_envelope(pairs)
-    ex_d = 2 * m / (2 * m - 1)
-    ex_t = 1.0 / (2 * m - 1)
-    u = np.array([d**ex_d * t**-ex_t for t, d, v in pairs])
+    u = np.array([_gaussian_variable(t, d, m) for t, d, v in pairs])
     yv = np.array([math.log(abs(v)) + (n / (2 * m)) * math.log(t) for t, d, v in pairs])
     if m >= 2:
         u, yv = _trim_troughs(u, yv)
@@ -84,29 +79,13 @@ def fit_gaussian_exponent(field, distances, m, n, t_window, distance_method="giv
     coef, *_ = np.linalg.lstsq(A, yv, rcond=None)
     resid = float(np.max(np.abs(yv - A @ coef)))
     yrange = float(np.max(yv) - np.min(yv)) or 1.0
-    sigma_eff = -float(coef[0])
-    sigma_target = sharp_constants(m).sigma_m
     return FitReport(
-        sigma_eff=sigma_eff,
+        sigma_eff=-float(coef[0]),
         intercept=float(coef[1]),
         residual=resid / yrange,
-        t_window=tuple(t_window),
-        distance_method=distance_method,
-        sigma_target=sigma_target,
-        eps_eff=sigma_target - sigma_eff,
         n_samples=len(pairs),
         verdict_ok=resid / yrange <= 0.10,
     )
-
-
-def _dict_lookup(dct):
-    def look(x, y):
-        key = (round(x, 12), round(y, 12))
-        if key in dct:
-            return dct[key]
-        return dct.get((key[1], key[0]))
-
-    return look
 
 
 def _monotone_envelope(pairs):
@@ -193,46 +172,28 @@ def operator_pieces(opcfg, with_potential=True):
     return spec, grid, vvals
 
 
-def _center_pairs(domain, pair_min, pair_max, count):
-    (lo, hi), = domain
-    c = 0.5 * (lo + hi)
-    seps = np.linspace(pair_min, pair_max, count)
-    return [(c - 0.5 * s, c + 0.5 * s) for s in seps]
-
-
-def _distance_table(spec, pairs, method, M):
-    table = {}
-    for x, y in pairs:
-        if method == "euclidean":
-            d = abs(y - x)
-        elif method == "exact":
-            d = distance_1d(spec, x, y)
-        else:
-            r = distance_dm_1d(spec, M, x, y)
-            if not r.converged:
-                raise RuntimeError(f"capped-distance solver failed for pair {(x, y)}")
-            d = abs(r.value)
-        table[(round(x, 12), round(y, 12))] = d
-    return table
+def _pair_distance(spec, x, y, method, M):
+    if method == "euclidean":
+        return abs(y - x)
+    if method == "exact":
+        return distance_1d(spec, x, y)
+    r = distance_dm_1d(spec, M, x, y)
+    if not r.converged:
+        raise RuntimeError(f"capped-distance solver failed for pair {(x, y)}")
+    return abs(r.value)
 
 
 def _dominating_prefactor(samples, sigma, n, m, floor):
-    """Fixed point of G = max_s |K_s| t_s^(n/2m) exp(sigma u_s - G t_s)."""
+    """The least G >= floor with |K_s| <= G t_s^(-n/2m) exp(-sigma u_s + G t_s)
+    at every sample.  Sample s asks G exp(G t_s) >= c_s = |K_s| t_s^(n/2m)
+    exp(sigma u_s), that is G t_s >= W0(c_s t_s), so the least G is the
+    largest of these roots, or the floor."""
+    from scipy.special import lambertw  # not at import: it slows every CLI start
 
-    def g(G):
-        return max(
-            abs(K) * t ** (n / (2 * m)) * math.exp(sigma * u - G * t)
-            for t, x, y, K, d, u in samples
-        )
-
-    G = max(floor, g(floor))
-    for _ in range(200):
-        G_new = max(floor, 0.5 * (G + g(G)))
-        if abs(G_new - G) <= 1e-12 * max(1.0, G):
-            G = G_new
-            break
-        G = G_new
-    return G
+    c_t = np.array([abs(K) * t ** (n / (2 * m)) * math.exp(sigma * u) * t
+                    for t, x, y, K, d, u in samples])
+    ts = np.array([s[0] for s in samples])
+    return max(floor, float(np.max(lambertw(c_t).real / ts)))
 
 
 def verify_sharp_bound(cfg: RunConfig):
@@ -316,36 +277,23 @@ def _verdict_pipeline(cfg, label):
                  f"over its bound {worst!r}, weighted orthonormality defect {defect!r}")
 
     nodes = grid.axis_nodes(0)
-    raw_pairs = _center_pairs(opcfg.domain, v.pair_min, v.pair_max, v.pair_count)
-    pairs = sorted(
-        {
-            (float(nodes[grid.nearest_node([x])]), float(nodes[grid.nearest_node([y])]))
-            for x, y in raw_pairs
-        }
-    )
-    center = float(nodes[grid.nearest_node([0.5 * (opcfg.domain[0][0] + opcfg.domain[0][1])])])
-    all_pairs = [(center, center)] + pairs
-    fld = spectral_field(spectral, opcfg.m, v.t_list, all_pairs)
-
-    method = v.distance_method
-    M_used = max(v.M_list)
-    dist = _distance_table(spec, pairs, method, M_used)
-    dist[(round(center, 12), round(center, 12))] = 0.0
-
-    fit = fit_gaussian_exponent(
-        fld, dist, opcfg.m, 1, (min(v.t_list), max(v.t_list)),
-        distance_method=f"{method}(M={M_used})" if method == "dM" else method,
-    )
-    eps = max(0.0, sigma_target - fit.sigma_eff)
-
-    look = _dict_lookup(dist)
     m, n = opcfg.m, 1
-    ex_d, ex_t = 2 * m / (2 * m - 1), 1.0 / (2 * m - 1)
-    samples = []
-    for t, x, y, K in fld.rows():
-        d = look(x, y)
-        u = d**ex_d * t**-ex_t if d > 0 else 0.0
-        samples.append((t, x, y, K, d, u))
+    center = spec.domain.center()
+    center_node = float(nodes[grid.nearest_node(center)])
+    pairs = sorted({(float(nodes[grid.nearest_node(center - 0.5 * s)]),
+                     float(nodes[grid.nearest_node(center + 0.5 * s)]))
+                    for s in np.linspace(v.pair_min, v.pair_max, v.pair_count)})
+    M_used = max(v.M_list)
+    distances = [0.0] + [_pair_distance(spec, x, y, v.distance_method, M_used)
+                         for x, y in pairs]
+    # spectral_field gives every pair once per time, in the order given
+    samples = [(t, x, y, K, d, _gaussian_variable(t, d, m)) for (t, x, y, K), d in zip(
+        spectral_field(spectral, v.t_list, [(center_node, center_node)] + pairs),
+        itertools.cycle(distances))]
+
+    fit = fit_gaussian_exponent([(t, d, K) for t, x, y, K, d, u in samples], m, n,
+                                (min(v.t_list), max(v.t_list)))
+    eps = max(0.0, sigma_target - fit.sigma_eff)
     gamma = _dominating_prefactor(samples, sigma_target - eps, n, m, floor=fit.prefactor)
 
     rows, worst = [], None

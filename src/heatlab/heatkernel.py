@@ -31,7 +31,7 @@ when more than the share ``LANCZOS_MAX_SHARE`` of the modes lies below it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -188,52 +188,23 @@ def semigroup_check(spectral, t, s):
     return float(np.max(np.abs(spectral.mass * (Kt @ Ks) - Kts)))
 
 
-@dataclass
-class HeatKernelField:
-    """Sampled kernel values and the method that gave them; rows are (t, x, y, K)."""
-
-    m: int
-    n: int
-    method: str  # "spectral" or "fourier-oracle"
-    ts: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
-    ys: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-
-    def add(self, t, x, y, value):
-        self.ts.append(float(t))
-        self.xs.append(float(x))
-        self.ys.append(float(y))
-        self.values.append(float(value))
-
-    def rows(self):
-        return zip(self.ts, self.xs, self.ys, self.values)
-
-    def __len__(self):
-        return len(self.ts)
-
-
-def spectral_field(spectral, m, t_list, pairs):
-    """Sample K over times and 1D (x, y) pairs snapped to nearest grid nodes."""
+def spectral_field(spectral, t_list, pairs):
+    """Rows ``(t, x, y, K)`` of K over times and 1D (x, y) pairs snapped to
+    nearest grid nodes: times outer, pairs inner, in the order given."""
     if spectral.grid.n != 1:
         raise ValueError("kernel fields are tabulated for 1D grids only")
-    fld = HeatKernelField(m=m, n=1, method="spectral")
     idx_pairs = [
         (spectral.grid.nearest_node(x), spectral.grid.nearest_node(y)) for x, y in pairs
     ]
-    coords = spectral.grid.node_coordinates()[:, 0]
-    for t in t_list:
-        for i, j in idx_pairs:
-            fld.add(t, coords[i], coords[j], kernel(spectral, t, i, j))
-    return fld
+    coords = spectral.grid.node_coordinates()[:, 0].tolist()
+    return [(float(t), coords[i], coords[j], kernel(spectral, t, i, j))
+            for t in t_list for i, j in idx_pairs]
 
 
 def oracle_field(m, a, t_list, r_list):
-    fld = HeatKernelField(m=m, n=1, method="fourier-oracle")
-    for t in t_list:
-        for r in r_list:
-            fld.add(t, 0.0, r, fourier_oracle(m, a, t, r))
-    return fld
+    """Rows ``(t, 0, r, K0(t, 0, r))`` of the Fourier oracle, times outer."""
+    return [(float(t), 0.0, float(r), fourier_oracle(m, a, t, r))
+            for t in t_list for r in r_list]
 
 
 def fourier_oracle(m, a, t, r, abs_tol=1e-10, gauss_order=16):

@@ -33,14 +33,12 @@ TAIL_WEIGHT = 2.0**-63  # Miyadera modes below this share of the first one's wei
 TAIL_REL = 2.0**-53  # ...are dropped from a panel if their bound stays below this share of it
 
 
-def sample_potential(field_or_values, grid, clip=POTENTIAL_WARN_THRESHOLD):
-    """Grid trace of a potential; values above the clip are truncated."""
-    if isinstance(field_or_values, np.ndarray):
-        v = np.asarray(field_or_values, dtype=float).copy()
-    else:
-        from .symbols import as_field
+def sample_potential(potential, grid, clip=POTENTIAL_WARN_THRESHOLD):
+    """Grid trace of a potential, an expression or a field; values above the
+    clip are truncated."""
+    from .symbols import as_field
 
-        v = as_field(field_or_values, grid.n).at_many(grid.node_coordinates())
+    v = as_field(potential, grid.n).at_many(grid.node_coordinates())
     if np.any(np.abs(v) > clip):
         warnings.warn("potential clipped at %.1e on %d nodes"
                       % (clip, int(np.sum(np.abs(v) > clip))), RuntimeWarning)

@@ -12,6 +12,7 @@ pattern, since ``-0.0 == 0.0`` but their ``repr``s differ.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
@@ -90,20 +91,18 @@ class Manifest:
         self.lines.append(f"numpy blas: {_blas_build()}")
         self.lines += [f"{var}: {os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS]
         self._timings = []
-        self._t0 = None
-        self._stage = None
 
     def echo(self, label, value):
         self.lines.append(f"{label}: {value}")
 
-    def start(self, stage):
-        self._stage = stage
-        self._t0 = time.perf_counter()
-
-    def stop(self):
-        if self._stage is not None:
-            self._timings.append((self._stage, time.perf_counter() - self._t0))
-            self._stage = None
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Time the enclosed block as stage ``name``, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._timings.append((name, time.perf_counter() - t0))
 
     def render(self):
         out = list(self.lines)

@@ -26,7 +26,6 @@ from heatlab.discretize import Grid, assemble
 from heatlab.experiments import fit_gaussian_exponent, verify_perturbed_bound, verify_sharp_bound
 from heatlab.finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from heatlab.heatkernel import (
-    HeatKernelField,
     fourier_oracle,
     kernel,
     kernel_matrix,
@@ -75,7 +74,6 @@ def test_criterion_2_classical_sanity(line_m1):
     nodes = grid.node_coordinates()[:, 0]
     i0 = grid.nearest_node([0.0])
     rs = np.linspace(0.0, 2.0, 21)
-    fld = HeatKernelField(m=1, n=1, method="spectral")
     for t in (0.05, 0.1, 0.5):
         profile, exact = [], []
         for r in rs:
@@ -85,7 +83,6 @@ def test_criterion_2_classical_sanity(line_m1):
             K_ex = (4 * np.pi * t) ** -0.5 * math.exp(-(d**2) / (4 * t))
             profile.append(K)
             exact.append(K_ex)
-            fld.add(t, nodes[i0], nodes[j], K)
             # pointwise 1% wherever the second-order stencil resolves the tail
             if d**4 * h**2 / (192 * t**3) <= 5e-3 and d * h / (2 * t) <= 0.15:
                 assert K == pytest.approx(K_ex, rel=0.01)
@@ -94,16 +91,14 @@ def test_criterion_2_classical_sanity(line_m1):
         assert np.max(np.abs(np.array(profile) - np.array(exact))) <= 0.01 * scale
 
     # exponent fit on dispersion-safe samples
-    fit_fld = HeatKernelField(m=1, n=1, method="spectral")
-    dist = {}
+    fit_samples = []
     for t in (0.05, 0.1, 0.2, 0.4):
         for r in np.linspace(0.1, 2.0, 20):
             j = grid.nearest_node([nodes[i0] + r])
             d = nodes[j] - nodes[i0]
             if d**4 * h**2 / (192 * t**3) <= 5e-4 and d * h / (2 * t) <= 0.1:
-                fit_fld.add(t, nodes[i0], nodes[j], kernel(line_m1, t, i0, j))
-                dist[(round(nodes[i0], 12), round(nodes[j], 12))] = d
-    fit = fit_gaussian_exponent(fit_fld, dist, 1, 1, (0.04, 0.45))
+                fit_samples.append((t, d, kernel(line_m1, t, i0, j)))
+    fit = fit_gaussian_exponent(fit_samples, 1, 1, (0.04, 0.45))
     assert fit.sigma_eff == pytest.approx(0.250, abs=0.002)
     _report(2, "m=1 spectral kernel vs Gaussian", t0, 60.0)
 
@@ -113,8 +108,7 @@ def test_criterion_3_fourth_order_sharp_constant():
     ts = np.geomspace(1e-3, 1e-2, 6)
     ds = np.linspace(0.5, 3.0, 120)
     fld = oracle_field(2, 1.0, ts, ds)
-    dist = {(0.0, round(d, 12)): d for d in ds}
-    fit = fit_gaussian_exponent(fld, dist, 2, 1, (5e-4, 2e-2))
+    fit = fit_gaussian_exponent([(t, d, K) for t, x, d, K in fld], 2, 1, (5e-4, 2e-2))
     sigma2 = sharp_constants(2).sigma_m
     assert abs(fit.sigma_eff - sigma2) / sigma2 <= 0.08
     _report(3, "quartic envelope fit near sigma_2", t0, 120.0)
@@ -316,8 +310,8 @@ def test_criterion_9_property_suites(unit_m1_400, line_m1, line_m2):
 
     # kernel symmetry on sampled fields
     pairs = [(-0.5 * r, 0.5 * r) for r in np.linspace(0.0, 2.0, 9)]
-    fld = spectral_field(line_m1, 1, [0.05, 0.2], pairs)
-    for t, x, y, v in fld.rows():
+    fld = spectral_field(line_m1, [0.05, 0.2], pairs)
+    for t, x, y, v in fld:
         i, j = line_m1.grid.nearest_node([x]), line_m1.grid.nearest_node([y])
         assert kernel(line_m1, t, i, j) == kernel(line_m1, t, j, i)
 

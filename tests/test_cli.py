@@ -434,7 +434,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 def test_cli_import_leaves_sparse_eigensolver_unloaded():
     # weighted_l2_check imports eigsh on first use, as the d_M solver does linprog
     src = os.path.dirname(os.path.dirname(heatlab.__file__))
-    code = "import heatlab.cli, sys; assert 'scipy.sparse.linalg' not in sys.modules"
+    # and the verdict's prefactor imports lambertw, which scipy.special holds
+    code = ("import heatlab.cli, sys; assert 'scipy.sparse.linalg' not in sys.modules; "
+            "assert 'scipy.special' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -5,7 +5,11 @@ import pytest
 
 from conftest import make_line_operator
 from heatlab.config import config_from_text
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
 from heatlab.experiments import (
+    _dominating_prefactor,
     fit_gaussian_exponent,
     verify_sharp_bound,
 )
@@ -17,20 +21,18 @@ from heatlab.symbols import SymbolSpec, sharp_constants
 def test_fit_exact_gaussian_oracle():
     rs = np.linspace(0.2, 2.0, 12)
     fld = oracle_field(1, 1.0, [0.05, 0.1, 0.2], rs)
-    dist = {(0.0, round(r, 12)): r for r in rs}
-    fit = fit_gaussian_exponent(fld, dist, 1, 1, (0.01, 1.0))
+    fit = fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 1, 1, (0.01, 1.0))
     assert fit.sigma_eff == pytest.approx(0.25, abs=1e-4)
     assert fit.verdict_ok
-    assert fit.eps_eff == pytest.approx(0.0, abs=1e-4)
+    assert 0.25 - fit.sigma_eff == pytest.approx(0.0, abs=1e-4)
 
 
 def test_fit_envelope_handles_oscillation():
     # quartic oracle crosses zero; envelope + trough trimming keep the fit sane
     rs = np.linspace(0.5, 3.0, 80)
     fld = oracle_field(2, 1.0, np.geomspace(1e-3, 1e-2, 4), rs)
-    assert min(fld.values) < 0.0
-    dist = {(0.0, round(r, 12)): r for r in rs}
-    fit = fit_gaussian_exponent(fld, dist, 2, 1, (5e-4, 2e-2))
+    assert min(K for t, x, r, K in fld) < 0.0
+    fit = fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 2, 1, (5e-4, 2e-2))
     sigma2 = sharp_constants(2).sigma_m
     assert abs(fit.sigma_eff - sigma2) / sigma2 < 0.10
     assert fit.verdict_ok
@@ -39,15 +41,13 @@ def test_fit_envelope_handles_oscillation():
 def test_fit_requires_enough_samples():
     fld = oracle_field(1, 1.0, [0.1], [0.5, 1.0])
     with pytest.raises(ValueError, match="insufficient"):
-        fit_gaussian_exponent(fld, {(0.0, 0.5): 0.5, (0.0, 1.0): 1.0}, 1, 1, (0.01, 1.0))
+        fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 1, 1, (0.01, 1.0))
 
 
 def test_fit_window_filters_times():
     rs = np.linspace(0.2, 2.0, 12)
     fld = oracle_field(1, 1.0, [0.05, 0.1, 0.2, 5.0], rs)
-    fit = fit_gaussian_exponent(
-        fld, {(0.0, round(r, 12)): r for r in rs}, 1, 1, (0.01, 0.5)
-    )
+    fit = fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 1, 1, (0.01, 0.5))
     assert fit.sigma_eff == pytest.approx(0.25, abs=1e-4)
 
 
@@ -60,14 +60,12 @@ def test_distance_ablation_finsler_beats_euclidean():
     nodes = op.grid.axis_nodes(0)
     xs = np.array([nodes[op.grid.nearest_node([x])] for x in np.linspace(0.15, 0.85, 29)])
     pairs = [(xs[0], x) for x in xs[1:]]
-    fld = spectral_field(op, 2, [3e-5, 1e-4, 3e-4], pairs)
-    d_fin, d_euc = {}, {}
-    for x, y in pairs:
-        key = (round(x, 12), round(y, 12))
-        d_fin[key] = distance_1d(spec, x, y)
-        d_euc[key] = abs(y - x)
-    fit_f = fit_gaussian_exponent(fld, d_fin, 2, 1, (1e-5, 1e-3))
-    fit_e = fit_gaussian_exponent(fld, d_euc, 2, 1, (1e-5, 1e-3))
+    fld = spectral_field(op, [3e-5, 1e-4, 3e-4], pairs)
+    d_fin = {(x, y): distance_1d(spec, x, y) for x, y in pairs}
+    fit_f = fit_gaussian_exponent([(t, d_fin[x, y], K) for t, x, y, K in fld],
+                                  2, 1, (1e-5, 1e-3))
+    fit_e = fit_gaussian_exponent([(t, abs(y - x), K) for t, x, y, K in fld],
+                                  2, 1, (1e-5, 1e-3))
     assert fit_f.sigma_eff >= fit_e.sigma_eff - 1e-6
     sigma2 = sharp_constants(2).sigma_m
     assert fit_f.sigma_eff >= sigma2 - 0.05
@@ -101,10 +99,15 @@ def test_verify_sharp_m1_passes():
 
 
 def test_verdict_is_recheckable_from_emitted_numbers():
-    v = verify_sharp_bound(config_from_text(VERIFY_M1))
+    cfg = config_from_text(VERIFY_M1)
+    v = verify_sharp_bound(cfg)
+    spec = SymbolSpec.isotropic(1, 1, cfg.operator.a, domain=cfg.operator.domain)
     m, n = 1, 1
     sig = v.sigma_target - v.eps
     for t, x, y, K, d, u, bound in v.samples:
+        # each distance belongs to its own pair (the config asks for exact distances)
+        assert d == distance_1d(spec, x, y)
+        assert u == d ** (2 * m / (2 * m - 1)) * t ** (-1 / (2 * m - 1))
         recomputed = v.gamma * t ** (-n / (2 * m)) * math.exp(-sig * u + v.gamma * t)
         assert recomputed == pytest.approx(bound, rel=1e-12)
         assert abs(K) <= bound * (1.0 + 1e-9)
@@ -112,6 +115,33 @@ def test_verdict_is_recheckable_from_emitted_numbers():
     assert abs(w["K"]) <= w["bound"] * (1.0 + 1e-9)
     text = v.render()
     assert "PASS" in text and "worst_sample" in text
+
+
+_SAMPLE = st.tuples(
+    st.floats(1e-5, 1.0),                                   # t
+    st.floats(1e-8, 1e6),                                   # |K|
+    st.floats(0.0, 50.0),                                   # u
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_SAMPLE, min_size=1, max_size=12), sigma=st.floats(0.05, 1.0),
+       m=st.integers(1, 3), scale=st.floats(0.0, 2.0))
+def test_gamma_is_the_least_dominating_prefactor(rows, sigma, m, scale):
+    n = 1
+    samples = [(t, 0.0, 0.0, K, 0.0, u) for t, K, u in rows]
+
+    def worst_ratio(G):
+        # |K| over the bound, arranged so that no factor overflows
+        return max(abs(K) * t ** (n / (2 * m)) / G * math.exp(sigma * u - G * t)
+                   for t, K, u in rows)
+
+    least = _dominating_prefactor(samples, sigma, n, m, floor=0.0)
+    assert worst_ratio(least) <= 1.0 + 1e-12
+    assert worst_ratio(least * (1.0 - 1e-9)) > 1.0
+    # a floor above the least prefactor is the result exactly; one below leaves it
+    floor = scale * least
+    assert _dominating_prefactor(samples, sigma, n, m, floor) == max(floor, least)
 
 
 def test_verify_rejects_nonconvex_symbol():

@@ -16,7 +16,8 @@ ALLOWED = {
     "oracle_field": "acceptance criterion 3 samples the Fourier oracle through it",
     "gamma_form": "inspects the paper's strong-convexity form that is_strongly_convex tests",
     "SpectralData.validate": "the tests' eigenpair check; verdicts report SpectralData.health",
-    "SymbolSpec.axis_powers": "anisotropic symbols for n-dimensional verdicts (ROADMAP item 4)",
+    "SymbolSpec.axis_powers":
+        "anisotropic symbols for n-dimensional verdicts (ROADMAP items 5 and 6)",
 }
 
 
