@@ -153,17 +153,17 @@ def run_distance(cfg, outdir, manifest):
                       grid_rows(fldist.axes, fldist.values))
         return 0
     with manifest.stage(f"distance {d.method}"):
-        rows = []
-        for y1, y2 in zip(d.y1_list, d.y2_list):
-            if d.method == "exact1d":
-                val = distance_1d(spec, y1, y2)
-            else:
-                res = distance_dm_1d(spec, d.M, y1, y2)
-                if not res.converged:
-                    raise RuntimeError(f"capped-distance solver failed for ({y1}, {y2})")
-                val = res.value
-            rows.append((y1, y2, val))
-        write_csv(os.path.join(outdir, "distance.csv"), ("x", "y", "d"), rows)
+        if d.method == "exact1d":
+            vals = [distance_1d(spec, y1, y2) for y1, y2 in zip(d.y1_list, d.y2_list)]
+        else:
+            res = distance_dm_1d(spec, d.M, d.y1_list, d.y2_list)
+            if not res.converged:
+                i = res.first_failure()
+                raise RuntimeError(f"capped-distance solver failed for "
+                                   f"({d.y1_list[i]}, {d.y2_list[i]})")
+            vals = res.value.tolist()
+        write_csv(os.path.join(outdir, "distance.csv"), ("x", "y", "d"),
+                  zip(d.y1_list, d.y2_list, vals))
     return 0
 
 

@@ -9,9 +9,12 @@ poison the logs.
 
 A verdict samples the kernel once, as one table of rows ``(t, x, y, K, d,
 u)`` with each pair's distance next to it, and the fit, the prefactor and
-the bound all read that table.  It packages the fitted constants, the
-dominating prefactor ``gamma`` and the worst-case sample, so the claimed
-inequality can be re-checked from the emitted numbers alone.  ``gamma`` is
+the bound all read that table.  The table keeps only rows whose |K| exceeds
+``ROUNDING_FLOOR`` times the largest |K| at the same time: below that the
+spectral sum reads its own rounding, with random signs, not the kernel.
+The verdict packages the fitted constants, the dominating prefactor
+``gamma`` and the worst-case sample, so the claimed inequality can be
+re-checked from the emitted numbers alone.  ``gamma`` is
 the least prefactor, not below the fit's, with which the bound dominates
 every sample, in closed form: ``max_s W0(c_s t_s) / t_s`` with ``c_s = |K_s|
 t_s^(n/2m) exp((sigma-eps) u_s)`` and ``W0`` the principal branch of
@@ -34,7 +37,9 @@ from .kato import form_bound, sample_potential
 from .symbols import SymbolSpec, is_strongly_convex, sharp_constants, decay_constant_from_growth
 from .twist import TwistProfile, growth_fit
 
-UNDERFLOW_FLOOR = 1e-250
+# a kernel sample at most this fraction of the largest |K| at its time is
+# the spectral sum's rounding, not the kernel
+ROUNDING_FLOOR = 1e-12
 
 
 @dataclass
@@ -59,10 +64,10 @@ def fit_gaussian_exponent(samples, m, n, t_window):
     """OLS fit of the Gaussian exponent over kernel samples, rows ``(t, d, K)``.
 
     Requires at least 8 distinct distances and 3 times inside the window,
-    and drops samples at d = 0 or below the underflow floor.
+    and drops samples at d = 0 or K = 0, whose logarithm the fit cannot take.
     """
     pairs = [(t, d, v) for t, d, v in samples
-             if t_window[0] <= t <= t_window[1] and abs(v) > UNDERFLOW_FLOOR and d > 0.0]
+             if t_window[0] <= t <= t_window[1] and v != 0.0 and d > 0.0]
     ts = sorted({p[0] for p in pairs})
     dvals = sorted({p[1] for p in pairs})
     if len(dvals) < 8 or len(ts) < 3:
@@ -172,15 +177,25 @@ def operator_pieces(opcfg, with_potential=True):
     return spec, grid, vvals
 
 
-def _pair_distance(spec, x, y, method, M):
+def _pair_distances(spec, pairs, method, M):
+    """One distance per pair; the capped distances in one call."""
     if method == "euclidean":
-        return abs(y - x)
+        return [abs(y - x) for x, y in pairs]
     if method == "exact":
-        return distance_1d(spec, x, y)
-    r = distance_dm_1d(spec, M, x, y)
+        return [distance_1d(spec, x, y) for x, y in pairs]
+    r = distance_dm_1d(spec, M, [x for x, y in pairs], [y for x, y in pairs])
     if not r.converged:
-        raise RuntimeError(f"capped-distance solver failed for pair {(x, y)}")
-    return abs(r.value)
+        raise RuntimeError(f"capped-distance solver failed for pair {pairs[r.first_failure()]}")
+    return [abs(v) for v in r.value.tolist()]
+
+
+def _above_rounding_floor(samples):
+    """The rows ``(t, x, y, K, ...)`` whose |K| exceeds ``ROUNDING_FLOOR``
+    times the largest |K| at their time."""
+    peak = {}
+    for t, x, y, K, *_ in samples:
+        peak[t] = max(peak.get(t, 0.0), abs(K))
+    return [s for s in samples if abs(s[3]) > ROUNDING_FLOOR * peak[s[0]]]
 
 
 def _dominating_prefactor(samples, sigma, n, m, floor):
@@ -284,12 +299,16 @@ def _verdict_pipeline(cfg, label):
                      float(nodes[grid.nearest_node(center + 0.5 * s)]))
                     for s in np.linspace(v.pair_min, v.pair_max, v.pair_count)})
     M_used = max(v.M_list)
-    distances = [0.0] + [_pair_distance(spec, x, y, v.distance_method, M_used)
-                         for x, y in pairs]
+    distances = [0.0] + _pair_distances(spec, pairs, v.distance_method, M_used)
     # spectral_field gives every pair once per time, in the order given
     samples = [(t, x, y, K, d, _gaussian_variable(t, d, m)) for (t, x, y, K), d in zip(
         spectral_field(spectral, v.t_list, [(center_node, center_node)] + pairs),
         itertools.cycle(distances))]
+    kept = _above_rounding_floor(samples)
+    if len(kept) < len(samples):
+        notes.append(f"rounding floor: dropped {len(samples) - len(kept)} of {len(samples)} "
+                     f"samples with |K| <= {ROUNDING_FLOOR!r} of the largest |K| at their time")
+    samples = kept
 
     fit = fit_gaussian_exponent([(t, d, K) for t, x, y, K, d, u in samples], m, n,
                                 (min(v.t_list), max(v.t_list)))

@@ -33,10 +33,15 @@ besides the table.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
-sparse linear program in the node values, solved by the HiGHS simplex
-through ``scipy.optimize.linprog``; the result reports HiGHS optimality, the
-largest row violation, the relative primal-dual gap and the simplex
-iteration count, so each value comes with its certificate.
+sparse linear program in the node values per pair, solved by the HiGHS dual
+simplex; the result reports HiGHS optimality, the largest row violation, the
+relative primal-dual gap and the simplex iteration count, so each value
+comes with its certificate.  The pairs of one call share one HiGHS model,
+each solve hot-started from the previous pair's optimal basis (Huangfu and
+Hall, Math. Prog. Comp. 2018), which the caps of neighbouring pairs often
+leave optimal.  HiGHS is driven through ``scipy.optimize._highspy._core``,
+the binding scipy's own ``linprog`` uses: ``linprog`` takes no starting
+basis, and its wrapper costs about as much as a hot-started solve.
 """
 
 from __future__ import annotations
@@ -267,11 +272,20 @@ def distance_lattice_2d(spec, source, grid=None, npts=64):
 
 @dataclass
 class DmResult:
-    value: float
+    """A capped distance and its LP certificate.  For a sequence of pairs
+    ``value``, ``feasibility_defect`` and ``dual_gap`` are per-pair arrays,
+    ``converged`` holds when every pair is optimal and ``iterations`` counts
+    the whole call."""
+    value: float | np.ndarray
     converged: bool
-    feasibility_defect: float
+    feasibility_defect: float | np.ndarray
     iterations: int
-    dual_gap: float = 0.0
+    dual_gap: float | np.ndarray = 0.0
+
+    def first_failure(self):
+        """Index of the first pair whose solve was not optimal, or None."""
+        failed = np.flatnonzero(np.isnan(np.atleast_1d(self.value)))
+        return int(failed[0]) if len(failed) else None
 
 
 def _slope_caps(spec, xs):
@@ -301,8 +315,61 @@ def _cap_rows(N, m):
     return A
 
 
+class _HotStartedLP:
+    """Maximize ``phi_{N-1}`` subject to ``A phi <= b`` and ``phi_0 = 0`` for
+    one ``b`` after another on one HiGHS instance.  Each solve starts from
+    the last optimal basis; the first, and one after a solve that is not
+    optimal, start cold."""
+
+    def __init__(self, A):
+        # imported here: loading scipy.optimize would slow every CLI start-up
+        from scipy.optimize._highspy import _core
+
+        self._A, self._optimal = A, _core.HighsModelStatus.kOptimal
+        N = A.shape[1]
+        lp = _core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = N
+        lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+        cost = np.zeros(N)
+        cost[-1] = -1.0
+        lower, upper = np.full(N, -np.inf), np.full(N, np.inf)
+        lower[0] = upper[0] = 0.0
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+        lp.row_lower_ = np.full(A.shape[0], -np.inf)
+        self._lp, self._basis = lp, None
+        self._highs = _core._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        # the k-th difference rows bound D^k phi by M h^k (down to 1e-7), so
+        # HiGHS's default 1e-7 feasibility tolerance would let them overshoot
+        self._highs.setOptionValue("primal_feasibility_tolerance", 1e-10)
+
+    def __call__(self, b):
+        """``(phi_{N-1}, row defect, relative primal-dual gap, iterations)``
+        for the row bounds ``b``; ``(nan, inf, inf, iterations)`` when HiGHS
+        does not report optimality."""
+        highs = self._highs
+        self._lp.row_upper_ = b
+        highs.passModel(self._lp)  # drops the previous basis
+        if self._basis is not None:
+            highs.setBasis(self._basis)
+        highs.run()
+        info = highs.getInfo()
+        if highs.getModelStatus() != self._optimal:
+            self._basis = None
+            return math.nan, math.inf, math.inf, info.simplex_iteration_count
+        self._basis = highs.getBasis()
+        sol = highs.getSolution()
+        x = np.array(sol.col_value)
+        defect = max(0.0, float(np.max(self._A @ x - b)))
+        fun = info.objective_function_value
+        gap = abs(fun - float(b @ np.array(sol.row_dual))) / abs(fun)
+        return float(x[-1]), defect, gap, info.simplex_iteration_count
+
+
 def distance_dm_1d(spec, M, y1, y2, npoints=201):
-    """Capped distance d_M(y1, y2) in 1D as one linear program.
+    """Capped distance d_M(y1, y2) in 1D as one linear program per pair.
 
     The node values ``phi_0 = 0, ..., phi_{N-1}`` maximize ``phi_{N-1}``
     subject to ``|phi_{i+1} - phi_i| <= caps_i h`` and ``|D^k phi| <= M h^k``
@@ -313,40 +380,42 @@ def distance_dm_1d(spec, M, y1, y2, npoints=201):
     the simplex iterations.  Monotone non-decreasing in M and never above
     the uncapped distance (the slope caps are per-interval minima, a lower
     Riemann sum of the exact density).
+
+    ``y1`` and ``y2`` may be equal-length sequences: the pairs are solved in
+    order on one HiGHS instance, each from the previous optimal basis, and
+    the result holds per-pair arrays (see :class:`DmResult`).  A pair whose
+    solve is not optimal reads ``nan``.
     """
     if spec.n != 1:
         raise ValueError("distance_dm_1d needs a 1D spec")
     if M <= 0:
         raise ValueError("M must be positive")
-    sgn = 1.0 if y2 >= y1 else -1.0
-    lo, hi = min(y1, y2), max(y1, y2)
-    if lo == hi:
-        return DmResult(0.0, True, 0.0, 0)
-    xs = np.linspace(lo, hi, npoints)
-    h = xs[1] - xs[0]
-    caps = _slope_caps(spec, xs)
-
-    if spec.m == 1:
-        # no derivative caps beyond the slope constraint: saturate exactly
-        return DmResult(float(sgn * np.sum(caps * h)), True, 0.0, 0)
-
-    # imported here: loading scipy.optimize would slow every CLI start-up
-    from scipy.optimize import linprog
-
-    A = _cap_rows(npoints, spec.m)
-    slabs = [caps * h] + [np.full(npoints - k, M * h**k) for k in range(2, spec.m + 1)]
-    b = np.concatenate([cap for slab in slabs for cap in (slab, slab)])  # rows of A
-    c = np.zeros(npoints)
-    c[-1] = -1.0
-    bounds = np.full((npoints, 2), [-np.inf, np.inf])
-    bounds[0] = 0.0
-    # the k-th difference rows bound D^k phi by M h^k (down to 1e-7), so
-    # HiGHS's default 1e-7 feasibility tolerance would let them overshoot
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        return DmResult(math.nan, False, math.inf, int(res.nit), math.inf)
-    defect = max(0.0, float(np.max(A @ res.x - b)))
-    dual = float(b @ res.ineqlin.marginals)
-    gap = abs(res.fun - dual) / abs(res.fun)
-    return DmResult(float(sgn * res.x[-1]), True, defect, int(res.nit), gap)
+    starts, ends = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+    single = starts.ndim == 0 and ends.ndim == 0
+    starts, ends = np.atleast_1d(starts), np.atleast_1d(ends)
+    if starts.ndim != 1 or starts.shape != ends.shape:
+        raise ValueError("y1 and y2 must be numbers or sequences of one length")
+    value, defect, gap = (np.zeros(len(starts)) for _ in range(3))
+    iterations = 0
+    # no derivative caps beyond the slope constraint for m = 1: saturate exactly
+    solve = None if spec.m == 1 else _HotStartedLP(_cap_rows(npoints, spec.m))
+    for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        lo, hi = min(a, b), max(a, b)
+        if lo == hi:
+            continue
+        sgn = 1.0 if b >= a else -1.0
+        xs = np.linspace(lo, hi, npoints)
+        h = xs[1] - xs[0]
+        caps = _slope_caps(spec, xs)
+        if solve is None:
+            value[i] = sgn * np.sum(caps * h)
+            continue
+        slabs = [caps * h] + [np.full(npoints - k, M * h**k) for k in range(2, spec.m + 1)]
+        top, defect[i], gap[i], its = solve(
+            np.concatenate([cap for slab in slabs for cap in (slab, slab)]))  # rows of A
+        value[i] = sgn * top
+        iterations += its
+    converged = not np.isnan(value).any()
+    if single:
+        return DmResult(float(value[0]), converged, float(defect[0]), iterations, float(gap[0]))
+    return DmResult(value, converged, defect, iterations, gap)

@@ -68,6 +68,34 @@ def point_evals(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def highs_solves(monkeypatch):
+    """Records the HiGHS solves of ``distance_dm_1d`` while the test runs:
+    ``log["hot"]`` holds one entry per solve, whether it started from a
+    basis; a solve whose index is in ``log["fail"]`` reports an iteration
+    limit in place of its status."""
+    from scipy.optimize._highspy import _core
+
+    log = {"hot": [], "fail": set()}
+
+    class Recording(_core._Highs):
+        def passModel(self, lp):
+            log["hot"].append(False)
+            return super().passModel(lp)
+
+        def setBasis(self, basis):
+            log["hot"][-1] = True
+            return super().setBasis(basis)
+
+        def getModelStatus(self):
+            if len(log["hot"]) - 1 in log["fail"]:
+                return _core.HighsModelStatus.kIterationLimit
+            return super().getModelStatus()
+
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    return log
+
+
 # ---------------------------------------------------------------------------
 # reference tree walk: the oracle for the compiled expressions
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import types
@@ -94,6 +95,44 @@ pair_min = 0.1
 pair_max = 1.0
 pair_count = 12
 distance_method = exact
+"""
+
+VERIFY_M2_CFG = """
+scenario = verify
+[operator]
+m = 2
+n = 1
+domain = -4, 4
+grid_n = 200
+a = "1"
+[verify]
+tolerance = 0.05
+t_list = 0.001, 0.002, 0.004, 0.01
+pair_min = 0.2
+pair_max = 1.0
+pair_count = 10
+M_list = 5
+distance_method = dM
+"""
+
+# the stock well-m1 verdict of scripts/run_sharp_bound.py, pairs out to 15
+WELL_M1_WIDE_CFG = """
+scenario = verify
+[operator]
+m = 1
+n = 1
+domain = -8, 8
+grid_n = 800
+a = "1"
+potential = "-exp(-x^2)"
+[verify]
+tolerance = 0.05
+t_list = 0.04, 0.08, 0.16, 0.32
+pair_min = 0.2
+pair_max = 15
+pair_count = 40
+M_list = 5
+distance_method = dM
 """
 
 TWIST_CFG = """
@@ -215,6 +254,29 @@ def test_distance_scenario_dm(tmp_path):
     lines = open(os.path.join(out, "distance.csv")).read().splitlines()
     assert lines[0] == "x,y,d"
     assert len(lines) == 3
+
+
+def test_distance_dm_exits_2_naming_the_first_failed_pair(tmp_path, capsys, highs_solves):
+    highs_solves["fail"].update({1, 2})
+    text = (DISTANCE_CFG.replace("y1_list = 0, 0", "y1_list = 0, 0, 0.25")
+            .replace("y2_list = 0.5, 1.0", "y2_list = 0.5, 1.0, 0.75"))
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["distance", "--config", cfg, "--out", out]) == 2
+    assert "capped-distance solver failed for (0.0, 1.0)\n" in capsys.readouterr().err
+    assert highs_solves["hot"] == [False, True, False]
+    assert not os.path.exists(os.path.join(out, "distance.csv"))
+
+
+def test_verify_exits_2_naming_the_first_failed_pair(tmp_path, capsys, highs_solves):
+    highs_solves["fail"].add(3)
+    cfg = _write(tmp_path, VERIFY_M2_CFG)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    # the fourth of the centred pairs, snapped to the 200-node grid
+    err = capsys.readouterr().err
+    assert re.search(r"capped-distance solver failed for pair \(-0\.3\d*, 0\.3\d*\)\n", err), err
+    assert not os.path.exists(os.path.join(out, "verdict.txt"))
 
 
 def test_distance_scenario_lattice(tmp_path):
@@ -406,6 +468,20 @@ def test_verify_scenario_verdict(tmp_path):
     assert "numpy:" in manifest and "timings:" in manifest
 
 
+def test_verify_drops_samples_at_the_rounding_floor(tmp_path):
+    # at t = 0.04 the far pairs' |K| is the spectral sum's rounding, ~1e-16
+    # with random signs; kept, those rows failed the fit (sigma_eff 0.004)
+    cfg = _write(tmp_path, WELL_M1_WIDE_CFG)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    verdict = open(os.path.join(out, "verdict.txt")).read()
+    assert verdict.startswith("verdict: PASS")
+    dropped, total = map(int, re.search(r"rounding floor: dropped (\d+) of (\d+)", verdict).groups())
+    assert 0 < dropped < total
+    samples = open(os.path.join(out, "verify_samples.csv")).read().splitlines()
+    assert len(samples) == 1 + total - dropped
+
+
 def test_verify_with_an_empty_m_list_refused(tmp_path, capsys):
     # an empty list names no M for the verdict's d_M distances
     cfg = _write(tmp_path, VERIFY_CFG + "M_list = ,\n")
@@ -423,8 +499,8 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the d_M solver imports linprog on first use; loading scipy.optimize
-    # with the CLI would slow the start-up of every command
+    # the d_M solver imports scipy's HiGHS binding on first use; loading
+    # scipy.optimize with the CLI would slow the start-up of every command
     src = os.path.dirname(os.path.dirname(heatlab.__file__))
     code = "import heatlab.cli, sys; assert 'scipy.optimize' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
@@ -432,7 +508,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_leaves_sparse_eigensolver_unloaded():
-    # weighted_l2_check imports eigsh on first use, as the d_M solver does linprog
+    # weighted_l2_check imports eigsh on first use, as the d_M solver does HiGHS
     src = os.path.dirname(os.path.dirname(heatlab.__file__))
     # and the verdict's prefactor imports lambertw, which scipy.special holds
     code = ("import heatlab.cli, sys; assert 'scipy.sparse.linalg' not in sys.modules; "

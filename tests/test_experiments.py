@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from heatlab.experiments import (
+    _above_rounding_floor,
     _dominating_prefactor,
     fit_gaussian_exponent,
     verify_sharp_bound,
@@ -156,3 +157,11 @@ def test_verify_euclidean_distance_still_passes_constant_coefficients():
     cfg.verify.distance_method = "euclidean"
     v = verify_sharp_bound(cfg)
     assert v.passed  # for a = 1 the Finsler and Euclidean distances coincide
+
+
+def test_rounding_floor_is_relative_to_each_time():
+    rows = [(0.1, 0.0, 0.0, 2.0, 0.0, 0.0), (0.1, 0.0, 1.0, -2e-12, 1.0, 1.0),
+            (0.1, 0.0, 2.0, 3e-12, 2.0, 2.0), (0.2, 0.0, 0.0, 1e-20, 0.0, 0.0),
+            (0.2, 0.0, 1.0, 1e-33, 1.0, 1.0), (0.2, 0.0, 2.0, 0.0, 2.0, 2.0)]
+    # the floor is 2e-12 at t = 0.1 and 1e-32 at t = 0.2; a row at it goes
+    assert _above_rounding_floor(rows) == [rows[0], rows[2], rows[3]]

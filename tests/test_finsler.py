@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -210,6 +211,86 @@ def test_dm_m3_values_pinned(pair, d):
     r = distance_dm_1d(SPEC_M3, 5.0, *pair)
     assert r.converged
     assert r.value == pytest.approx(d, rel=1e-12)
+
+
+def _linprog_dm(spec, M, y1, y2, npoints=201):
+    """d_M(y1, y2) of the same LP, solved cold by ``scipy.optimize.linprog``."""
+    from scipy.optimize import linprog
+
+    xs = np.linspace(min(y1, y2), max(y1, y2), npoints)
+    h = xs[1] - xs[0]
+    caps = _slope_caps(spec, xs)
+    slabs = [caps * h] + [np.full(npoints - k, M * h**k) for k in range(2, spec.m + 1)]
+    b = np.concatenate([cap for slab in slabs for cap in (slab, slab)])
+    c = np.zeros(npoints)
+    c[-1] = -1.0
+    bounds = np.full((npoints, 2), [-np.inf, np.inf])
+    bounds[0] = 0.0
+    res = linprog(c, A_ub=_cap_rows(npoints, spec.m), b_ub=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return (1.0 if y2 >= y1 else -1.0) * res.x[-1], 1e-12 * float(np.max(caps)) * h
+
+
+# centred pairs like the quartic-free verdict's, and the perfbench dm-m3 pairs
+SPEC_QUARTIC_FREE = SymbolSpec.isotropic(2, 1, "1", domain=[(-4, 4)])
+VERIFY_PAIRS = [(-s / 2, s / 2) for s in np.linspace(0.2, 1.0, 40)]
+DM_M3_PAIRS = [(-0.5, 0.5), (-1.5, 0.3), (0.2, 1.7), (-2.0, -1.0)]
+
+
+@pytest.mark.parametrize("spec, M, pairs", [
+    (SPEC_QUARTIC_FREE, 5.0, VERIFY_PAIRS),
+    (SymbolSpec.isotropic(2, 1, "1+0.2*sin(3*x)", domain=[(-4, 4)]), 5.0, VERIFY_PAIRS),
+    (SPEC_M3, 1.0, DM_M3_PAIRS),
+    (SPEC_M3, 5.0, DM_M3_PAIRS),
+], ids=["quartic-free", "verify-variable", "dm-m3-tight", "dm-m3"])
+def test_dm_sequence_matches_cold_linprog_per_pair(spec, M, pairs):
+    r = distance_dm_1d(spec, M, [p[0] for p in pairs], [p[1] for p in pairs])
+    assert r.converged
+    assert isinstance(r.converged, bool) and isinstance(r.iterations, int)
+    assert r.value.shape == r.feasibility_defect.shape == r.dual_gap.shape == (len(pairs),)
+    for i, (y1, y2) in enumerate(pairs):
+        want, row_tol = _linprog_dm(spec, M, y1, y2)
+        assert r.value[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        # each pair's own certificate
+        assert r.feasibility_defect[i] <= row_tol
+        assert r.dual_gap[i] <= 1e-9
+
+
+def test_dm_hot_start_takes_few_iterations():
+    starts, ends = zip(*VERIFY_PAIRS)
+    cold = distance_dm_1d(SPEC_QUARTIC_FREE, 5.0, starts[0], ends[0])
+    r = distance_dm_1d(SPEC_QUARTIC_FREE, 5.0, starts, ends)
+    # 40 cold solves would take 40 times the first; hot ones start optimal
+    assert 0 < r.iterations <= 2 * cold.iterations
+    # the first pair starts cold in both calls
+    assert r.value[0] == cold.value
+
+
+def test_dm_sequence_edge_cases(highs_solves):
+    r = distance_dm_1d(SPEC_M3, 5.0, [0.3, -0.5, 0.5], [0.3, 0.5, -0.5])
+    assert r.value[0] == 0.0 and r.value[2] == -r.value[1] != 0.0
+    assert highs_solves["hot"] == [False, True]  # a zero-length pair needs no solve
+    r1 = distance_dm_1d(SymbolSpec.isotropic(1, 1, "4", domain=[(0, 1)]), 1.0, [0.0, 0.0], [1.0, 0.5])
+    assert r1.value.tolist() == pytest.approx([0.5, 0.25], rel=1e-12) and r1.iterations == 0
+    with pytest.raises(ValueError, match="one length"):
+        distance_dm_1d(SPEC_M3, 5.0, [0.0, 1.0], [1.0])
+
+
+def test_dm_pair_not_optimal_reads_nan_and_next_starts_cold(highs_solves):
+    highs_solves["fail"].add(1)
+    r = distance_dm_1d(SPEC_M3, 5.0, [-0.5, -1.5, 0.2], [0.5, 0.3, 1.7])
+    assert highs_solves["hot"] == [False, True, False]
+    assert r.converged is False and r.first_failure() == 1
+    assert math.isnan(r.value[1])
+    assert r.feasibility_defect[1] == r.dual_gap[1] == math.inf
+    assert not np.isnan(r.value[[0, 2]]).any()
+    # a cold start, as in a call of its own
+    assert r.value[2] == distance_dm_1d(SPEC_M3, 5.0, 0.2, 1.7).value
+    highs_solves["fail"].add(4)
+    one = distance_dm_1d(SPEC_M3, 5.0, -0.5, 0.5)
+    assert math.isnan(one.value) and one.converged is False and one.first_failure() == 0
+    assert one.feasibility_defect == one.dual_gap == math.inf and one.iterations > 0
 
 
 @pytest.mark.parametrize("spec", [

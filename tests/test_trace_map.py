@@ -4,15 +4,17 @@
 bindings; a renamed or bypassed binding would read zero there.  This runs a
 small ``kato`` scenario, a small ``kernel`` scenario whose spectrum is cut
 (counted on the band), a small ``distance --method dM`` scenario with a
-variable coefficient, a small lattice scenario and a small m = 2 ``twist``
-scenario under the tracer so such a change fails here.  Every CSV a scenario writes must pass the traced
+variable coefficient, a small m = 2 ``verify`` scenario on ``d_M``, a small
+lattice scenario and a small m = 2 ``twist`` scenario under the tracer so
+such a change fails here.  Every CSV a scenario writes must pass the traced
 ``write_csv``: its bytes counter equals the size of the CSV files written.
 """
 
 import os
 
 import pytest
-from test_cli import DISTANCE_CFG, KATO_CFG, KERNEL_CUT_CFG, LATTICE_CFG, TWIST_CFG, _write
+from test_cli import (DISTANCE_CFG, KATO_CFG, KERNEL_CUT_CFG, LATTICE_CFG, TWIST_CFG,
+                      VERIFY_M2_CFG, _write)
 
 from heatlab.cli import main
 
@@ -24,10 +26,14 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                           "kato.miyadera_ratio.calls", "lapack.solve.calls", "lapack.eigh.calls")),
     (["kernel"], KERNEL_CUT_CFG, ("heatkernel.eigendecompose.calls", "lapack.eig_banded.calls")),
     (["distance", "--method", "dM"], DISTANCE_CFG,
-     ("symbols.eval_symbol.calls", "exprlang.point_evals", "finsler.distance_dm_1d.calls")),
+     ("symbols.eval_symbol.calls", "exprlang.point_evals", "finsler.distance_dm_1d.calls",
+      "finsler.distance_dm_1d.iterations")),
+    # the benchmark's traced verify run requires both d_M counters nonzero
+    (["verify"], VERIFY_M2_CFG, ("finsler.distance_dm_1d.calls",
+                                 "finsler.distance_dm_1d.iterations")),
     (["distance"], LATTICE_CFG,
      ("finsler.distance_lattice_2d.calls", "reporting.write_csv.calls")),
-], ids=["kato", "kernel", "distance-dM", "distance-lattice"])
+], ids=["kato", "kernel", "distance-dM", "verify-dM", "distance-lattice"])
 def test_layers_traced(tmp_path, monkeypatch, args, text, keys):
     monkeypatch.syspath_prepend(PERFBENCH)
     import tracing
