@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import DISTANCE_METHODS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .discretize import assemble
 from .experiments import operator_pieces, verify_perturbed_bound, verify_sharp_bound
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
-from .heatkernel import eigendecompose, fourier_oracle, spectral_field
-from .kato import form_bound_report, kato_norm_curve, miyadera_ratio, sample_potential
+from .heatkernel import eigendecompose, oracle_field, spectral_field
+from .kato import form_bound, kato_norm_curve, miyadera_ratio, sample_potential
 from .reporting import Manifest, ensure_outdir, format_float_17, grid_rows, write_csv, write_text
 from .symbols import ConstantField, sharp_constants
 from .twist import TwistProfile, growth_fit
@@ -50,9 +50,6 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        if name == "distance":
-            p.add_argument("--method", choices=DISTANCE_METHODS, default=None)
-            p.add_argument("--M", type=float, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -74,10 +71,6 @@ def _dispatch(args):
     cfg = load_config(args.config)
     if cfg.scenario != args.command:
         cfg.scenario = args.command
-    if getattr(args, "method", None) is not None:
-        cfg.distance.method = args.method
-    if getattr(args, "M", None) is not None:
-        cfg.distance.M = args.M
     outdir = ensure_outdir(args.out)
     manifest = Manifest(cfg.scenario)
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -113,10 +106,7 @@ def run_kernel(cfg, outdir, manifest):
         raise ConfigError("kernel fields are tabulated for 1D grids only", key="operator.n")
     spec, grid, vvals = operator_pieces(cfg.operator)
     k = cfg.kernel
-    (lo, hi), = spec.domain.bounds
-    for key, values in (("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list)):
-        if any(not lo <= v <= hi for v in values):
-            raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
+    _refuse_off_domain(spec, ("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list))
     a = spec.isotropic_coefficient
     if k.oracle and not isinstance(a, ConstantField):
         raise ConfigError("the Fourier oracle needs a constant operator.a", key="kernel.oracle")
@@ -125,15 +115,21 @@ def run_kernel(cfg, outdir, manifest):
     with manifest.stage("eigendecompose"):
         spectral = eigendecompose(op, t_min=min(k.t_list))
     with manifest.stage("kernel sweep"):
-        rows = [(t, x, y, v, "spectral") for t, x, y, v in
-                spectral_field(spectral, k.t_list, list(zip(k.x_list, k.y_list)))]
+        pairs = list(zip(k.x_list, k.y_list))
+        rows = [(*row, "spectral") for row in spectral_field(spectral, k.t_list, pairs)]
         if k.oracle:
-            for t in k.t_list:
-                for x, y in zip(k.x_list, k.y_list):
-                    rows.append((t, x, y, fourier_oracle(op.m, a.value, t, abs(y - x)),
-                                 "fourier-oracle"))
+            rows += [(*row, "fourier-oracle")
+                     for row in oracle_field(op.m, a.value, k.t_list, pairs)]
     write_csv(os.path.join(outdir, "kernel.csv"), ("t", "x", "y", "K", "method"), rows)
     return 0
+
+
+def _refuse_off_domain(spec, *keyed_points):
+    """Refuse a point outside a 1D operator's closed domain, naming its key."""
+    (lo, hi), = spec.domain.bounds
+    for key, values in keyed_points:
+        if any(not lo <= v <= hi for v in values):
+            raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
 
 
 def run_distance(cfg, outdir, manifest):
@@ -152,6 +148,8 @@ def run_distance(cfg, outdir, manifest):
             write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
                       grid_rows(fldist.axes, fldist.values))
         return 0
+    if spec.n == 1:  # distance_1d and distance_dm_1d refuse other operators
+        _refuse_off_domain(spec, ("distance.y1_list", d.y1_list), ("distance.y2_list", d.y2_list))
     with manifest.stage(f"distance {d.method}"):
         if d.method == "exact1d":
             vals = [distance_1d(spec, y1, y2) for y1, y2 in zip(d.y1_list, d.y2_list)]
@@ -180,9 +178,8 @@ def run_kato(cfg, outdir, manifest):
         op0 = assemble(spec, grid)
 
     with manifest.stage("form bounds"):
-        fb = form_bound_report(op0, vminus, kc.eps_list)
-    write_csv(os.path.join(outdir, "form_bounds.csv"), ("eps", "c_eps"),
-              list(zip(fb.epsilons, fb.c_eps)))
+        c_eps = [form_bound(op0, vminus, e) for e in kc.eps_list]
+    write_csv(os.path.join(outdir, "form_bounds.csv"), ("eps", "c_eps"), zip(kc.eps_list, c_eps))
 
     with manifest.stage("resolvent curve"):
         curve = kato_norm_curve(op0, vminus, kc.lambdas)

@@ -201,10 +201,11 @@ def spectral_field(spectral, t_list, pairs):
             for t in t_list for i, j in idx_pairs]
 
 
-def oracle_field(m, a, t_list, r_list):
-    """Rows ``(t, 0, r, K0(t, 0, r))`` of the Fourier oracle, times outer."""
-    return [(float(t), 0.0, float(r), fourier_oracle(m, a, t, r))
-            for t in t_list for r in r_list]
+def oracle_field(m, a, t_list, pairs):
+    """Rows ``(t, x, y, K0(t, 0, |y - x|))`` of the Fourier oracle over times
+    and (x, y) pairs, as :func:`spectral_field` orders them."""
+    return [(float(t), float(x), float(y), fourier_oracle(m, a, t, abs(y - x)))
+            for t in t_list for x, y in pairs]
 
 
 def fourier_oracle(m, a, t, r, abs_tol=1e-10, gauss_order=16):

@@ -53,16 +53,6 @@ def _check_vminus(vminus):
     return vminus
 
 
-@dataclass
-class FormBoundReport:
-    epsilons: list
-    c_eps: list
-
-    @property
-    def passed(self):
-        return all(np.isfinite(self.c_eps))
-
-
 def form_bound(op0, vminus, eps):
     """Smallest c with  sum V_- |u|^2 h^n <= eps Q0(u) + c ||u||^2  on the grid.
 
@@ -75,10 +65,6 @@ def form_bound(op0, vminus, eps):
     band = eps * op0.band
     band[0] -= vminus
     return max(0.0, -band_lowest(band))
-
-
-def form_bound_report(op0, vminus, epsilons):
-    return FormBoundReport(list(epsilons), [form_bound(op0, vminus, e) for e in epsilons])
 
 
 @dataclass

@@ -15,8 +15,8 @@ from heatlab.config import load_config
 from heatlab.discretize import Grid, assemble
 from heatlab.experiments import operator_pieces
 from heatlab.finsler import distance_lattice_2d
-from heatlab.heatkernel import fourier_oracle
-from heatlab.kato import kato_norm_curve, sample_potential
+from heatlab.heatkernel import fourier_oracle, oracle_field
+from heatlab.kato import form_bound, kato_norm_curve, sample_potential
 from heatlab.reporting import format_value
 from heatlab.symbols import SymbolSpec
 
@@ -211,11 +211,15 @@ def test_kernel_oracle_takes_the_operators_coefficient(tmp_path):
     cfg = _write(tmp_path, KERNEL_CFG.replace('a = "1"', 'a = "2"'))
     out = str(tmp_path / "out")
     assert main(["kernel", "--config", cfg, "--out", out]) == 0
-    rows = [ln.split(",") for ln in open(os.path.join(out, "kernel.csv")).read().splitlines()[1:]]
-    oracle = [r for r in rows if r[4] == "fourier-oracle"]
+    lines = open(os.path.join(out, "kernel.csv")).read().splitlines()[1:]
+    oracle = [ln.rsplit(",", 1)[0] for ln in lines if ln.endswith(",fourier-oracle")]
     assert len(oracle) == 4
-    for t, x, y, K, _ in oracle:
-        assert float(K) == fourier_oracle(1, 2.0, float(t), abs(float(y) - float(x)))
+    for t, x, y, K in (map(float, row.split(",")) for row in oracle):
+        assert K == fourier_oracle(1, 2.0, t, abs(y - x))
+    # the rows are oracle_field's, byte for byte
+    k = load_config(cfg).kernel
+    rows = oracle_field(1, 2.0, k.t_list, list(zip(k.x_list, k.y_list)))
+    assert oracle == [",".join(map(format_value, r)) for r in rows]
 
 
 def test_kernel_oracle_takes_a_variable_free_expression(tmp_path):
@@ -315,6 +319,21 @@ def test_kernel_points_off_the_domain_rejected(tmp_path, capsys, key, old, new):
     assert not os.path.exists(os.path.join(out, "kernel.csv"))
 
 
+@pytest.mark.parametrize("method", ["exact1d", "dM"])
+@pytest.mark.parametrize("key, old, new", [("y1_list", "y1_list = 0, 0", "y1_list = 0, -1e-9"),
+                                          ("y2_list", "y2_list = 0.5, 1.0",
+                                           "y2_list = 0.5, 1.000000001")],
+                         ids=["y1_list", "y2_list"])
+def test_distance_points_off_the_domain_rejected(tmp_path, capsys, method, key, old, new):
+    # a pair outside the domain used to be measured on the coefficient's
+    # extension, or to fail naming no key
+    text = DISTANCE_CFG.replace("method = dM", f"method = {method}").replace(old, new)
+    out = str(tmp_path / "out")
+    assert main(["distance", "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert f"distance.{key}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "distance.csv"))
+
+
 def test_kernel_on_two_axes_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # the 2D operator used to be assembled and decomposed before the kernel
     # sampler refused it
@@ -375,14 +394,32 @@ def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):
     assert kinds == [types.GeneratorType] * 2  # no list of all rows is built
 
 
-def test_distance_method_flag_overrides_config(tmp_path):
+def test_distance_method_comes_from_the_config_only(tmp_path, capsys):
+    # --method and --M used to override keys that manifest.txt never recorded
     cfg = _write(tmp_path, DISTANCE_CFG)
-    out = str(tmp_path / "out")
-    assert main(["distance", "--config", cfg, "--out", out,
-                 "--method", "exact1d"]) == 0
-    lines = open(os.path.join(out, "distance.csv")).read().splitlines()
-    # exact integral for (1+x)^4 from 0 to 1 is ln 2
-    assert abs(float(lines[2].split(",")[2]) - 0.6931471805599453) < 1e-8
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--config", cfg, "--out", str(tmp_path / "out"), "--method", "dM"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method dM" in capsys.readouterr().err
+
+
+def test_readme_command_line_lists_each_subcommands_options(capsys):
+    def options(argv):
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        return set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = {line.split()[1]: set(re.findall(r"--\w+", line))
+              for line in block.splitlines() if line.startswith("heatlab ")}
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert set(listed) == set(commands)
+    for command, opts in listed.items():
+        assert opts == options([command]), command
 
 
 def test_twist_scenario_summary(tmp_path):
@@ -429,6 +466,19 @@ def test_kato_csv_is_the_curve(tmp_path):
     rows = zip(curve.lambdas, curve.norms, curve.weighted)
     expected = ["lambda,kato_norm,weighted_l2_norm"] + [",".join(map(repr, r)) for r in rows]
     assert open(os.path.join(out, "kato_curve.csv")).read().splitlines() == expected
+
+
+def test_form_bounds_csv_is_form_bound_per_eps(tmp_path):
+    cfg_path = _write(tmp_path, KATO_CFG)
+    out = str(tmp_path / "out")
+    assert main(["kato", "--config", cfg_path, "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    spec, grid, _ = operator_pieces(cfg.operator)
+    vminus = np.maximum(sample_potential(cfg.kato.vminus, grid), 0.0)
+    op0 = assemble(spec, grid)
+    rows = [(eps, form_bound(op0, vminus, eps)) for eps in cfg.kato.eps_list]
+    expected = ["eps,c_eps"] + [",".join(map(repr, r)) for r in rows]
+    assert open(os.path.join(out, "form_bounds.csv")).read().splitlines() == expected
 
 
 def test_kato_exits_2_when_interpolation_fails(tmp_path, monkeypatch, capsys):

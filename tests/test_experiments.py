@@ -21,7 +21,7 @@ from heatlab.symbols import SymbolSpec, sharp_constants
 
 def test_fit_exact_gaussian_oracle():
     rs = np.linspace(0.2, 2.0, 12)
-    fld = oracle_field(1, 1.0, [0.05, 0.1, 0.2], rs)
+    fld = oracle_field(1, 1.0, [0.05, 0.1, 0.2], [(0.0, r) for r in rs])
     fit = fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 1, 1, (0.01, 1.0))
     assert fit.sigma_eff == pytest.approx(0.25, abs=1e-4)
     assert fit.verdict_ok
@@ -31,7 +31,7 @@ def test_fit_exact_gaussian_oracle():
 def test_fit_envelope_handles_oscillation():
     # quartic oracle crosses zero; envelope + trough trimming keep the fit sane
     rs = np.linspace(0.5, 3.0, 80)
-    fld = oracle_field(2, 1.0, np.geomspace(1e-3, 1e-2, 4), rs)
+    fld = oracle_field(2, 1.0, np.geomspace(1e-3, 1e-2, 4), [(0.0, r) for r in rs])
     assert min(K for t, x, r, K in fld) < 0.0
     fit = fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 2, 1, (5e-4, 2e-2))
     sigma2 = sharp_constants(2).sigma_m
@@ -40,14 +40,14 @@ def test_fit_envelope_handles_oscillation():
 
 
 def test_fit_requires_enough_samples():
-    fld = oracle_field(1, 1.0, [0.1], [0.5, 1.0])
+    fld = oracle_field(1, 1.0, [0.1], [(0.0, 0.5), (0.0, 1.0)])
     with pytest.raises(ValueError, match="insufficient"):
         fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 1, 1, (0.01, 1.0))
 
 
 def test_fit_window_filters_times():
     rs = np.linspace(0.2, 2.0, 12)
-    fld = oracle_field(1, 1.0, [0.05, 0.1, 0.2, 5.0], rs)
+    fld = oracle_field(1, 1.0, [0.05, 0.1, 0.2, 5.0], [(0.0, r) for r in rs])
     fit = fit_gaussian_exponent([(t, r, K) for t, x, r, K in fld], 1, 1, (0.01, 0.5))
     assert fit.sigma_eff == pytest.approx(0.25, abs=1e-4)
 

@@ -139,10 +139,10 @@ def test_fourier_oracle_guards():
 
 
 def test_ondiag_bound_scaling():
-    fld = oracle_field(1, 1.0, np.geomspace(1e-3, 1e-1, 7), [0.0])
+    fld = oracle_field(1, 1.0, np.geomspace(1e-3, 1e-1, 7), [(0.0, 0.0)])
     c1 = max(abs(v) * t**0.5 for t, x, y, v in fld)
     assert c1 == pytest.approx((4 * np.pi) ** -0.5, rel=1e-8)
-    fld2 = oracle_field(2, 1.0, np.geomspace(1e-3, 1e-1, 7), [0.0])
+    fld2 = oracle_field(2, 1.0, np.geomspace(1e-3, 1e-1, 7), [(0.0, 0.0)])
     vals = [abs(v) * t**0.25 for t, x, y, v in fld2]
     assert max(vals) / min(vals) == pytest.approx(1.0, rel=1e-9)
 

@@ -13,7 +13,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWED = {
     "semigroup_check": "acceptance criterion 9 pins the semigroup property with it",
     "trace_identity_defect": "acceptance criterion 9 pins the trace identity with it",
-    "oracle_field": "acceptance criterion 3 samples the Fourier oracle through it",
     "gamma_form": "inspects the paper's strong-convexity form that is_strongly_convex tests",
     "SpectralData.validate": "the tests' eigenpair check; verdicts report SpectralData.health",
     "SymbolSpec.axis_powers":

@@ -1,5 +1,7 @@
-"""Smoke runs of the scripts in ``scripts/``: each exits 0 on a small input
-and prints its header."""
+"""Smoke run of ``scripts/run_sharp_bound.py``, the one script in
+``scripts/``: it holds the stock verify configs that ``perfbench/selfcheck.py``
+reads until ROADMAP item 1 moves them.  Every other scenario runs as
+``heatlab <command> --config <file>``."""
 
 import os
 import subprocess
@@ -18,18 +20,6 @@ def _run_script(name, *args):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
-
-
-def test_kato_singular_sweep_script():
-    lines = _run_script("kato_singular_sweep.py", "--n", "100")
-    assert lines[0] == "eps   c_eps"
-    assert "lambda      kato_norm     weighted_l2" in lines
-
-
-def test_twist_growth_sweep_script():
-    lines = _run_script("twist_growth_sweep.py", "--grids", "100", "200")
-    assert lines[0] == "m=2  k_m=8.000000  lambda in [20.0, 200.0]"
-    assert len(lines) == 4
 
 
 def test_run_sharp_bound_script(tmp_path):

@@ -3,7 +3,7 @@
 ``perfbench/tracing.py`` wraps functions at their ``heatlab`` module
 bindings; a renamed or bypassed binding would read zero there.  This runs a
 small ``kato`` scenario, a small ``kernel`` scenario whose spectrum is cut
-(counted on the band), a small ``distance --method dM`` scenario with a
+(counted on the band), a small ``distance`` scenario on ``d_M`` with a
 variable coefficient, a small m = 2 ``verify`` scenario on ``d_M``, a small
 lattice scenario and a small m = 2 ``twist`` scenario under the tracer so
 such a change fails here.  Every CSV a scenario writes must pass the traced
@@ -22,10 +22,12 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 
 
 @pytest.mark.parametrize("args, text, keys", [
-    (["kato"], KATO_CFG, ("kato.kato_norm.calls", "kato.weighted_l2_check.calls",
-                          "kato.miyadera_ratio.calls", "lapack.solve.calls", "lapack.eigh.calls")),
-    (["kernel"], KERNEL_CUT_CFG, ("heatkernel.eigendecompose.calls", "lapack.eig_banded.calls")),
-    (["distance", "--method", "dM"], DISTANCE_CFG,
+    (["kato"], KATO_CFG, ("kato.form_bound.calls", "kato.kato_norm.calls",
+                          "kato.weighted_l2_check.calls", "kato.miyadera_ratio.calls",
+                          "lapack.solve.calls", "lapack.eigh.calls")),
+    (["kernel"], KERNEL_CUT_CFG, ("heatkernel.eigendecompose.calls", "lapack.eig_banded.calls",
+                                  "heatkernel.fourier_oracle.calls")),
+    (["distance"], DISTANCE_CFG,
      ("symbols.eval_symbol.calls", "exprlang.point_evals", "finsler.distance_dm_1d.calls",
       "finsler.distance_dm_1d.iterations")),
     # the benchmark's traced verify run requires both d_M counters nonzero
