@@ -133,14 +133,19 @@ def _refuse_off_domain(spec, *keyed_points):
 
 
 def run_distance(cfg, outdir, manifest):
+    d, n = cfg.distance, cfg.operator.n
+    needed = 2 if d.method == "lattice" else 1
+    if n != needed:
+        raise ConfigError(f"method {d.method} needs operator.n = {needed}, not {n}",
+                          key="distance.method")
+    if d.method == "lattice" and d.lattice_n < 2:
+        raise ConfigError("the lattice needs at least 2 nodes per axis", key="distance.lattice_n")
     spec, grid, _ = operator_pieces(cfg.operator, with_potential=False)
-    d = cfg.distance
     if d.method == "lattice":
         with manifest.stage("distance lattice"):
             bounds = spec.domain.bounds
             source = spec.domain.center() if d.source is None else d.source
-            if spec.n == 2 and (len(source) != 2 or any(
-                    not lo <= s <= hi for s, (lo, hi) in zip(source, bounds))):
+            if len(source) != 2 or any(not lo <= s <= hi for s, (lo, hi) in zip(source, bounds)):
                 raise ConfigError(f"source must be a point of the domain {bounds}",
                                   key="distance.source")
             fldist = distance_lattice_2d(spec, source, npts=d.lattice_n)
@@ -148,8 +153,7 @@ def run_distance(cfg, outdir, manifest):
             write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
                       grid_rows(fldist.axes, fldist.values))
         return 0
-    if spec.n == 1:  # distance_1d and distance_dm_1d refuse other operators
-        _refuse_off_domain(spec, ("distance.y1_list", d.y1_list), ("distance.y2_list", d.y2_list))
+    _refuse_off_domain(spec, ("distance.y1_list", d.y1_list), ("distance.y2_list", d.y2_list))
     with manifest.stage(f"distance {d.method}"):
         if d.method == "exact1d":
             vals = [distance_1d(spec, y1, y2) for y1, y2 in zip(d.y1_list, d.y2_list)]

@@ -11,18 +11,19 @@ from above as the mesh refines, within the anisotropy bound of the
 The lattice graph is symmetric: a move and its reverse run along the same
 undirected edge, which has one weight, the length element at the midpoint
 ``x_u + vec/2`` of its forward move, one of the eight moves whose first
-nonzero component is positive.  The weights form one ``(nodes, 8)`` table,
-filled move by move in blocks of whole grid rows, one batched
-``LengthElement`` call per block, so that filling it adds one block's
-temporaries to the table: isotropic symbols ``a(x) |xi|^(2m)`` take the
-closed form ``a(x)^(-1/2m) |eta|``, other symbols a direction search on
-arrays.  ``inf`` rows pad the table at both ends, so that a reverse move
-reads the edge from its target's row without a bounds test.  The shortest
-path settles nodes in phases over that table, Dial's buckets (CACM Algorithm
-360, 1969) with the settle rule of Crauser, Mehlhorn, Meyer and Sanders
-(MFCS 1998): with ``delta`` the smallest edge weight, a phase settles every
-open node whose tentative distance is at most ``delta`` above the smallest
-open one, then relaxes the settled nodes' 16 moves with one gather per move.
+nonzero component is positive.  The weights form one move-major
+``(8, nodes)`` table, one contiguous row per forward move, filled in blocks
+of whole grid rows, one batched ``LengthElement`` call per block, so that
+filling it adds one block's temporaries to the table: isotropic symbols
+``a(x) |xi|^(2m)`` take the closed form ``a(x)^(-1/2m) |eta|``, other
+symbols a direction search on arrays.  ``inf`` columns pad each row at both
+ends, so that a reverse move reads the edge from its target's column without
+a bounds test.  The shortest path settles nodes in phases over that table,
+Dial's buckets (CACM Algorithm 360, 1969) with the settle rule of Crauser,
+Mehlhorn, Meyer and Sanders (MFCS 1998): with ``delta`` the smallest edge
+weight, a phase settles every open node whose tentative distance is at most
+``delta`` above the smallest open one, then relaxes the settled nodes' 16
+moves with one gather per move from that move's row.
 The rule is exact: a path that could still shorten such a node leaves the
 settled set through another open node, so it is at least the smallest open
 distance plus ``delta`` long.  Rounding is monotone, so the same holds for
@@ -176,24 +177,24 @@ _EDGE_BLOCK = 1 << 14
 
 
 def _edge_weights(p, ax, ay, h):
-    """Edge-weight table and its padding ``pad = 2*ny + 1``: row ``pad + u``
-    of the ``(nx*ny + 2*pad, 8)`` table holds the weight of the edge from
-    node u along each forward move, the length element at the edge midpoint
-    ``x_u + vec/2``.  Each move is filled in blocks of whole grid rows, one
-    call per block of about ``_EDGE_BLOCK`` midpoints, so filling the table
-    adds one block's temporaries, not one move's; every operation of the
-    length element is elementwise, so the blocks give the bits of one call
-    per move.  Moves that leave the grid and the ``pad`` rows at either end
-    are ``inf``."""
+    """Edge-weight table and its padding ``pad = 2*ny + 1``: column
+    ``pad + u`` of the move-major ``(8, nx*ny + 2*pad)`` table holds, in row
+    k, the weight of the edge from node u along forward move k, the length
+    element at the edge midpoint ``x_u + vec/2``.  Each move fills its own
+    contiguous row, in blocks of whole grid rows, one call per block of about
+    ``_EDGE_BLOCK`` midpoints, so filling the table adds one block's
+    temporaries, not one move's; every operation of the length element is
+    elementwise, so the blocks give the bits of one call per move.  Moves
+    that leave the grid and the ``pad`` columns at either end are ``inf``."""
     nx, ny = len(ax), len(ay)
     pad = 2 * ny + 1
-    wts = np.full((nx * ny + 2 * pad, len(_LATTICE_MOVES)), np.inf)
-    nodes = wts[pad:pad + nx * ny].reshape(nx, ny, len(_LATTICE_MOVES))  # a view
+    wts = np.full((len(_LATTICE_MOVES), nx * ny + 2 * pad), np.inf)
     for k, (di, dj) in enumerate(_LATTICE_MOVES):
         vec = np.array([di * h[0], dj * h[1]])
         j0, j1 = max(0, -dj), ny - max(0, dj)
         if di >= nx or j0 >= j1:
             continue
+        nodes = wts[k, pad:pad + nx * ny].reshape(nx, ny)  # a view
         xs, ys = ax[:nx - di] + 0.5 * vec[0], ay[j0:j1] + 0.5 * vec[1]
         rows = max(1, _EDGE_BLOCK // len(ys))
         for i in range(0, len(xs), rows):
@@ -201,21 +202,22 @@ def _edge_weights(p, ax, ay, h):
             mids = np.empty((len(x), len(ys), 2))
             mids[..., 0] = x[:, None]
             mids[..., 1] = ys
-            nodes[i:i + len(x), j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
+            nodes[i:i + len(x), j0:j1] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
     return wts, pad
 
 
 def _dijkstra(wts, pad, offsets, start):
     """Distances from node ``start`` over the padded table of
     :func:`_edge_weights` (``offsets[k]`` is forward move k's flat offset),
-    settled in phases as the module docstring describes.  Node u reaches
-    ``u + off`` at weight ``wts[pad + u, k]`` and ``u - off`` at the weight
-    of the same edge, ``wts[pad + u - off, k]``.  A backward read before the
-    first node or past the last lands in the padding; one that wraps into a
-    neighbouring grid row lands on a forward move that leaves the grid.
-    Both read ``inf``, so no move needs a bounds test."""
+    settled in phases as the module docstring describes.  With ``wk`` the
+    table's row k, node u reaches ``u + off`` at weight ``wk[pad + u]`` and
+    ``u - off`` at the weight of the same edge, ``wk[pad + u - off]``.  A
+    backward read before the first node or past the last lands in the
+    padding; one that wraps into a neighbouring grid row lands on a forward
+    move that leaves the grid.  Both read ``inf``, so no move needs a bounds
+    test."""
     delta = wts.min()
-    dist = np.full(len(wts) - 2 * pad, np.inf)
+    dist = np.full(wts.shape[1] - 2 * pad, np.inf)
     dist[start] = 0.0
     is_open = np.zeros(len(dist), dtype=bool)
     is_open[start] = True
@@ -227,8 +229,8 @@ def _dijkstra(wts, pad, offsets, start):
         is_open[nodes] = False
         reached = [frontier[~settle]]
         rows = nodes + pad
-        for k, off in enumerate(offsets):
-            for t, w in ((nodes + off, wts[rows, k]), (nodes - off, wts[rows - off, k])):
+        for wk, off in zip(wts, offsets):
+            for t, w in ((nodes + off, wk[rows]), (nodes - off, wk[rows - off])):
                 nd = d + w
                 # an off-grid move has nd = inf, so its clipped index is never written
                 better = nd < dist.take(t, mode="clip")

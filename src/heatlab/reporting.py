@@ -5,9 +5,10 @@ shortest round-trip decimals (Python repr), so identical runs produce
 byte-identical files on every platform.  A ``str`` cell, and a ``str`` row
 (one or more lines, each ending in LF), is written as it stands, so
 :func:`grid_rows` can format each axis coordinate and each distinct value
-of a grid once, join a block of lines at a time and still give the bytes of
-one :func:`format_value` per cell.  Distinct values are keyed by their bit
-pattern, since ``-0.0 == 0.0`` but their ``repr``s differ.
+of a grid once, make the lines of one grid row with one ``str.join`` and
+still give the bytes of one :func:`format_value` per cell.  Distinct values
+are keyed by their bit pattern, since ``-0.0 == 0.0`` but their ``repr``s
+differ.
 """
 
 from __future__ import annotations
@@ -46,11 +47,20 @@ def grid_rows(axes, values):
     """Rows ``x1,x2,value`` of a field on a 2D grid, in node order (``x1``
     outer, ``x2`` inner), as one ``str`` of lines per ``x1``, with the bytes
     :func:`format_value` gives.  Each axis coordinate and each distinct
-    value (by bit pattern) is formatted once.  A constant-coefficient
-    lattice repeats its values by symmetry: 33,153 to 58,632 distinct of
-    262,144 at 512 x 512.  A field with no repeats pays for the sort and
-    gather, about 0.08 s at that size."""
-    ax1, ax2 = ([format_value(x) for x in axis.tolist()] for axis in axes)
+    value (by bit pattern) is formatted once, each coordinate with its
+    comma.  A constant-coefficient lattice repeats its values by
+    symmetry: 33,153 to 58,632 distinct of 262,144 at 512 x 512.  A field
+    with no repeats pays for the sort and gather, about 0.06 s at that
+    size."""
+    heads = [format_value(x) + "," for x in axes[0].tolist()]
+    n2 = len(axes[1])
+    # the lines of one x1 are head, tail and cell per node, with the line end
+    # before every head but the first: the tails and the last line end stay
+    # in place, and each x1 fills in its heads and its row of cells.  A line
+    # end joined to each distinct value instead left a distance run's heap
+    # about 1 MB higher, a new string per value beside its freed repr.
+    line = [None] * (3 * n2) + ["\n"]
+    line[1::3] = [format_value(x) + "," for x in axes[1].tolist()]
     bits = values.view(np.int64)
     # not np.unique: its inverse's temporaries left a distance run's heap
     # 3 MB higher, and without an inverse it hashes, 7 to 40 times slower
@@ -58,9 +68,12 @@ def grid_rows(axes, values):
     keys = np.sort(bits)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     cells = np.frompyfunc(repr, 1, 1)(keys.view(np.float64))
-    index = np.searchsorted(keys, bits).reshape(len(ax1), len(ax2))
-    for x1, row in zip(ax1, index):
-        yield "".join(f"{x1},{x2},{v}\n" for x2, v in zip(ax2, cells[row].tolist()))
+    index = np.searchsorted(keys, bits).reshape(len(heads), n2)
+    for head, row in zip(heads, index):
+        line[0:-1:3] = ["\n" + head] * n2
+        line[0] = head
+        line[2::3] = cells[row].tolist()
+        yield "".join(line)
 
 
 def write_text(path, text):

@@ -352,6 +352,32 @@ def test_kernel_on_two_axes_refused_before_any_work(tmp_path, capsys, monkeypatc
     assert len(errors) == 1 and "operator.n" in errors[0]
 
 
+DM_2D_CFG = DISTANCE_CFG.replace("n = 1\ndomain = 0, 1", "n = 2\ndomain = 0, 1, 0, 1").replace(
+    "(1+x)^4", "(1+x1)^4")
+
+
+@pytest.mark.parametrize("text, key", [
+    (DM_2D_CFG, "distance.method"),
+    (DM_2D_CFG.replace("method = dM", "method = exact1d"), "distance.method"),
+    (LATTICE_CFG.replace("n = 2\ndomain = 0, 1, 0, 1", "n = 1\ndomain = 0, 1").replace(
+        "source = 0.5, 0.5", "source = 0.5"), "distance.method"),
+    (LATTICE_CFG.replace("lattice_n = 24", "lattice_n = 1"), "distance.lattice_n"),
+], ids=["dM-on-2D", "exact1d-on-2D", "lattice-on-1D", "one-lattice-node"])
+def test_distance_config_that_cannot_run_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                  text, key):
+    # these used to exit 2 naming no key, with "distance_dm_1d needs a 1D
+    # spec", "distance_1d needs a 1D spec", "distance_lattice_2d needs a 2D
+    # spec" and "need at least 2 interior points per axis"
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator built")
+
+    monkeypatch.setattr(heatlab.cli, "operator_pieces", refuse)
+    out = str(tmp_path / "out")
+    assert main(["distance", "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "distance.csv"))
+
+
 def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
     cfg = _write(tmp_path, LATTICE_CFG.replace("source = 0.5, 0.5", "source = 0, 1"))
     assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0

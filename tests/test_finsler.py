@@ -429,8 +429,8 @@ def _edge_weights_one_call_per_move(p, ax, ay, h):
     move's midpoints."""
     nx, ny = len(ax), len(ay)
     pad = 2 * ny + 1
-    wts = np.full((nx * ny + 2 * pad, 8), np.inf)
-    nodes = wts[pad:pad + nx * ny].reshape(nx, ny, 8)
+    wts = np.full((8, nx * ny + 2 * pad), np.inf)
+    nodes = wts[:, pad:pad + nx * ny].reshape(8, nx, ny)
     for k, (di, dj) in enumerate(_LATTICE_MOVES):
         vec = np.array([di * h[0], dj * h[1]])
         j0, j1 = max(0, -dj), ny - max(0, dj)
@@ -439,7 +439,7 @@ def _edge_weights_one_call_per_move(p, ax, ay, h):
         mids = np.empty((nx - di, j1 - j0, 2))
         mids[..., 0] = (ax[:nx - di] + 0.5 * vec[0])[:, None]
         mids[..., 1] = ay[j0:j1] + 0.5 * vec[1]
-        nodes[:nx - di, j0:j1, k] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
+        nodes[k, :nx - di, j0:j1] = p(mids.reshape(-1, 2), vec).reshape(mids.shape[:2])
     return wts, pad
 
 

@@ -44,7 +44,7 @@ POOL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1)
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
        extra=st.lists(st.floats(), max_size=5),
        picks=st.lists(st.integers(0, 13), min_size=81, max_size=81))
 @example(shape=(2, 2), extra=[], picks=[0, 1, 1, 0] + [0] * 77)
