@@ -24,7 +24,7 @@ from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, oracle_field, spectral_field
 from .kato import form_bound, kato_norm_curve, miyadera_ratio, sample_potential
 from .reporting import Manifest, ensure_outdir, format_float_17, grid_rows, write_csv, write_text
-from .symbols import ConstantField, sharp_constants
+from .symbols import ConstantField, SymbolSpec, sharp_constants
 from .twist import TwistProfile, growth_fit
 
 
@@ -88,7 +88,7 @@ def _dispatch(args):
     try:
         return runner(cfg, outdir, manifest)
     except Exception as exc:
-        manifest.echo("error", exc)
+        manifest.error = exc
         raise
     finally:
         manifest.write(outdir)
@@ -133,14 +133,14 @@ def _refuse_off_domain(spec, *keyed_points):
 
 
 def run_distance(cfg, outdir, manifest):
-    d, n = cfg.distance, cfg.operator.n
+    d, o = cfg.distance, cfg.operator
     needed = 2 if d.method == "lattice" else 1
-    if n != needed:
-        raise ConfigError(f"method {d.method} needs operator.n = {needed}, not {n}",
+    if o.n != needed:
+        raise ConfigError(f"method {d.method} needs operator.n = {needed}, not {o.n}",
                           key="distance.method")
     if d.method == "lattice" and d.lattice_n < 2:
         raise ConfigError("the lattice needs at least 2 nodes per axis", key="distance.lattice_n")
-    spec, grid, _ = operator_pieces(cfg.operator, with_potential=False)
+    spec = SymbolSpec.isotropic(o.m, o.n, o.a, domain=o.domain)  # no grid_n, no potential
     if d.method == "lattice":
         with manifest.stage("distance lattice"):
             bounds = spec.domain.bounds
@@ -203,6 +203,8 @@ def run_kato(cfg, outdir, manifest):
 
 
 def run_twist(cfg, outdir, manifest):
+    if cfg.operator.n != 1:
+        raise ConfigError("twist profiles are 1D", key="operator.n")
     tc = cfg.twist
     lambdas = np.geomspace(tc.lambda_min, tc.lambda_max, tc.lambda_count)
     spec, grid, vvals = operator_pieces(cfg.operator)

@@ -281,7 +281,7 @@ def assemble(spec, grid, potential=None):
     if spec.n != grid.n:
         raise ValueError("symbol and grid dimension mismatch")
     grid.check_stencils(spec.m)
-    ell = ellipticity_constant(spec, _ellipticity_samples(grid), sphere_samples=64)
+    ell = ellipticity_constant(spec, _ellipticity_samples(grid))
     if not ell > 0.0:
         raise ValueError(f"symbol is not elliptic on the grid (min A = {ell:.3e})")
 
@@ -322,10 +322,7 @@ def assemble(spec, grid, potential=None):
     return DiscreteOperator(grid=grid, m=spec.m, matrix=form)
 
 
-def _ellipticity_samples(grid, per_axis=9):
-    axes = [
-        np.linspace(lo, hi, per_axis + 2)[1:-1]
-        for (lo, hi) in grid.bounds
-    ]
+def _ellipticity_samples(grid):
+    axes = [np.linspace(lo, hi, 9 + 2)[1:-1] for (lo, hi) in grid.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

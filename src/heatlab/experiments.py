@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .discretize import Grid, assemble
 from .finsler import distance_1d, distance_dm_1d
 from .heatkernel import eigendecompose, spectral_field
@@ -109,10 +109,11 @@ def _monotone_envelope(pairs):
     return out
 
 
-def _trim_troughs(u, yv, passes=2, min_keep=8):
+def _trim_troughs(u, yv):
     """Drop samples far BELOW the fit line (oscillation troughs near kernel
-    zeros); one-sided, since the target is an upper envelope."""
-    for _ in range(passes):
+    zeros) in two passes that keep 8 samples or more; one-sided, since the
+    target is an upper envelope."""
+    for _ in range(2):
         A = np.vstack([u, np.ones_like(u)]).T
         coef, *_ = np.linalg.lstsq(A, yv, rcond=None)
         r = yv - A @ coef
@@ -121,7 +122,7 @@ def _trim_troughs(u, yv, passes=2, min_keep=8):
         if mad == 0.0:
             break
         keep = r >= med - 3.0 * mad
-        if int(keep.sum()) < min_keep or keep.all():
+        if int(keep.sum()) < 8 or keep.all():
             break
         u, yv = u[keep], yv[keep]
     return u, yv
@@ -167,13 +168,15 @@ class Verdict:
         return "\n".join(lines)
 
 
-def operator_pieces(opcfg, with_potential=True):
-    """Symbol, grid and sampled potential (None if absent) of an operator config."""
+def operator_pieces(opcfg):
+    """Symbol, grid and sampled potential (None if absent) of an operator
+    config to assemble, whose stencils need ``2m + 1`` nodes per axis."""
+    if min(opcfg.grid_n) < 2 * opcfg.m + 1:
+        raise ConfigError(f"need 2m + 1 = {2 * opcfg.m + 1} or more points per axis",
+                          key="operator.grid_n")
     spec = SymbolSpec.isotropic(opcfg.m, opcfg.n, opcfg.a, domain=opcfg.domain)
     grid = Grid.make(opcfg.domain, opcfg.grid_n)
-    vvals = None
-    if with_potential and opcfg.potential is not None:
-        vvals = sample_potential(opcfg.potential, grid)
+    vvals = None if opcfg.potential is None else sample_potential(opcfg.potential, grid)
     return spec, grid, vvals
 
 
@@ -239,7 +242,7 @@ def _perturbed_target(cfg, spec_pert, grid, amax_pert):
     spec_ref = SymbolSpec.isotropic(opcfg.m, opcfg.n, v.reference_a, domain=opcfg.domain)
 
     nodes = grid.node_coordinates()
-    amax = max(float(np.max(spec_ref.scalar_field().at_many(nodes))), amax_pert)
+    amax = max(float(np.max(spec_ref.isotropic_coefficient.at_many(nodes))), amax_pert)
     slope = amax ** (-1.0 / (2 * opcfg.m))
     profile = TwistProfile.from_values(grid, slope * nodes[:, 0], opcfg.m)
     lambdas = np.geomspace(v.lambda_min, v.lambda_max, v.lambda_count)
@@ -263,7 +266,7 @@ def _verdict_pipeline(cfg, label):
     by :func:`_perturbed_target` ("perturbed")."""
     opcfg, v = cfg.operator, cfg.verify
     if opcfg.n != 1:
-        raise ValueError("verdict pipelines are 1D")
+        raise ConfigError("verdict pipelines are 1D", key="operator.n")
     spec, grid, vvals = operator_pieces(opcfg)
 
     conv = is_strongly_convex(spec, grid.node_coordinates())

@@ -2,11 +2,12 @@
 the derivative-capped approximating distances.
 
 In 1D the length element is ``a(x)^(-1/2m) |eta|`` and the distance is the
-integral of the reciprocal root, computed by composite Simpson.  In 2D the
-distance is realized as a shortest path on the 16-neighbour lattice graph
-with edge weight ``p(midpoint, edge)``; it converges to the true distance
-from above as the mesh refines, within the anisotropy bound of the
-16-direction stencil (2.8% worst direction for a Euclidean metric).
+integral of the reciprocal root, computed by composite Simpson on
+``SIMPSON_PANELS`` (400) panels.  In 2D the distance is realized as a
+shortest path on the 16-neighbour lattice graph with edge weight
+``p(midpoint, edge)``; it converges to the true distance from above as the
+mesh refines, within the anisotropy bound of the 16-direction stencil (2.8%
+worst direction for a Euclidean metric).
 
 The lattice graph is symmetric: a move and its reverse run along the same
 undirected edge, which has one weight, the length element at the midpoint
@@ -34,15 +35,16 @@ besides the table.
 
 The capped distance maximizes ``phi(y2) - phi(y1)`` over grid functions with
 ``A(x, phi') <= 1`` and ``|phi^(k)| <= M`` for 2 <= k <= m.  This is one
-sparse linear program in the node values per pair, solved by the HiGHS dual
-simplex; the result reports HiGHS optimality, the largest row violation, the
-relative primal-dual gap and the simplex iteration count, so each value
-comes with its certificate.  The pairs of one call share one HiGHS model,
-each solve hot-started from the previous pair's optimal basis (Huangfu and
-Hall, Math. Prog. Comp. 2018), which the caps of neighbouring pairs often
-leave optimal.  HiGHS is driven through ``scipy.optimize._highspy._core``,
-the binding scipy's own ``linprog`` uses: ``linprog`` takes no starting
-basis, and its wrapper costs about as much as a hot-started solve.
+sparse linear program in the ``DM_NODES`` (201) node values per pair, solved
+by the HiGHS dual simplex; the result reports HiGHS optimality, the largest
+row violation, the relative primal-dual gap and the simplex iteration count,
+so each value comes with its certificate.  The pairs of one call share one
+HiGHS model, each solve hot-started from the previous pair's optimal basis
+(Huangfu and Hall, Math. Prog. Comp. 2018), which the caps of neighbouring
+pairs often leave optimal.  HiGHS is driven through
+``scipy.optimize._highspy._core``, the binding scipy's own ``linprog`` uses:
+``linprog`` takes no starting basis, and its wrapper costs about as much as
+a hot-started solve.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ from .discretize import Grid
 from .symbols import (_golden_min, as_batch, coefficient_values, eval_symbol, sphere_directions,
                       symbol_sum)
 
+SIMPSON_PANELS = 400  # composite Simpson panels of distance_1d
+DM_NODES = 201  # nodes of each d_M linear program
+
 
 class LengthElement:
     """p(x, eta) = sup_xi <xi, eta> / A(x, xi)^(1/2m), degree-1 homogeneous.
@@ -66,7 +71,7 @@ class LengthElement:
     points gives k values, with ``eta`` one vector for all points or one row
     per point.  Where ``A = a(x) |xi|^(2m)`` (isotropic specs and every 1D
     spec) p is ``a(x)^(-1/2m) |eta|`` exactly.  Otherwise ``symbol_sum``
-    gives A at the sampled unit directions from one ``coefficient_values``
+    gives A at 512 sampled unit directions from one ``coefficient_values``
     call, and in 2D the best angle of every point is refined by golden
     section on arrays.  Every operation is elementwise, so a batch gives
     exactly the values of one call per point.
@@ -74,11 +79,11 @@ class LengthElement:
 
     _CHUNK = 4096  # points per direction search: (chunk, directions) arrays
 
-    def __init__(self, spec, directions=512):
+    def __init__(self, spec):
         self.spec = spec
-        self._radial = spec.scalar_field() if spec.n == 1 else spec.isotropic_coefficient
+        self._radial = spec.isotropic_coefficient
         if self._radial is None:
-            self._dirs = sphere_directions(spec.n, directions)
+            self._dirs = sphere_directions(spec.n, 512)
 
     def __call__(self, x, eta):
         pts, eta, single = as_batch(self.spec.n, x, eta, "eta")
@@ -144,17 +149,16 @@ def reciprocal_root(spec, x):
     return float(roots[0]) if xs.ndim == 0 else roots
 
 
-def distance_1d(spec, y1, y2, panels=400):
-    """d(y1, y2) = |int a^(-1/2m)| by composite Simpson with the given panels."""
+def distance_1d(spec, y1, y2):
+    """d(y1, y2) = |int a^(-1/2m)| by composite Simpson on ``SIMPSON_PANELS``."""
     if spec.n != 1:
         raise ValueError("distance_1d needs a 1D spec")
     lo, hi = min(y1, y2), max(y1, y2)
     if lo == hi:
         return 0.0
-    npan = max(2, panels + (panels % 2))
-    xs = np.linspace(lo, hi, npan + 1)
+    xs = np.linspace(lo, hi, SIMPSON_PANELS + 1)
     fs = reciprocal_root(spec, xs)
-    h = (hi - lo) / npan
+    h = (hi - lo) / SIMPSON_PANELS
     return float(h / 3.0 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum()))
 
 
@@ -162,7 +166,6 @@ def distance_1d(spec, y1, y2, panels=400):
 class DistanceField:
     source: tuple
     values: np.ndarray
-    method: str
     axes: tuple | None = None  # per-axis node coordinates of a grid field, x1 outer in values
 
 
@@ -263,7 +266,6 @@ def distance_lattice_2d(spec, source, grid=None, npts=64):
     return DistanceField(
         source=(float(ax[si]), float(ay[sj])),
         values=_dijkstra(wts, pad, offsets, si * ny + sj),
-        method="lattice-dijkstra",
         axes=(ax, ay),
     )
 
@@ -370,7 +372,7 @@ class _HotStartedLP:
         return float(x[-1]), defect, gap, info.simplex_iteration_count
 
 
-def distance_dm_1d(spec, M, y1, y2, npoints=201):
+def distance_dm_1d(spec, M, y1, y2):
     """Capped distance d_M(y1, y2) in 1D as one linear program per pair.
 
     The node values ``phi_0 = 0, ..., phi_{N-1}`` maximize ``phi_{N-1}``
@@ -400,19 +402,19 @@ def distance_dm_1d(spec, M, y1, y2, npoints=201):
     value, defect, gap = (np.zeros(len(starts)) for _ in range(3))
     iterations = 0
     # no derivative caps beyond the slope constraint for m = 1: saturate exactly
-    solve = None if spec.m == 1 else _HotStartedLP(_cap_rows(npoints, spec.m))
+    solve = None if spec.m == 1 else _HotStartedLP(_cap_rows(DM_NODES, spec.m))
     for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
         lo, hi = min(a, b), max(a, b)
         if lo == hi:
             continue
         sgn = 1.0 if b >= a else -1.0
-        xs = np.linspace(lo, hi, npoints)
+        xs = np.linspace(lo, hi, DM_NODES)
         h = xs[1] - xs[0]
         caps = _slope_caps(spec, xs)
         if solve is None:
             value[i] = sgn * np.sum(caps * h)
             continue
-        slabs = [caps * h] + [np.full(npoints - k, M * h**k) for k in range(2, spec.m + 1)]
+        slabs = [caps * h] + [np.full(DM_NODES - k, M * h**k) for k in range(2, spec.m + 1)]
         top, defect[i], gap[i], its = solve(
             np.concatenate([cap for slab in slabs for cap in (slab, slab)]))  # rows of A
         value[i] = sgn * top

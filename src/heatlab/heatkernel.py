@@ -8,8 +8,8 @@ constant-coefficient whole-line oracle
     K0(t, 0, r) = (1/pi) * int_0^Xi exp(-a xi^(2m) t) cos(xi r) dxi,
 
 truncated at ``Xi = (750/(a t))^(1/2m)`` (integrand under 1e-300 beyond) and
-integrated by composite Gauss-Legendre with panels narrow enough to resolve
-the oscillation; panel doubling certifies 1e-10 absolute accuracy.
+integrated by composite 16-point Gauss-Legendre with panels narrow enough to
+resolve the oscillation; panel doubling certifies 1e-10 absolute accuracy.
 
 A caller that samples no time below ``t_min`` needs no eigenpair with
 ``l >= 746 / t_min``: its weight ``exp(-l t)`` is exactly 0.0 in double
@@ -76,7 +76,7 @@ class SpectralData:
             raise ValueError(f"t = {t} is below the t_min = {self.t_min} of a cut spectrum")
         return np.exp(-self.eigenvalues * t)
 
-    def health(self, operator, rtol=1e-8):
+    def health(self, operator):
         """Eigen health figures against the operator, dense or sparse: the
         residual floor ``8 eps ||H||_max`` (largest |entry|), the worst
         eigenpair residual over its :meth:`validate` bound and the weighted
@@ -90,21 +90,21 @@ class SpectralData:
             Vb, wb = V[:, lo:lo + HEALTH_BLOCK], w[lo:lo + HEALTH_BLOCK]
             R = operator @ Vb
             R -= Vb * wb[None, :]
-            bound = np.maximum(rtol * (np.abs(wb) + 1.0), floor) * np.linalg.norm(Vb, axis=0)
+            bound = np.maximum(1e-8 * (np.abs(wb) + 1.0), floor) * np.linalg.norm(Vb, axis=0)
             worst = np.maximum(worst, np.max(np.linalg.norm(R, axis=0) / bound))
             G = self.mass * (V[:, :lo + HEALTH_BLOCK].T @ Vb)
             G[lo + np.arange(len(wb)), np.arange(len(wb))] -= 1.0
             defect = np.maximum(defect, np.max(np.abs(G)))
         return float(floor), float(worst), float(defect)
 
-    def validate(self, operator, rtol=1e-8):
+    def validate(self, operator):
         """Residual and weighted-orthonormality checks.
 
         The residual test uses ``max(1e-8 (|l|+1), 8 eps ||H||_max)``: the
         second term is the double-precision floor for backward-stable
         eigensolvers on stiff matrices.
         """
-        _, worst, defect = self.health(operator, rtol)
+        _, worst, defect = self.health(operator)
         if not worst <= 1.0:
             raise ValueError(f"an eigenpair residual is {worst:.3e} times its bound")
         if defect > 1e-8:
@@ -208,7 +208,7 @@ def oracle_field(m, a, t_list, pairs):
             for t in t_list for x, y in pairs]
 
 
-def fourier_oracle(m, a, t, r, abs_tol=1e-10, gauss_order=16):
+def fourier_oracle(m, a, t, r):
     """Constant-coefficient 1D kernel K0(t, 0, r) for A(xi) = a xi^(2m)."""
     if t <= 0:
         raise ValueError("t must be positive")
@@ -217,9 +217,9 @@ def fourier_oracle(m, a, t, r, abs_tol=1e-10, gauss_order=16):
     xi_max = (750.0 / (a * t)) ** (1.0 / (2 * m))
     panel_width = np.pi / (4.0 * abs(r) + 1.0)
     npanels = max(8, int(np.ceil(xi_max / panel_width)))
-    v1 = _composite_gl(m, a, t, r, xi_max, npanels, gauss_order)
-    v2 = _composite_gl(m, a, t, r, xi_max, 2 * npanels, gauss_order)
-    if abs(v2 - v1) > abs_tol:
+    v1 = _composite_gl(m, a, t, r, xi_max, npanels)
+    v2 = _composite_gl(m, a, t, r, xi_max, 2 * npanels)
+    if abs(v2 - v1) > 1e-10:
         raise QuadratureError(
             f"oscillatory quadrature did not settle: delta={abs(v2 - v1):.3e}"
         )
@@ -227,15 +227,15 @@ def fourier_oracle(m, a, t, r, abs_tol=1e-10, gauss_order=16):
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(order):
+def _gauss_legendre():
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _composite_gl(m, a, t, r, xi_max, npanels, order):
-    nodes, weights = _gauss_legendre(order)
+def _composite_gl(m, a, t, r, xi_max, npanels):
+    nodes, weights = _gauss_legendre()
     edges = np.linspace(0.0, xi_max, npanels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)

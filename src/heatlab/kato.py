@@ -33,16 +33,17 @@ TAIL_WEIGHT = 2.0**-63  # Miyadera modes below this share of the first one's wei
 TAIL_REL = 2.0**-53  # ...are dropped from a panel if their bound stays below this share of it
 
 
-def sample_potential(potential, grid, clip=POTENTIAL_WARN_THRESHOLD):
-    """Grid trace of a potential, an expression or a field; values above the
-    clip are truncated."""
+def sample_potential(potential, grid):
+    """Grid trace of a potential, an expression or a field; values beyond
+    ``POTENTIAL_WARN_THRESHOLD`` (1e12) are truncated to it."""
     from .symbols import as_field
 
     v = as_field(potential, grid.n).at_many(grid.node_coordinates())
-    if np.any(np.abs(v) > clip):
+    over = np.abs(v) > POTENTIAL_WARN_THRESHOLD
+    if np.any(over):
         warnings.warn("potential clipped at %.1e on %d nodes"
-                      % (clip, int(np.sum(np.abs(v) > clip))), RuntimeWarning)
-        v = np.clip(v, -clip, clip)
+                      % (POTENTIAL_WARN_THRESHOLD, int(np.sum(over))), RuntimeWarning)
+        v = np.clip(v, -POTENTIAL_WARN_THRESHOLD, POTENTIAL_WARN_THRESHOLD)
     return v
 
 

@@ -87,7 +87,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 class Manifest:
     """Echo of the inputs plus versions, the BLAS build and its thread
-    settings, and stage timings."""
+    settings, stage timings and, for a failed run, its ``error`` last."""
 
     def __init__(self, scenario):
         import numpy
@@ -104,6 +104,7 @@ class Manifest:
         self.lines.append(f"numpy blas: {_blas_build()}")
         self.lines += [f"{var}: {os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS]
         self._timings = []
+        self.error = None
 
     def echo(self, label, value):
         self.lines.append(f"{label}: {value}")
@@ -122,6 +123,8 @@ class Manifest:
         if self._timings:
             out.append("timings:")
             out.extend(f"  {name}: {dt:.3f} s" for name, dt in self._timings)
+        if self.error is not None:
+            out.append(f"error: {self.error}")
         return "\n".join(out)
 
     def write(self, outdir):

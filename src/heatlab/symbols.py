@@ -165,7 +165,7 @@ class SymbolSpec:
     n: int
     coefficients: dict = field(compare=False)
     domain: DomainSpec = None
-    # a(x) with A = a(x) |xi|^(2m); set by ``isotropic`` only
+    # a(x) with A = a(x) |xi|^(2m); set by ``isotropic``, and in 1D always
     isotropic_coefficient: CoefficientField = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
@@ -183,6 +183,8 @@ class SymbolSpec:
             symmetric[(a, b)] = f
             symmetric[(b, a)] = f
         object.__setattr__(self, "coefficients", symmetric)
+        if self.n == 1:
+            object.__setattr__(self, "isotropic_coefficient", symmetric.get(((self.m,), (self.m,))))
         if self.domain is None:
             object.__setattr__(
                 self, "domain", DomainSpec(tuple((0.0, 1.0) for _ in range(self.n)))
@@ -210,12 +212,6 @@ class SymbolSpec:
             alpha = tuple(m if j == i else 0 for j in range(n))
             coeffs[(alpha, alpha)] = as_field(c, n)
         return cls(m, n, coeffs, _as_domain(domain, n))
-
-    def scalar_field(self):
-        """For 1D specs: the single coefficient a(x) with A = a(x) xi^(2m)."""
-        if self.n != 1:
-            raise ValueError("scalar_field is defined for n = 1 only")
-        return self.coefficients[((self.m,), (self.m,))]
 
 
 @dataclass(frozen=True)
@@ -325,20 +321,17 @@ class ConvexityReport:
     min_eigenvalue: float
     witness_point: tuple
     inconclusive: bool = False
-    tol: float = 1e-10
     form_scale: float = math.nan  # largest |entry| of the forms; in 1D the largest |a(x)|
 
 
-def is_strongly_convex(spec, sample_points, tol=1e-10):
+def is_strongly_convex(spec, sample_points):
     """PSD test of the gamma form at each sample point.
 
     Tolerance is scale-invariant: an eigenvalue is accepted when it is at
-    least ``-tol * (1 + max-norm of the matrix)``.  Failure of the one
+    least ``-1e-10 * (1 + max-norm of the matrix)``.  Failure of the one
     stacked ``eigvalsh`` is reported as inconclusive, never as a negative
     verdict, at the first non-finite form (else the first point).
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     pts = np.asarray(list(sample_points), dtype=float).reshape(-1, spec.n)
     if not len(pts):
         raise ValueError("need at least one sample point")
@@ -347,11 +340,11 @@ def is_strongly_convex(spec, sample_points, tol=1e-10):
         lo = np.linalg.eigvalsh(mats)[:, 0]
     except np.linalg.LinAlgError:
         bad = ~np.all(np.isfinite(mats), axis=(1, 2))
-        return ConvexityReport(False, math.nan, tuple(pts[int(np.argmax(bad))]), True, tol)
+        return ConvexityReport(False, math.nan, tuple(pts[int(np.argmax(bad))]), True)
     scale = np.max(np.abs(mats), axis=(1, 2))
     ratio = lo / (1.0 + scale)
     i = int(np.argmin(ratio))
-    return ConvexityReport(bool(ratio[i] >= -tol), float(lo[i]), tuple(pts[i]), False, tol,
+    return ConvexityReport(bool(ratio[i] >= -1e-10), float(lo[i]), tuple(pts[i]), False,
                            float(np.max(scale)))
 
 
@@ -398,17 +391,15 @@ def sphere_directions(n, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def ellipticity_constant(spec, sample_points, sphere_samples=512):
+def ellipticity_constant(spec, sample_points):
     """min over sampled (x, xi on the unit sphere) of A(x, xi).
 
     A certified-by-sampling lower estimate of the ellipticity constant: the
-    coefficients once per point, repeated across the directions for one
+    coefficients once per point, repeated across 64 directions for one
     :func:`symbol_sum` over points x directions, with golden-section
     refinement around the minimizing angle in 2D.
     """
-    if sphere_samples < 1:
-        raise ValueError("need at least one direction per point")
-    dirs = sphere_directions(spec.n, sphere_samples)
+    dirs = sphere_directions(spec.n, 64)
     pts = np.asarray(list(sample_points), dtype=float).reshape(-1, spec.n)
     coeffs = coefficient_values(spec, pts)
     vals = symbol_sum(spec, [np.repeat(c, len(dirs)) for c in coeffs],
@@ -424,8 +415,8 @@ def ellipticity_constant(spec, sample_points, sphere_samples=512):
     return best
 
 
-def _golden_min(f, a, b, iters=60):
-    """Golden-section estimate of the minimum of a unimodal f on [a, b].
+def _golden_min(f, a, b):
+    """Golden-section estimate of the minimum of a unimodal f on [a, b], in 60 steps.
 
     Works elementwise: with arrays ``a``, ``b`` (and ``f`` mapping an array
     of abscissae to an array of values) every interval is refined at once.
@@ -434,7 +425,7 @@ def _golden_min(f, a, b, iters=60):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         left = fc < fd  # keep [a, d], else keep [c, b]
         a, b = np.where(left, a, c), np.where(left, d, b)
         p = np.where(left, b - g * (b - a), a + g * (b - a))

@@ -30,6 +30,7 @@ from .symbols import as_field, eval_symbol, sharp_constants
 OVERFLOW_GUARD = 600.0
 BRACKET_REL = 1e-3  # half-width of an extrapolated k bracket, relative to the guess
 FIT_MIN_POINTS = 3  # a line through two points fits with zero residual
+FEASIBILITY_SLACK = 1e-8  # allowance of the symbol-class bounds A(x, phi') <= 1, |phi^(k)| <= M
 
 
 class OverflowGuardError(ValueError):
@@ -68,10 +69,10 @@ class TwistProfile:
         vals = fld.at_many(grid.node_coordinates())
         return cls.from_values(grid, vals, m)
 
-    def feasible_symbol(self, spec, M, tol=1e-8):
+    def feasible_symbol(self, spec, M):
         a = eval_symbol(spec, self.grid.node_coordinates(), self.derivatives[1][:, None])
-        return not np.any(a > 1.0 + tol) and all(
-            np.max(np.abs(d)) <= M + tol
+        return not np.any(a > 1.0 + FEASIBILITY_SLACK) and all(
+            np.max(np.abs(d)) <= M + FEASIBILITY_SLACK
             for k, d in self.derivatives.items()
             if k >= 2
         )
@@ -133,18 +134,18 @@ class TwistReport:
         return self.kappa * np.asarray(lam) ** (2 * self.m) + self.intercept
 
 
-def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
+def growth_fit(op, profile, lambdas, brackets=None):
     """Sweep k(lam) and fit kappa lam^(2m) + c on the top decade.
 
     The grid must span at least one decade and hold ``FIT_MIN_POINTS`` (3)
     lambdas in its top decade: a line through two points has zero residual,
     so ``reliable`` would mean nothing.  The fit is flagged unreliable when
-    the residual exceeds ``residual_flag`` of k(lam_max).  Each k is
-    bisected from a bracket (see :func:`band_lowest`): ``brackets[i]`` when
-    the caller gives one ``(k_lo, k_hi)`` per sorted lambda, else, from the
-    third lambda on, ``BRACKET_REL`` about the line in ``lam^(2m)`` through
-    the previous two k.  A bracket only saves factorizations; k is the same
-    multiple of the band's ``q``.
+    the residual exceeds 5% of k(lam_max).  Each k is bisected from a
+    bracket (see :func:`band_lowest`): ``brackets[i]`` when the caller gives
+    one ``(k_lo, k_hi)`` per sorted lambda, else, from the third lambda on,
+    ``BRACKET_REL`` about the line in ``lam^(2m)`` through the previous two
+    k.  A bracket only saves factorizations; k is the same multiple of the
+    band's ``q``.
     """
     lambdas = np.asarray(sorted(lambdas), dtype=float)
     if lambdas[-1] / lambdas[0] < 10.0 * (1 - 1e-12):
@@ -178,6 +179,6 @@ def growth_fit(op, profile, lambdas, residual_flag=0.05, brackets=None):
         fit_residual=residual,
         k_m=km,
         eps_report=max(0.0, kappa - km),
-        reliable=residual <= residual_flag,
+        reliable=residual <= 0.05,
     )
 

@@ -9,6 +9,7 @@ import pytest
 
 import heatlab
 import heatlab.cli
+import heatlab.experiments
 import heatlab.kato
 from heatlab.cli import constants_table, main
 from heatlab.config import load_config
@@ -378,6 +379,15 @@ def test_distance_config_that_cannot_run_refused_before_any_work(tmp_path, capsy
     assert not os.path.exists(os.path.join(out, "distance.csv"))
 
 
+def test_lattice_reads_no_grid_n(tmp_path):
+    # a grid_n = 1 Grid used to be built and refused, naming no key, though
+    # the lattice has lattice_n nodes per axis
+    cfg = _write(tmp_path, LATTICE_CFG.replace("grid_n = 24", "grid_n = 1"))
+    out = str(tmp_path / "out")
+    assert main(["distance", "--config", cfg, "--out", out]) == 0
+    assert len(open(os.path.join(out, "distance.csv")).read().splitlines()) == 1 + 24 * 24
+
+
 def test_lattice_source_on_the_domain_boundary_accepted(tmp_path):
     cfg = _write(tmp_path, LATTICE_CFG.replace("source = 0.5, 0.5", "source = 0, 1"))
     assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -457,6 +467,44 @@ def test_twist_scenario_summary(tmp_path):
     lines = open(os.path.join(out, "twist.csv")).read().splitlines()
     assert lines[0] == "lambda,k,model_fit"
     assert len(lines) == 26
+
+
+def test_failed_run_manifest_ends_in_its_error(tmp_path):
+    # a = 2 makes A(x, phi') = 2 > 1 after the assemble stage; the timings
+    # used to follow the error line
+    cfg = _write(tmp_path, TWIST_CFG.replace('a = "1"', 'a = "2"'))
+    out = str(tmp_path / "out")
+    assert main(["twist", "--config", cfg, "--out", out]) == 2
+    manifest = open(os.path.join(out, "manifest.txt")).read().splitlines()
+    assert "  assemble" in "\n".join(manifest)
+    assert manifest[-1].startswith("error: twist profile is infeasible")
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("twist", TWIST_CFG.replace("n = 1\ndomain = 0, 1", "n = 2\ndomain = 0, 1, 0, 1")
+     .replace('phi = "x"', 'phi = "x1"'), "operator.n"),
+    ("verify", VERIFY_CFG.replace("n = 1\ndomain = -8, 8", "n = 2\ndomain = -8, 8, -8, 8"),
+     "operator.n"),
+    ("kernel", KERNEL_CFG.replace("grid_n = 200", "grid_n = 2"), "operator.grid_n"),
+    ("kato", KATO_CFG.replace("grid_n = 150", "grid_n = 2"), "operator.grid_n"),
+    ("twist", TWIST_CFG.replace("grid_n = 300", "grid_n = 2"), "operator.grid_n"),
+    ("verify", VERIFY_M2_CFG.replace("grid_n = 200", "grid_n = 4"), "operator.grid_n"),
+], ids=["twist-on-2D", "verify-on-2D", "kernel-m1-grid-2", "kato-m1-grid-2", "twist-m1-grid-2",
+        "verify-m2-grid-4"])
+def test_config_that_cannot_assemble_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              command, text, key):
+    # these used to assemble first, or fail naming no key: "twist profiles
+    # are 1D", "verdict pipelines are 1D", "grid too coarse: need N >= 5
+    # interior points"
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator assembled")
+
+    monkeypatch.setattr(heatlab.cli, "assemble", refuse)
+    monkeypatch.setattr(heatlab.experiments, "assemble", refuse)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path, text), "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert os.listdir(out) == ["manifest.txt"]
 
 
 def test_twist_needs_three_lambdas_in_the_fitted_decade(tmp_path, capsys):

@@ -302,7 +302,7 @@ def test_slope_caps_equal_per_point_reference(spec):
     # per point, Python float pow: np.power differs from it in the last ulp
     lo, hi = spec.domain.bounds[0]
     xs = np.linspace(lo, hi, 2001)
-    f, e = spec.scalar_field(), -1.0 / (2 * spec.m)
+    f, e = spec.isotropic_coefficient, -1.0 / (2 * spec.m)
     s = [f.at([x]) ** e for x in xs]
     ref = [min(s[i], s[i + 1], f.at([0.5 * (xs[i] + xs[i + 1])]) ** e) for i in range(len(xs) - 1)]
     assert np.array_equal(_slope_caps(spec, xs), ref)

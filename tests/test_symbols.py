@@ -219,12 +219,12 @@ VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1),
 ], ids=["1d", "2d-iso", "2d-cross", "3d"])
 def test_ellipticity_equals_per_pair_evaluation(spec):
     pts = _ellipticity_samples(Grid.make(spec.domain.bounds, 20))
-    assert ellipticity_constant(spec, pts, 64) == _ellipticity_per_pair(spec, pts, 64)
+    assert ellipticity_constant(spec, pts) == _ellipticity_per_pair(spec, pts, 64)
 
 
 def test_ellipticity_evaluates_coefficients_once_per_point(point_evals):
     pts = _ellipticity_samples(Grid.make(VAR_ISO_2D.domain.bounds, 20))
-    ellipticity_constant(VAR_ISO_2D, pts, sphere_samples=64)
+    ellipticity_constant(VAR_ISO_2D, pts)
     assert point_evals["at"] == len(pts)  # base a once for a and 2a, 81 points, any direction count
 
 
