@@ -14,8 +14,9 @@ resolve the oscillation; panel doubling certifies 1e-10 absolute accuracy.
 A caller that samples no time below ``t_min`` needs no eigenpair with
 ``l >= 746 / t_min``: its weight ``exp(-l t)`` is exactly 0.0 in double
 precision at every such ``t``.  :func:`eigendecompose` then builds no dense
-matrix.  It counts the eigenvalues below that cut on the operator's LAPACK
-band (``dsbevx``) and takes their eigenvectors by shift-invert Lanczos on
+matrix.  It takes every eigenvalue of the operator's LAPACK band (``dsbevd``
+without vectors: one reduction to tridiagonal form and root-free QR), keeps
+those below that cut and takes their eigenvectors by shift-invert Lanczos on
 the sparse operator (ARPACK through ``scipy.sparse.linalg.eigsh``, from a
 fixed start vector), with the shift below the lowest band eigenvalue.  One
 inverse step and a Rayleigh-Ritz step on the block bring the residuals under
@@ -124,8 +125,8 @@ def eigendecompose(op, t_min=0.0):
     # no eigenvalue exceeds the largest absolute row sum (Gershgorin)
     norm_bound = abs(op.matrix).sum(axis=1).max()
     if cut < norm_bound:
-        low = sla.eig_banded(op.band, lower=True, eigvals_only=True, select="v",
-                             select_range=(-np.inf, cut))
+        low = sla.eig_banded(op.band, lower=True, eigvals_only=True)
+        low = low[low < cut]
         if len(low) <= LANCZOS_MAX_SHARE * op.grid.node_count:
             w, v = _lanczos_pairs(op.matrix, low, cut, _RESIDUAL_FLOOR_FACTOR * norm_bound)
             return SpectralData(w, v / np.sqrt(op.mass), op.grid, op.mass, t_min)
