@@ -208,11 +208,12 @@ def run_twist(cfg, outdir, manifest):
     tc = cfg.twist
     lambdas = np.geomspace(tc.lambda_min, tc.lambda_max, tc.lambda_count)
     spec, grid, vvals = operator_pieces(cfg.operator)
-    with manifest.stage("assemble"):
-        op0 = assemble(spec, grid)
     profile = TwistProfile.from_expression(grid, tc.phi, spec.m)
     if not profile.feasible_symbol(spec, tc.M):
-        raise ValueError("twist profile is infeasible for the symbol class at this M")
+        raise ConfigError(f"twist profile is infeasible for the symbol class at twist.M = {tc.M}",
+                          key="twist.phi")
+    with manifest.stage("assemble"):
+        op0 = assemble(spec, grid)
     with manifest.stage("sweep"):
         rep = growth_fit(op0, profile, lambdas)
     rows = [(lam, k, fit) for lam, k, fit in zip(rep.lambdas, rep.k_values, rep.model(rep.lambdas))]

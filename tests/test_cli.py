@@ -470,14 +470,15 @@ def test_twist_scenario_summary(tmp_path):
 
 
 def test_failed_run_manifest_ends_in_its_error(tmp_path):
-    # a = 2 makes A(x, phi') = 2 > 1 after the assemble stage; the timings
-    # used to follow the error line
-    cfg = _write(tmp_path, TWIST_CFG.replace('a = "1"', 'a = "2"'))
+    # lambda = -20 is not above -lambda_min ~ -9.87 of the unit interval, which
+    # the resolvent curve finds after the assemble stage; the timings used to
+    # follow the error line
+    cfg = _write(tmp_path, KATO_CFG.replace("lambdas = 1, 100", "lambdas = -20, 100"))
     out = str(tmp_path / "out")
-    assert main(["twist", "--config", cfg, "--out", out]) == 2
+    assert main(["kato", "--config", cfg, "--out", out]) == 2
     manifest = open(os.path.join(out, "manifest.txt")).read().splitlines()
     assert "  assemble" in "\n".join(manifest)
-    assert manifest[-1].startswith("error: twist profile is infeasible")
+    assert manifest[-1].startswith("error: lambda = -20.0 is not above -lambda_min")
 
 
 @pytest.mark.parametrize("command, text, key", [
@@ -489,13 +490,15 @@ def test_failed_run_manifest_ends_in_its_error(tmp_path):
     ("kato", KATO_CFG.replace("grid_n = 150", "grid_n = 2"), "operator.grid_n"),
     ("twist", TWIST_CFG.replace("grid_n = 300", "grid_n = 2"), "operator.grid_n"),
     ("verify", VERIFY_M2_CFG.replace("grid_n = 200", "grid_n = 4"), "operator.grid_n"),
+    ("twist", TWIST_CFG.replace('a = "1"', 'a = "2"'), "twist.phi"),
 ], ids=["twist-on-2D", "verify-on-2D", "kernel-m1-grid-2", "kato-m1-grid-2", "twist-m1-grid-2",
-        "verify-m2-grid-4"])
+        "verify-m2-grid-4", "twist-infeasible-phi"])
 def test_config_that_cannot_assemble_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                               command, text, key):
     # these used to assemble first, or fail naming no key: "twist profiles
     # are 1D", "verdict pipelines are 1D", "grid too coarse: need N >= 5
-    # interior points"
+    # interior points", "twist profile is infeasible for the symbol class at
+    # this M" (a = 2 makes A(x, phi') = 2 > 1)
     def refuse(*args, **kwargs):
         raise AssertionError("operator assembled")
 

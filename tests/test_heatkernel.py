@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import make_line_operator
 from heatlab.config import OperatorConfig
@@ -292,6 +293,23 @@ def test_cut_keeping_one_mode_or_none():
     assert kernel(one, t_min, 60, 90) == pytest.approx(kernel(full, t_min, 60, 90), rel=1e-10)
     none = eigendecompose(op, t_min=746.0 / (0.5 * l0))  # below the spectrum
     assert none.eigenvectors.shape == (200, 0) and kernel(none, 2 * 746.0 / l0, 3, 5) == 0.0
+
+
+def test_cut_equal_to_a_band_eigenvalue_drops_that_mode():
+    # the cut keeps l < 746 / t_min: a mode at the cut itself has weight
+    # exp(-746) = 0.0 at every t >= t_min
+    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+    band = sla.eig_banded(op.band, lower=True, eigvals_only=True)
+    t_min = 746.0 / band[20]
+    for _ in range(4):  # nudge t_min until the cut is the band eigenvalue itself
+        if 746.0 / t_min == band[20]:
+            break
+        t_min = np.nextafter(t_min, np.inf if 746.0 / t_min > band[20] else 0.0)
+    assert 746.0 / t_min == band[20] and np.exp(-746.0) == 0.0
+    cut = eigendecompose(op, t_min=t_min)
+    assert cut.t_min == t_min and len(cut.eigenvalues) == 20
+    full = eigendecompose(op)
+    assert kernel(cut, t_min, 60, 90) == pytest.approx(kernel(full, t_min, 60, 90), rel=1e-10)
 
 
 def test_cut_keeping_many_modes_is_complete():
