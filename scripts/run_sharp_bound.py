@@ -1,74 +1,33 @@
 #!/usr/bin/env python3
-"""Run the end-to-end sharp-bound verdicts for the three stock scenarios
-(free quartic operator, second-order operator with a bounded well, quartic
-operator with a confining positive potential) and print the verdict blocks.
+"""Run the end-to-end sharp-bound verdicts for the four stock scenarios in
+``configs/`` (free quartic operator, second-order operator with a bounded
+well, quartic operator with a confining positive potential, and the quartic
+operator with a perturbed coefficient against its reference) and print the
+verdict blocks.
 
 Usage: python scripts/run_sharp_bound.py [--config PATH]
 With --config, runs that single configuration instead of the stock set.
 """
 
 import argparse
+import os
 import sys
 import time
 
 from heatlab.config import config_from_text, load_config
 from heatlab.experiments import verify_perturbed_bound, verify_sharp_bound
 
-STOCK = {
-    "quartic-free": """
-scenario = verify
-[operator]
-m = 2
-n = 1
-domain = -4, 4
-grid_n = 800
-a = "1"
-[verify]
-tolerance = 0.05
-t_list = 0.001, 0.002, 0.004, 0.01
-pair_min = 0.2
-pair_max = 1.0
-pair_count = 40
-M_list = 5
-distance_method = dM
-""",
-    "well-m1": """
-scenario = verify
-[operator]
-m = 1
-n = 1
-domain = -8, 8
-grid_n = 800
-a = "1"
-potential = "-exp(-x^2)"
-[verify]
-tolerance = 0.05
-t_list = 0.04, 0.08, 0.16, 0.32
-pair_min = 0.2
-pair_max = 1.2
-pair_count = 40
-M_list = 5
-distance_method = dM
-""",
-    "quartic-confining": """
-scenario = verify
-[operator]
-m = 2
-n = 1
-domain = -4, 4
-grid_n = 800
-a = "1"
-potential = "x^4"
-[verify]
-tolerance = 0.05
-t_list = 0.001, 0.002, 0.004, 0.01
-pair_min = 0.2
-pair_max = 1.0
-pair_count = 40
-M_list = 5
-distance_method = dM
-""",
-}
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def _config_text(name):
+    """The text of ``configs/<name>.cfg``, byte for byte."""
+    with open(os.path.join(CONFIGS, f"{name}.cfg"), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+STOCK = {name: _config_text(name)
+         for name in ("quartic-free", "well-m1", "quartic-confining", "perturbed")}
 
 
 def run_one(name, cfg):

@@ -1,6 +1,6 @@
-"""Golden verdicts: ``heatlab verify`` on the three stock configs of
-``scripts/run_sharp_bound.py`` against committed copies of their
-``verdict.txt`` and ``verify_samples.csv`` under ``tests/golden/<name>/``.
+"""Golden verdicts: ``heatlab verify`` on the four stock configs
+``configs/<name>.cfg`` against committed copies of their ``verdict.txt`` and
+``verify_samples.csv`` under ``tests/golden/<name>/``.
 
 Text must match exactly.  A verdict number must lie within ``RTOL`` of its
 copy, a CSV number within ``RTOL`` of its column's largest magnitude, since
@@ -21,7 +21,7 @@ checkout:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 """
 
-import importlib.util
+import ast
 import os
 import re
 import shutil
@@ -32,33 +32,20 @@ import pytest
 from heatlab.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 FILES = ("verdict.txt", "verify_samples.csv")
 RTOL = 1e-8
 # bounds of the worst residual over its bound and of the orthonormality defect
 HEALTH_BOUNDS = (1.0, 1e-8)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def _stock():
-    # loaded from the script's file, as perfbench/selfcheck.py reads it
-    spec = importlib.util.spec_from_file_location(
-        "run_sharp_bound", os.path.join(ROOT, "scripts", "run_sharp_bound.py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.STOCK
-
-
-STOCK = _stock()
+STOCK = sorted(f[:-len(".cfg")] for f in os.listdir(CONFIGS) if f.endswith(".cfg"))
 
 
 def _run(name, tmp):
     """The out directory of ``heatlab verify`` on the stock config ``name``."""
-    cfg = os.path.join(tmp, f"{name}.cfg")
-    with open(cfg, "w", encoding="utf-8") as fh:
-        fh.write(STOCK[name])
     out = os.path.join(tmp, name)
-    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    assert main(["verify", "--config", os.path.join(CONFIGS, f"{name}.cfg"), "--out", out]) == 0
     return out
 
 
@@ -88,13 +75,26 @@ def _check_samples(got, want):
     assert np.all(worst <= RTOL), dict(zip(want[0].split(","), worst))
 
 
-@pytest.mark.parametrize("name", sorted(STOCK))
+@pytest.mark.parametrize("name", STOCK)
 def test_stock_verdict_matches_its_golden_copy(tmp_path, name):
     out = _run(name, str(tmp_path))
     got = [open(os.path.join(out, f), encoding="utf-8").read() for f in FILES]
     want = [open(os.path.join(GOLDEN, name, f), encoding="utf-8").read() for f in FILES]
     _check_verdict(got[0], want[0])
     _check_samples(got[1], want[1])
+
+
+def test_perturbed_config_is_the_criterion_8_text():
+    # perfbench/selfcheck.py reads the perturbed config from the inline text
+    # of the criterion-8 test; the two must stay the same bytes
+    with open(os.path.join(ROOT, "tests", "test_acceptance.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    test = next(fn for fn in ast.walk(tree)
+                if getattr(fn, "name", "") == "test_criterion_8_perturbation_stability")
+    texts = [node.args[0].value for node in ast.walk(test)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "config_from_text"]
+    with open(os.path.join(CONFIGS, "perturbed.cfg"), encoding="utf-8", newline="") as fh:
+        assert texts == [fh.read()]
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Smoke run of ``scripts/run_sharp_bound.py``, the one script in
-``scripts/``: it holds the stock verify configs that ``perfbench/selfcheck.py``
-reads until ROADMAP item 1 moves them.  Every other scenario runs as
+``scripts/``: its ``STOCK`` holds the texts of the stock verify configs in
+``configs/``, which ``perfbench/selfcheck.py`` reads from it until ROADMAP
+item 1 points it at the files.  Every other scenario runs as
 ``heatlab <command> --config <file>``."""
 
 import os
