@@ -27,6 +27,16 @@ the iteration missed raises.  The spectrum records ``t_min`` and every kernel
 function refuses an earlier time.  The complete dense decomposition is taken
 instead when the cut is at or above a Gershgorin bound on the spectrum, or
 when more than the share ``LANCZOS_MAX_SHARE`` of the modes lies below it.
+
+On a tridiagonal band (m = 1 in 1D) that fallback builds no dense matrix
+either.  The dense solver, LAPACK's ``dsyevr``, first reduces the matrix to
+tridiagonal form by Householder reflectors; on a matrix that is already
+tridiagonal every reflector is the identity, and the unchanged diagonal and
+off-diagonal go to MRRR (``dstemr``).  So ``dstemr`` on the band, through
+``scipy.linalg.eigh_tridiagonal``, returns the dense eigenpairs bit for bit.
+A complete spectrum asked for with ``t_min = 0`` stays on the dense ``eigh``:
+it is the reference the cut spectra are tested against, and the benchmark's
+traced ``spectral`` run requires that call (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -116,7 +126,12 @@ class SpectralData:
 def eigendecompose(op, t_min=0.0):
     """Eigenpairs of the symmetric operator: all of them, or, for
     ``t_min > 0``, those with ``l < 746 / t_min``, whose kernel weight is
-    nonzero at some ``t >= t_min``."""
+    nonzero at some ``t >= t_min``.
+
+    A cut spectrum that keeps every mode, or more than ``LANCZOS_MAX_SHARE``
+    of them, is complete (``t_min = 0``): on a tridiagonal band it comes from
+    ``dstemr`` on the band, which gives the dense ``eigh``'s bits; otherwise,
+    and always for ``t_min = 0``, from the dense ``eigh``."""
     if t_min < 0:
         raise ValueError("t_min must be nonnegative")
     if op.symmetry_defect() > 1e-12:
@@ -130,8 +145,12 @@ def eigendecompose(op, t_min=0.0):
         if len(low) <= LANCZOS_MAX_SHARE * op.grid.node_count:
             w, v = _lanczos_pairs(op.matrix, low, cut, _RESIDUAL_FLOOR_FACTOR * norm_bound)
             return SpectralData(w, v / np.sqrt(op.mass), op.grid, op.mass, t_min)
-    # H is exactly symmetric, so its transpose is H in LAPACK order: eigh makes no copy
-    w, v = sla.eigh(op.operator_matrix().T, overwrite_a=True)
+    if t_min > 0 and len(op.band) == 2:
+        # MRRR on the tridiagonal band: the dense call's eigenpairs, bit for bit
+        w, v = sla.eigh_tridiagonal(op.band[0], op.band[1][:-1], lapack_driver="stemr")
+    else:
+        # H is exactly symmetric, so its transpose is H in LAPACK order: eigh makes no copy
+        w, v = sla.eigh(op.operator_matrix().T, overwrite_a=True)
     v /= np.sqrt(op.mass)
     return SpectralData(w, v, op.grid, op.mass)
 

@@ -6,8 +6,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from test_cli import VERIFY_CFG
 
 import heatlab.discretize
+from heatlab.cli import main
 from heatlab.discretize import (
     DiscreteOperator,
     Grid,
@@ -126,6 +128,20 @@ def test_extreme_eigenvalues_never_densify(monkeypatch):
     assert lower_bound_k(op, prof, 0.0) == -band_lowest(op.band)
     assert lower_bound_k(op, prof, 20.0) == rep.k_values[-1]
     assert form_bound(op, np.full(60, 1e4), 0.5) > 0.0
+
+
+def test_m1_verdict_never_densifies(monkeypatch, tmp_path):
+    # an m = 1 verdict whose cut keeps every mode takes the complete spectrum
+    # from the tridiagonal band
+    def refuse(self):
+        raise AssertionError("dense operator matrix requested")
+
+    monkeypatch.setattr(DiscreteOperator, "operator_matrix", refuse)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(VERIFY_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "verdict.txt").read_text(encoding="utf-8").startswith("verdict: PASS\n")
 
 
 def test_only_complete_spectra_and_kato_curves_densify(monkeypatch):

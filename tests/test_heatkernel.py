@@ -245,8 +245,19 @@ def test_cut_spectrum_refuses_earlier_times():
         eigendecompose(op, t_min=-1.0)
 
 
-def test_cut_above_spectrum_keeps_every_mode():
-    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+# m = 1 operators on [0, 1] with N = 200, whose complete spectra from a cut
+# take the tridiagonal band's route: a = 1, a variable coefficient, well-m1's well
+M1_OPERATORS = {
+    "constant": lambda: make_line_operator(1, n_pts=200, bounds=(0.0, 1.0)),
+    "variable-a": lambda: assemble(*operator_pieces(OperatorConfig(a="1+0.5*cos(x)"))),
+    "well": lambda: assemble(*operator_pieces(OperatorConfig(potential="-exp(-x^2)"))),
+}
+
+
+@pytest.mark.parametrize("make_op", M1_OPERATORS.values(), ids=M1_OPERATORS.keys())
+def test_cut_above_spectrum_keeps_every_mode(make_op):
+    op = make_op()
+    assert op.band.shape == (2, 200)
     full = eigendecompose(op)
     top = full.eigenvalues[-1]
     # far above the spectrum: the full decomposition itself
@@ -261,6 +272,11 @@ def test_cut_above_spectrum_keeps_every_mode():
     np.testing.assert_allclose(near.eigenvalues, full.eigenvalues, rtol=0,
                                atol=8 * np.finfo(float).eps * top)
     assert trace_identity_defect(near, 1e-9) < 1e-9
+    # both come from the band, with the dense reference's bits
+    for sd in (far, near):
+        np.testing.assert_array_equal(sd.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(sd.eigenvectors, full.eigenvectors)
+        assert sd.validate(op.matrix)
 
 
 def test_kernel_oracle_cut_from_band_matches_full():
@@ -312,14 +328,18 @@ def test_cut_equal_to_a_band_eigenvalue_drops_that_mode():
     assert kernel(cut, t_min, 60, 90) == pytest.approx(kernel(full, t_min, 60, 90), rel=1e-10)
 
 
-def test_cut_keeping_many_modes_is_complete():
+@pytest.mark.parametrize("make_op", M1_OPERATORS.values(), ids=M1_OPERATORS.keys())
+def test_cut_keeping_many_modes_is_complete(make_op):
     # a cut below the Gershgorin bound that keeps more than a quarter of the
-    # modes takes the complete dense decomposition
-    op = make_line_operator(1, n_pts=200, bounds=(0.0, 1.0))
+    # modes takes the complete decomposition: on an m = 1 band, the band's
+    # MRRR, whose eigenpairs are the dense reference's bits
+    op = make_op()
     full = eigendecompose(op)
     sd = eigendecompose(op, t_min=746.0 / full.eigenvalues[100])
     assert sd.t_min == 0.0 and len(sd.eigenvalues) == 200
     np.testing.assert_array_equal(sd.eigenvalues, full.eigenvalues)
+    np.testing.assert_array_equal(sd.eigenvectors, full.eigenvectors)
+    assert sd.validate(op.matrix)
 
 
 def test_cut_spectrum_missed_mode_raises(monkeypatch):
