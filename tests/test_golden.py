@@ -39,7 +39,7 @@ RTOL = 1e-8
 # bounds of the worst residual over its bound and of the orthonormality defect
 HEALTH_BOUNDS = (1.0, 1e-8)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-STOCK = sorted(f[:-len(".cfg")] for f in os.listdir(CONFIGS) if f.endswith(".cfg"))
+STOCK_NAMES = sorted(f[:-len(".cfg")] for f in os.listdir(CONFIGS) if f.endswith(".cfg"))
 
 
 def _run(name, tmp):
@@ -75,7 +75,7 @@ def _check_samples(got, want):
     assert np.all(worst <= RTOL), dict(zip(want[0].split(","), worst))
 
 
-@pytest.mark.parametrize("name", STOCK)
+@pytest.mark.parametrize("name", STOCK_NAMES)
 def test_stock_verdict_matches_its_golden_copy(tmp_path, name):
     out = _run(name, str(tmp_path))
     got = [open(os.path.join(out, f), encoding="utf-8").read() for f in FILES]
@@ -101,7 +101,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in STOCK:
+        for name in STOCK_NAMES:
             out = _run(name, tmp)
             os.makedirs(os.path.join(GOLDEN, name), exist_ok=True)
             for f in FILES:
