@@ -7,7 +7,7 @@ the sparse (CSR) matrix of ``H``, the one representation of the operator.
 The form-based construction guarantees symmetry and mirrors the variational
 definition of the operator.  Extreme eigenvalues come from H's LAPACK band;
 ``operator_matrix`` builds a dense H only where a complete spectrum or a
-Kato resolvent needs it.
+Kato L1->L1 norm needs it.
 
 Stencil conventions:
 

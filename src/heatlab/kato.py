@@ -1,14 +1,19 @@
 """Numerical verification of the smallness hypotheses on negative potentials.
 
 Everything is exact at the discrete level: the zero-form-bound constant is an
-eigenvalue, the L1->L1 resolvent norm is a max column mass of the resolvent
-kernel, and the weighted-L2 bound is the top eigenvalue of the symmetrized
-weighted resolvent, found by Lanczos iteration (ARPACK through
+eigenvalue, and the L1->L1 resolvent norm is a max column mass of the
+resolvent kernel.  When the band has no positive off-diagonal (every m = 1
+operator), ``H0 + lambda`` is a Stieltjes matrix whose inverse is entrywise
+nonnegative (Berman & Plemmons, ch. 6), so the masses are ``R V_-``, one
+dense solve with one right-hand side; otherwise the resolvent is solved from
+the identity.  The weighted-L2 bound is the top eigenvalue of the
+symmetrized weighted resolvent, found by Lanczos iteration (ARPACK through
 ``scipy.sparse.linalg.eigsh``) from a fixed start vector, so reruns give the
-same bits.  :func:`kato_norm_curve` is the one sweep over lambda: it solves
-each dense resolvent once and passes it to both norms, and its
-:class:`KatoCurve` enforces the decay in lambda and the interpolation bound
-(weighted-L2 <= L1->L1).  The Miyadera quadrature is one matrix product per
+same bits; its products are solves with one sparse LU of ``H0 + lambda``, so
+it forms no N x N array.  :func:`kato_norm_curve` is the one sweep over
+lambda: it takes each norm once per lambda, and its :class:`KatoCurve`
+enforces the decay in lambda and the interpolation bound (weighted-L2 <=
+L1->L1).  The Miyadera quadrature is one matrix product per
 panel over the modes that can change it: the eigenvalues ascend, so the
 modes weighted below ``2^-63`` of the first at the panel's first node are a
 tail, and the product skips it when the tail's bound stays below ``2^-53``
@@ -23,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discretize import POTENTIAL_WARN_THRESHOLD, band_lowest
 
@@ -86,53 +92,69 @@ class KatoCurve:
             raise ValueError("weighted-L2 norm exceeds the L1->L1 norm")
 
 
-def kato_norm(R, vminus):
-    """Discrete ||V_-(H0+lambda)^{-1}||_{L1->L1} from the resolvent ``R`` at
-    lambda: max column mass of the weighted resolvent kernel."""
+def kato_norm(op0, vminus, lam):
+    """Discrete ||V_-(H0+lambda)^{-1}||_{L1->L1}: the max column mass of the
+    weighted resolvent kernel ``V_- |R|``, ``R = (H0 + lambda)^{-1}``.
+
+    With no positive off-diagonal in ``op0.band`` (every m = 1 operator),
+    ``H0 + lambda`` is a Stieltjes matrix, so ``R >= 0`` entrywise and the
+    column masses are ``R V_-``: one dense solve with one right-hand side.
+    Otherwise ``R`` is solved from the identity and freed on return.
+    """
     vminus = _check_vminus(vminus)
+    A = op0.operator_matrix()
+    A.flat[:: A.shape[0] + 1] += lam
+    if not np.any(op0.band[1:] > 0):
+        return float(np.max(np.linalg.solve(A, vminus)))
+    R = np.linalg.solve(A, np.eye(A.shape[0]))
+    del A
     return float(np.max(np.sum(vminus[:, None] * np.abs(R), axis=0)))
 
 
 def kato_norm_curve(op0, vminus, lambdas):
-    """Both norms at each lambda, each above ``-lambda_min``.  Each resolvent
-    ``(H0 + lambda)^{-1}`` is one dense solve, freed before the next."""
+    """Both norms at each lambda, each above ``-lambda_min``: one call each
+    of :func:`kato_norm` and :func:`weighted_l2_check` per lambda."""
     vminus = _check_vminus(vminus)
     lambdas = list(lambdas)
     lo = band_lowest(op0.band)
     for lam in lambdas:
         if lam <= -lo:
             raise ValueError(f"lambda = {lam} is not above -lambda_min = {-lo}")
-    norms, weighted = [], []
-    for lam in lambdas:
-        A = op0.operator_matrix()
-        A.flat[:: A.shape[0] + 1] += lam
-        R = np.linalg.solve(A, np.eye(A.shape[0]))
-        del A
-        norms.append(kato_norm(R, vminus))
-        weighted.append(weighted_l2_check(R, vminus))
-        del R
+    norms = [kato_norm(op0, vminus, lam) for lam in lambdas]
+    weighted = [weighted_l2_check(op0, vminus, lam) for lam in lambdas]
     return KatoCurve(lambdas, norms, weighted)
 
 
-def weighted_l2_check(R, vminus):
+def weighted_l2_check(op0, vminus, lam):
     """Spectral norm of (H0+lambda)^{-1} V_- on l2(V_- h^n), restricted to the
-    support of V_-, from the resolvent ``R`` at lambda; 0 when V_- vanishes.
-    The resolvent is positive definite for lambda above -lambda_min, so the
-    symmetrized weighted resolvent is positive semi-definite and its norm is
-    its top eigenvalue.  :class:`KatoCurve` checks it against the L1->L1 norm.
+    support of V_-; 0 when V_- vanishes.  The resolvent is positive definite
+    for lambda above -lambda_min, so the symmetrized weighted resolvent
+    ``sqrt(V_-) (H0+lambda)^{-1} sqrt(V_-)`` is positive semi-definite and its
+    norm is its top eigenvalue.  Its products are solves with one sparse LU
+    of ``H0 + lambda``; no N x N array is formed.  :class:`KatoCurve` checks
+    it against the L1->L1 norm.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu  # loaded on first use
+
     vminus = _check_vminus(vminus)
-    support = vminus > 0
-    if not np.any(support):
+    support = np.flatnonzero(vminus)
+    k = len(support)
+    if k == 0:
         return 0.0
     sq = np.sqrt(vminus[support])
-    Mw = sq[:, None] * (R if support.all() else R[np.ix_(support, support)])
-    Mw *= sq[None, :]
-    if len(Mw) == 1:  # ARPACK needs two rows or more
-        return float(Mw[0, 0])
-    from scipy.sparse.linalg import eigsh  # Lanczos from a fixed start; non-convergence raises
+    n = op0.grid.node_count
+    lu = splu((op0.matrix + lam * sp.identity(n, format="csr")).tocsc())
 
-    return float(eigsh(Mw, k=1, which="LA", v0=np.ones(len(Mw)), return_eigenvectors=False)[0])
+    def product(x):
+        b = np.zeros(n)
+        b[support] = sq * x
+        return sq * lu.solve(b)[support]
+
+    if k == 1:  # ARPACK needs two rows or more
+        return float(product(np.ones(1))[0])
+    Mw = LinearOperator((k, k), matvec=product, dtype=float)
+    # Lanczos from a fixed start; non-convergence raises
+    return float(eigsh(Mw, k=1, which="LA", v0=np.ones(k), return_eigenvectors=False)[0])
 
 
 def miyadera_integral(spectral, vminus, delta, u, panels=None):

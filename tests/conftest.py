@@ -69,6 +69,21 @@ def point_evals(monkeypatch):
 
 
 @pytest.fixture
+def solve_shapes(monkeypatch):
+    """The shape of the right-hand side of each ``np.linalg.solve`` call
+    while the test runs."""
+    shapes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        shapes.append(np.shape(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    return shapes
+
+
+@pytest.fixture
 def highs_solves(monkeypatch):
     """Records the HiGHS solves of ``distance_dm_1d`` while the test runs:
     ``log["hot"]`` holds one entry per solve, whether it started from a

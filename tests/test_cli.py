@@ -545,6 +545,31 @@ def test_kato_csv_is_the_curve(tmp_path):
     assert open(os.path.join(out, "kato_curve.csv")).read().splitlines() == expected
 
 
+def test_kato_2d_m1_curve_equals_the_dense_formulas(tmp_path, solve_shapes):
+    # a 2D m = 1 band has no positive off-diagonal either, so each lambda
+    # solves with V_- alone; the curve is the max column mass of V_- |R| and
+    # the top eigenvalue of sqrt(V_-) R sqrt(V_-), R from a dense inverse
+    text = KATO_CFG.replace("n = 1\ndomain = 0, 1\ngrid_n = 150",
+                            "n = 2\ndomain = 0, 1, 0, 1\ngrid_n = 12").replace("x^", "x1^")
+    cfg_path = _write(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["kato", "--config", cfg_path, "--out", out]) == 0
+    assert solve_shapes == [(144,)] * 3
+    cfg = load_config(cfg_path)
+    spec, grid, _ = operator_pieces(cfg.operator)
+    vminus = np.maximum(sample_potential(cfg.kato.vminus, grid), 0.0)
+    H = assemble(spec, grid).operator_matrix()
+    assert H.shape == (144, 144)
+    rows = np.loadtxt(os.path.join(out, "kato_curve.csv"), delimiter=",", skiprows=1)
+    sq = np.sqrt(vminus)
+    for lam, kn, wnorm in rows:
+        R = np.linalg.inv(H + lam * np.eye(144))
+        norm = float(np.max(np.sum(vminus[:, None] * np.abs(R), axis=0)))
+        top = float(np.linalg.eigvalsh(sq[:, None] * R * sq[None, :])[-1])
+        assert kn == pytest.approx(norm, rel=1e-13)
+        assert wnorm == pytest.approx(top, rel=1e-13)
+
+
 def test_form_bounds_csv_is_form_bound_per_eps(tmp_path):
     cfg_path = _write(tmp_path, KATO_CFG)
     out = str(tmp_path / "out")
@@ -561,8 +586,8 @@ def test_form_bounds_csv_is_form_bound_per_eps(tmp_path):
 def test_kato_exits_2_when_interpolation_fails(tmp_path, monkeypatch, capsys):
     check = heatlab.kato.weighted_l2_check
 
-    def inflated(R, vminus):
-        return check(R, vminus) + 1.0
+    def inflated(op0, vminus, lam):
+        return check(op0, vminus, lam) + 1.0
 
     monkeypatch.setattr(heatlab.kato, "weighted_l2_check", inflated)
     cfg = _write(tmp_path, KATO_CFG)

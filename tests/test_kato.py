@@ -24,7 +24,8 @@ from heatlab.heatkernel import SpectralData, eigendecompose
 
 
 def _dense_inverse(op, lam):
-    # (H + lam I)^-1, solved as kato_norm_curve solves it
+    # (H + lam I)^-1 from the identity, as kato_norm solves it when the band
+    # has a positive off-diagonal
     A = op.operator_matrix()
     A.flat[:: A.shape[0] + 1] += lam
     return np.linalg.solve(A, np.eye(A.shape[0]))
@@ -90,10 +91,10 @@ def test_form_bound_rejects_bad_eps(unit_m1_400_op):
 
 
 def test_kato_norm_zero_and_duality(unit_m1_400_op, singular_vminus):
-    assert kato_norm(_dense_inverse(unit_m1_400_op, 10.0), np.zeros(400)) == 0.0
+    assert kato_norm(unit_m1_400_op, np.zeros(400), 10.0) == 0.0
     for lam in (1.0, 100.0):
         R = _dense_inverse(unit_m1_400_op, lam)
-        a = kato_norm(R, singular_vminus)
+        a = kato_norm(unit_m1_400_op, singular_vminus, lam)
         # dual form: max row sum of R V_-
         b = float(np.max(np.sum(np.abs(R) * singular_vminus[None, :], axis=1)))
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, a))
@@ -103,8 +104,8 @@ def test_kato_norm_resolvent_bound_for_unit_potential(unit_m1_400_op):
     ones = np.ones(400)
     prev = None
     for lam in (1.0, 10.0, 100.0):
-        n_lam = kato_norm(_dense_inverse(unit_m1_400_op, lam), ones)
-        n_10lam = kato_norm(_dense_inverse(unit_m1_400_op, 10 * lam), ones)
+        n_lam = kato_norm(unit_m1_400_op, ones, lam)
+        n_10lam = kato_norm(unit_m1_400_op, ones, 10 * lam)
         assert n_10lam < n_lam
         # sub-Markovian resolvent: L1 norm at most 1/lambda
         assert n_lam <= 1.0 / lam + 1e-10
@@ -138,13 +139,13 @@ def test_kato_norm_curve_equals_separate_calls(unit_m1_400_op, singular_vminus):
     for lam, kn, wnorm in zip(lambdas, curve.norms, curve.weighted):
         R = _dense_inverse(unit_m1_400_op, lam)
         assert np.max(np.abs((H + lam * eye) @ R - eye)) <= 1e-8
-        assert kn == kato_norm(R, singular_vminus)
-        assert wnorm == weighted_l2_check(R, singular_vminus)
+        assert kn == kato_norm(unit_m1_400_op, singular_vminus, lam)
+        assert wnorm == weighted_l2_check(unit_m1_400_op, singular_vminus, lam)
 
 
 def test_kato_norm_curve_releases_dense_matrices(monkeypatch):
-    # the curve solves one resolvent per lambda and frees it before the next
-    # solve; none outlives the curve
+    # at m = 2 the curve solves one resolvent per lambda from the identity and
+    # frees it before the next solve; none outlives the curve
     solved = []
     solve = np.linalg.solve
 
@@ -155,10 +156,58 @@ def test_kato_norm_curve_releases_dense_matrices(monkeypatch):
         return R
 
     monkeypatch.setattr(np.linalg, "solve", tracked)
-    op = make_line_operator(1, n_pts=100, bounds=(0.0, 1.0))
+    op = make_line_operator(2, n_pts=100, bounds=(0.0, 1.0))
     kato_norm_curve(op, np.ones(100), [1.0, 10.0, 100.0])
     assert len(solved) == 3
     assert all(ref() is None for ref in solved)
+
+
+def test_kato_norm_m1_solves_one_right_hand_side(unit_m1_400_op, singular_vminus, solve_shapes):
+    # at m = 1 no off-diagonal is positive: H0 + lambda is a Stieltjes matrix,
+    # R >= 0, and the column masses of V_- R are R V_-
+    lambdas = [1.0, 10.0, 1000.0]
+    curve = kato_norm_curve(unit_m1_400_op, singular_vminus, lambdas)
+    assert solve_shapes == [(400,)] * 3
+    for lam, kn in zip(lambdas, curve.norms):
+        R = _dense_inverse(unit_m1_400_op, lam)
+        assert np.all(R >= 0)
+        ref = float(np.max(np.sum(singular_vminus[:, None] * np.abs(R), axis=0)))
+        assert kn == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.fixture(scope="module")
+def unit_m2_300():
+    op = make_line_operator(2, n_pts=300, bounds=(0.0, 1.0))
+    x = op.grid.node_coordinates()[:, 0]
+    return op, np.minimum(x**-0.5, 1e6)
+
+
+def test_kato_norm_m2_solves_the_resolvent_from_the_identity(unit_m2_300, solve_shapes):
+    # the m = 2 band has positive off-diagonals, and R has entries of both
+    # signs at these lambdas
+    op, vminus = unit_m2_300
+    assert np.any(op.band[1:] > 0)
+    for lam in (1e3, 1e5):
+        solve_shapes.clear()
+        got = kato_norm(op, vminus, lam)
+        assert solve_shapes == [(300, 300)]
+        R = _dense_inverse(op, lam)
+        assert np.any(R < 0)
+        assert got == float(np.max(np.sum(vminus[:, None] * np.abs(R), axis=0)))
+
+
+def test_weighted_l2_m2_within_the_conditioning_floor_of_the_dense_route(unit_m2_300):
+    # the sparse LU and the dense inverse each solve to eps cond(H0 + lambda);
+    # measured gap: 1.7e-9 relative at lambda = 1 (cond 1.3e9), 1.0e-13 at 1e5
+    op, vminus = unit_m2_300
+    sq = np.sqrt(vminus)
+    for lam in (1.0, 10.0, 1e3, 1e5):
+        A = op.operator_matrix()
+        A.flat[:: A.shape[0] + 1] += lam
+        R = _dense_inverse(op, lam)
+        ref = float(np.linalg.eigvalsh(sq[:, None] * R * sq[None, :])[-1])
+        floor = np.finfo(float).eps * np.linalg.cond(A)
+        assert abs(weighted_l2_check(op, vminus, lam) - ref) <= floor * ref
 
 
 def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
@@ -176,8 +225,8 @@ def test_kato_norm_rejects_bad_lambda(unit_m1_400_op):
 
 def test_weighted_l2_bounded_by_kato_norm(unit_m1_400_op, singular_vminus):
     for lam in (1.0, 10.0, 1000.0):
-        R = _dense_inverse(unit_m1_400_op, lam)
-        assert weighted_l2_check(R, singular_vminus) <= kato_norm(R, singular_vminus) + 1e-8
+        assert (weighted_l2_check(unit_m1_400_op, singular_vminus, lam)
+                <= kato_norm(unit_m1_400_op, singular_vminus, lam) + 1e-8)
 
 
 def test_weighted_l2_top_eigenvalue_equals_full_spectrum(unit_m1_400_op, singular_vminus):
@@ -188,22 +237,22 @@ def test_weighted_l2_top_eigenvalue_equals_full_spectrum(unit_m1_400_op, singula
         sq = np.sqrt(vminus[support])
         for lam in (1.0, 100.0):
             R = _dense_inverse(unit_m1_400_op, lam)
-            wnorm = weighted_l2_check(R, vminus)
+            wnorm = weighted_l2_check(unit_m1_400_op, vminus, lam)
             Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
             ref = float(np.max(np.abs(sla.eigh(Mw, eigvals_only=True))))
             assert wnorm == pytest.approx(ref, rel=1e-13)
 
 
 def test_weighted_l2_unit_weight_and_half_support(unit_m1_400_op):
-    R = _dense_inverse(unit_m1_400_op, 10.0)
     half = np.zeros(400)
     half[:200] = 1.0
     for vminus in (np.ones(400), half):
-        assert weighted_l2_check(R, vminus) <= kato_norm(R, vminus) + 1e-8
+        assert (weighted_l2_check(unit_m1_400_op, vminus, 10.0)
+                <= kato_norm(unit_m1_400_op, vminus, 10.0) + 1e-8)
 
 
 def test_weighted_l2_vacuous(unit_m1_400_op):
-    assert weighted_l2_check(_dense_inverse(unit_m1_400_op, 10.0), np.zeros(400)) == 0.0
+    assert weighted_l2_check(unit_m1_400_op, np.zeros(400), 10.0) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -341,20 +390,24 @@ def test_weighted_l2_lanczos_equals_dense_top_eigenvalue(unit_m1_400_op, singula
     one_node[123] = 2.5
     half = np.zeros(400)
     half[:200] = 1.0
-    for vminus in (singular_vminus, half, one_node):
+    two_nodes, three_nodes = np.zeros(400), np.zeros(400)
+    two_nodes[[7, 300]] = (4.0, 0.5)
+    three_nodes[[0, 1, 399]] = (1e6, 3.0, 2.0)
+    for vminus in (singular_vminus, half, one_node, two_nodes, three_nodes):
         support = vminus > 0
         sq = np.sqrt(vminus[support])
         for lam in (1.0, 10.0, 1e3, 1e5):
             R = _dense_inverse(unit_m1_400_op, lam)
-            wnorm = weighted_l2_check(R, vminus)
+            wnorm = weighted_l2_check(unit_m1_400_op, vminus, lam)
             Mw = sq[:, None] * R[np.ix_(support, support)] * sq[None, :]
             ref = float(np.linalg.eigvalsh(Mw)[-1])
             assert abs(wnorm - ref) <= 1e-12 * ref
-            assert weighted_l2_check(R, vminus) == wnorm  # fixed start
-    # a one-node support is its single entry, sqrt(V_-) R sqrt(V_-) there
+            assert weighted_l2_check(unit_m1_400_op, vminus, lam) == wnorm  # fixed start
+    # a one-node support is its single entry, sqrt(V_-) R sqrt(V_-) there,
+    # here from the sparse LU against the dense inverse
     R = _dense_inverse(unit_m1_400_op, 10.0)
     want = np.sqrt(2.5) * R[123, 123] * np.sqrt(2.5)
-    assert weighted_l2_check(R, one_node) == want
+    assert abs(weighted_l2_check(unit_m1_400_op, one_node, 10.0) - want) <= 1e-12 * want
 
 
 def test_miyadera_rejects_cut_spectrum(unit_m1_400_op):
