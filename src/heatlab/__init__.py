@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .symbols import (  # noqa: F401
     ConstantField,
-    DomainSpec,
     ExprField,
     SharpConstants,
     SymbolSpec,

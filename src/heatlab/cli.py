@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .discretize import assemble
+from .discretize import Grid, assemble
 from .experiments import operator_pieces, verify_perturbed_bound, verify_sharp_bound
 from .finsler import distance_1d, distance_dm_1d, distance_lattice_2d
 from .heatkernel import eigendecompose, oracle_field, spectral_field
@@ -106,7 +106,7 @@ def run_kernel(cfg, outdir, manifest):
         raise ConfigError("kernel fields are tabulated for 1D grids only", key="operator.n")
     spec, grid, vvals = operator_pieces(cfg.operator)
     k = cfg.kernel
-    _refuse_off_domain(spec, ("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list))
+    _refuse_off_domain(grid.bounds, ("kernel.x_list", k.x_list), ("kernel.y_list", k.y_list))
     a = spec.isotropic_coefficient
     if k.oracle and not isinstance(a, ConstantField):
         raise ConfigError("the Fourier oracle needs a constant operator.a", key="kernel.oracle")
@@ -124,9 +124,9 @@ def run_kernel(cfg, outdir, manifest):
     return 0
 
 
-def _refuse_off_domain(spec, *keyed_points):
-    """Refuse a point outside a 1D operator's closed domain, naming its key."""
-    (lo, hi), = spec.domain.bounds
+def _refuse_off_domain(bounds, *keyed_points):
+    """Refuse a point outside the closed 1D domain ``bounds``, naming its key."""
+    (lo, hi), = bounds
     for key, values in keyed_points:
         if any(not lo <= v <= hi for v in values):
             raise ConfigError(f"{key} must lie in the domain [{lo}, {hi}]", key=key)
@@ -140,20 +140,21 @@ def run_distance(cfg, outdir, manifest):
                           key="distance.method")
     if d.method == "lattice" and d.lattice_n < 2:
         raise ConfigError("the lattice needs at least 2 nodes per axis", key="distance.lattice_n")
-    spec = SymbolSpec.isotropic(o.m, o.n, o.a, domain=o.domain)  # no grid_n, no potential
+    spec = SymbolSpec.isotropic(o.m, o.n, o.a)  # no grid_n, no potential
     if d.method == "lattice":
         with manifest.stage("distance lattice"):
-            bounds = spec.domain.bounds
-            source = spec.domain.center() if d.source is None else d.source
+            grid = Grid.make(o.domain, d.lattice_n)
+            bounds = grid.bounds
+            source = grid.center() if d.source is None else d.source
             if len(source) != 2 or any(not lo <= s <= hi for s, (lo, hi) in zip(source, bounds)):
                 raise ConfigError(f"source must be a point of the domain {bounds}",
                                   key="distance.source")
-            fldist = distance_lattice_2d(spec, source, npts=d.lattice_n)
+            fldist = distance_lattice_2d(spec, source, grid)
         with manifest.stage("write csv"):
             write_csv(os.path.join(outdir, "distance.csv"), ("x1", "x2", "d"),
                       grid_rows(fldist.axes, fldist.values))
         return 0
-    _refuse_off_domain(spec, ("distance.y1_list", d.y1_list), ("distance.y2_list", d.y2_list))
+    _refuse_off_domain(o.domain, ("distance.y1_list", d.y1_list), ("distance.y2_list", d.y2_list))
     with manifest.stage(f"distance {d.method}"):
         if d.method == "exact1d":
             vals = [distance_1d(spec, y1, y2) for y1, y2 in zip(d.y1_list, d.y2_list)]
@@ -194,7 +195,7 @@ def run_kato(cfg, outdir, manifest):
     with manifest.stage("miyadera"):
         spectral = eigendecompose(op0)
         u = np.zeros(grid.node_count)
-        u[grid.nearest_node(spec.domain.center())] = 1.0 / op0.mass
+        u[grid.nearest_node(grid.center())] = 1.0 / op0.mass
         panels = {}  # both deltas integrate the same spectrum, V_- and u
         ratios = [(d, miyadera_ratio(spectral, vminus, d, u, panels))
                   for d in (kc.delta, kc.delta / 2)]

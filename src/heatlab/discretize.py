@@ -23,7 +23,6 @@ Stencil conventions:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +31,11 @@ import scipy.sparse as sp
 
 from .symbols import ellipticity_constant
 
-POTENTIAL_WARN_THRESHOLD = 1e12
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid: per-axis bounds and interior point counts."""
+    """Uniform interior grid: per-axis bounds and interior point counts, the
+    one holder of a run's box (the symbol lives on all of R^n)."""
 
     bounds: tuple  # ((lo, hi), ...)
     npts: tuple    # interior points per axis
@@ -78,6 +76,9 @@ class Grid:
     @property
     def node_count(self):
         return int(np.prod(self.npts))
+
+    def center(self):
+        return np.array([0.5 * (lo + hi) for lo, hi in self.bounds])
 
     def axis_nodes(self, axis):
         lo, hi = self.bounds[axis]
@@ -309,12 +310,6 @@ def assemble(spec, grid, potential=None):
             raise ValueError("potential sample array must match the grid")
         if not np.all(np.isfinite(vvals)):
             raise ValueError("non-finite potential sample")
-        if np.max(np.abs(vvals)) > POTENTIAL_WARN_THRESHOLD:
-            warnings.warn(
-                "potential samples reach %.3e; grid trace of a merely locally "
-                "integrable potential" % float(np.max(np.abs(vvals))),
-                RuntimeWarning,
-            )
         form = form + sp.diags(vvals * vol)
 
     form = (0.5 * (form + form.T)).tocsr()

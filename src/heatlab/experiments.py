@@ -174,7 +174,7 @@ def operator_pieces(opcfg):
     if min(opcfg.grid_n) < 2 * opcfg.m + 1:
         raise ConfigError(f"need 2m + 1 = {2 * opcfg.m + 1} or more points per axis",
                           key="operator.grid_n")
-    spec = SymbolSpec.isotropic(opcfg.m, opcfg.n, opcfg.a, domain=opcfg.domain)
+    spec = SymbolSpec.isotropic(opcfg.m, opcfg.n, opcfg.a)
     grid = Grid.make(opcfg.domain, opcfg.grid_n)
     vvals = None if opcfg.potential is None else sample_potential(opcfg.potential, grid)
     return spec, grid, vvals
@@ -239,7 +239,7 @@ def _perturbed_target(cfg, spec_pert, grid, amax_pert):
     before the verdict pipeline builds its own."""
     v = cfg.verify
     opcfg = cfg.operator
-    spec_ref = SymbolSpec.isotropic(opcfg.m, opcfg.n, v.reference_a, domain=opcfg.domain)
+    spec_ref = SymbolSpec.isotropic(opcfg.m, opcfg.n, v.reference_a)
 
     nodes = grid.node_coordinates()
     amax = max(float(np.max(spec_ref.isotropic_coefficient.at_many(nodes))), amax_pert)
@@ -268,6 +268,10 @@ def _verdict_pipeline(cfg, label):
     if opcfg.n != 1:
         raise ConfigError("verdict pipelines are 1D", key="operator.n")
     spec, grid, vvals = operator_pieces(opcfg)
+    (lo, hi), = grid.bounds
+    if v.pair_max > hi - lo:  # a pair centred on the box would leave it
+        raise ConfigError(f"pair_max {v.pair_max!r} exceeds the domain's length {hi - lo!r}",
+                          key="verify.pair_max")
 
     conv = is_strongly_convex(spec, grid.node_coordinates())
     if not conv.strongly_convex:
@@ -296,7 +300,7 @@ def _verdict_pipeline(cfg, label):
 
     nodes = grid.axis_nodes(0)
     m, n = opcfg.m, 1
-    center = spec.domain.center()
+    center = grid.center()
     center_node = float(nodes[grid.nearest_node(center)])
     pairs = sorted({(float(nodes[grid.nearest_node(center - 0.5 * s)]),
                      float(nodes[grid.nearest_node(center + 0.5 * s)]))

@@ -56,7 +56,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import Grid
 from .symbols import (_golden_min, as_batch, coefficient_values, eval_symbol, sphere_directions,
                       symbol_sum)
 
@@ -246,16 +245,15 @@ def _dijkstra(wts, pad, offsets, start):
     return dist
 
 
-def distance_lattice_2d(spec, source, grid=None, npts=64):
-    """Shortest-path distance field from ``source`` on the 16-neighbour grid
-    graph; edge weight is the length element at the edge midpoint.
+def distance_lattice_2d(spec, source, grid):
+    """Shortest-path distance field from the node of the 2D ``grid`` nearest
+    ``source`` on its 16-neighbour graph; edge weight is the length element
+    at the edge midpoint.  The grid's box bounds the paths.
 
     Dijkstra runs over the flat node indices ``i*ny + j`` of the grid.
     """
     if spec.n != 2:
         raise ValueError("distance_lattice_2d needs a 2D spec")
-    if grid is None:
-        grid = Grid.make(spec.domain.bounds, (npts, npts))
     nx, ny = grid.npts
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
     src = np.atleast_1d(np.asarray(source, dtype=float))

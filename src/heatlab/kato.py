@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import POTENTIAL_WARN_THRESHOLD, band_lowest
+from .discretize import band_lowest
 
+POTENTIAL_WARN_THRESHOLD = 1e12  # sample_potential clips |V| here, with a warning
 INTERPOLATION_SLACK = 1e-8  # allowance of  weighted-L2 norm <= L1->L1 norm
 GAUSS_ORDER = 32  # Miyadera nodes per panel
 SETTLE_TOL = 1e-6  # Miyadera relative change allowed when the panels double

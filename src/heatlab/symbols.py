@@ -11,6 +11,10 @@ test, and evaluates the two constants that govern sharp Gaussian decay:
 * ``k_m = sin(pi/(4m-2))^(1-2m)``  -- growth rate of the twisted lower bound,
 
 linked by ``inf_l (-l*d + l^(2m) k_m t) = -sigma_m d^(2m/(2m-1)) / t^(1/(2m-1))``.
+
+A symbol and its coefficient fields live on all of R^n, as in the paper:
+the box a run truncates them to, with Dirichlet ends, is held by its
+:class:`heatlab.discretize.Grid` alone.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def monomial(xi, gamma):
 # ---------------------------------------------------------------------------
 
 class CoefficientField:
-    """Scalar field over the domain, evaluable at arbitrary points."""
+    """Scalar field on R^n, evaluable at arbitrary points."""
 
     def at(self, x):
         """Value at the point ``x``, a sequence of n coordinates."""
@@ -146,25 +150,13 @@ def as_field(value, n):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DomainSpec:
-    bounds: tuple  # ((lo, hi), ...) per axis
-
-    @property
-    def n(self):
-        return len(self.bounds)
-
-    def center(self):
-        return np.array([0.5 * (lo + hi) for lo, hi in self.bounds])
-
-
-@dataclass(frozen=True)
 class SymbolSpec:
-    """Half-order m, dimension n, symmetric pair coefficients, domain."""
+    """Half-order m, dimension n and the symmetric pair coefficients of a
+    symbol on all of R^n; the box a run truncates it to is its grid's."""
 
     m: int
     n: int
     coefficients: dict = field(compare=False)
-    domain: DomainSpec = None
     # a(x) with A = a(x) |xi|^(2m); set by ``isotropic``, and in 1D always
     isotropic_coefficient: CoefficientField = field(default=None, init=False, compare=False)
 
@@ -185,13 +177,9 @@ class SymbolSpec:
         object.__setattr__(self, "coefficients", symmetric)
         if self.n == 1:
             object.__setattr__(self, "isotropic_coefficient", symmetric.get(((self.m,), (self.m,))))
-        if self.domain is None:
-            object.__setattr__(
-                self, "domain", DomainSpec(tuple((0.0, 1.0) for _ in range(self.n)))
-            )
 
     @classmethod
-    def isotropic(cls, m, n, coefficient=1.0, domain=None):
+    def isotropic(cls, m, n, coefficient=1.0):
         """A(x, xi) = a(x) |xi|^(2m), via diagonal multinomial weights m!/alpha!."""
         base = as_field(coefficient, n)
         coeffs = {}
@@ -199,19 +187,19 @@ class SymbolSpec:
             w = multinomial(m, alpha)
             f = base if w == 1 else _ScaledField(base, float(w))
             coeffs[(alpha, alpha)] = f
-        spec = cls(m, n, coeffs, _as_domain(domain, n))
+        spec = cls(m, n, coeffs)
         object.__setattr__(spec, "isotropic_coefficient", base)
         return spec
 
     @classmethod
-    def axis_powers(cls, m, n, weights=None, domain=None):
+    def axis_powers(cls, m, n, weights=None):
         """A(x, xi) = sum_i c_i xi_i^(2m)  (no cross terms)."""
         weights = [1.0] * n if weights is None else list(weights)
         coeffs = {}
         for i, c in enumerate(weights):
             alpha = tuple(m if j == i else 0 for j in range(n))
             coeffs[(alpha, alpha)] = as_field(c, n)
-        return cls(m, n, coeffs, _as_domain(domain, n))
+        return cls(m, n, coeffs)
 
 
 @dataclass(frozen=True)
@@ -224,17 +212,6 @@ class _ScaledField(CoefficientField):
 
     def at_many(self, points):
         return self.factor * self.base.at_many(points)
-
-
-def _as_domain(domain, n):
-    if domain is None:
-        return None
-    if isinstance(domain, DomainSpec):
-        return domain
-    bounds = tuple(tuple(map(float, b)) for b in domain)
-    if len(bounds) != n:
-        raise ValueError("domain bounds must give one (lo, hi) pair per axis")
-    return DomainSpec(bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +297,29 @@ class ConvexityReport:
     strongly_convex: bool
     min_eigenvalue: float
     witness_point: tuple
-    inconclusive: bool = False
-    form_scale: float = math.nan  # largest |entry| of the forms; in 1D the largest |a(x)|
+    form_scale: float  # largest |entry| of the forms; in 1D the largest |a(x)|
 
 
 def is_strongly_convex(spec, sample_points):
     """PSD test of the gamma form at each sample point.
 
     Tolerance is scale-invariant: an eigenvalue is accepted when it is at
-    least ``-1e-10 * (1 + max-norm of the matrix)``.  Failure of the one
-    stacked ``eigvalsh`` is reported as inconclusive, never as a negative
-    verdict, at the first non-finite form (else the first point).
+    least ``-1e-10 * (1 + max-norm of the matrix)``.  A non-finite form has
+    no verdict: it raises ``ValueError`` naming its first point (a failing
+    ``eigvalsh`` raises ``LinAlgError``, also a ``ValueError``).
     """
     pts = np.asarray(list(sample_points), dtype=float).reshape(-1, spec.n)
     if not len(pts):
         raise ValueError("need at least one sample point")
     mats = _gamma_matrices(spec, pts)
-    try:
-        lo = np.linalg.eigvalsh(mats)[:, 0]
-    except np.linalg.LinAlgError:
-        bad = ~np.all(np.isfinite(mats), axis=(1, 2))
-        return ConvexityReport(False, math.nan, tuple(pts[int(np.argmax(bad))]), True)
+    finite = np.all(np.isfinite(mats), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"non-finite gamma form at x={pts[int(np.argmin(finite))]}")
+    lo = np.linalg.eigvalsh(mats)[:, 0]
     scale = np.max(np.abs(mats), axis=(1, 2))
     ratio = lo / (1.0 + scale)
     i = int(np.argmin(ratio))
-    return ConvexityReport(bool(ratio[i] >= -1e-10), float(lo[i]), tuple(pts[i]), False,
+    return ConvexityReport(bool(ratio[i] >= -1e-10), float(lo[i]), tuple(pts[i]),
                            float(np.max(scale)))
 
 

@@ -10,7 +10,7 @@ from heatlab.symbols import ExprField, SymbolSpec
 
 
 def make_line_operator(m, n_pts=800, bounds=(-8.0, 8.0), a=1.0, potential=None):
-    spec = SymbolSpec.isotropic(m, 1, a, domain=[bounds])
+    spec = SymbolSpec.isotropic(m, 1, a)
     grid = Grid.make(bounds, n_pts)
     return assemble(spec, grid, potential=potential)
 

@@ -157,7 +157,7 @@ def test_criterion_5_kato_machinery(unit_m1_400_op, unit_m1_400, singular_vminus
 
 def test_criterion_6_finsler_distances():
     t0 = time.perf_counter()
-    spec = SymbolSpec.isotropic(2, 1, "(1+x)^4", domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(2, 1, "(1+x)^4")
     assert distance_1d(spec, 0.0, 1.0) == pytest.approx(math.log(2.0), abs=1e-8)
 
     ratios = []
@@ -168,10 +168,11 @@ def test_criterion_6_finsler_distances():
     assert all(b >= a - 1e-3 for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] >= 0.98
 
-    iso = SymbolSpec.isotropic(2, 2, 1.0, domain=[(0, 1), (0, 1)])
-    fld = distance_lattice_2d(iso, (0.5, 0.5), npts=64)
+    iso = SymbolSpec.isotropic(2, 2, 1.0)
+    grid = Grid.make([(0.0, 1.0), (0.0, 1.0)], 64)
+    fld = distance_lattice_2d(iso, (0.5, 0.5), grid)
     src = np.array(fld.source)
-    eu = np.linalg.norm(Grid.make(iso.domain.bounds, 64).node_coordinates() - src, axis=1)
+    eu = np.linalg.norm(grid.node_coordinates() - src, axis=1)
     mask = (eu > 0.15) & (eu < 0.48)
     rel = (fld.values[mask] - eu[mask]) / eu[mask]
     assert rel.min() >= -1e-9
@@ -263,12 +264,12 @@ def test_criterion_7_sharp_bound_verdicts(label, cfg_text):
 def test_criterion_8_perturbation_stability():
     t0 = time.perf_counter()
     grid = Grid.make((0.0, 1.0), 800)
-    ref = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
+    ref = SymbolSpec.isotropic(2, 1, 1.0)
     op_ref = assemble(ref, grid)
     lams = np.geomspace(20.0, 200.0, 40)
     slopes = []
     for delta in (0.01, 0.05, 0.1):
-        pert = SymbolSpec.isotropic(2, 1, f"1+{delta}*sin(2*pi*x)", domain=[(0, 1)])
+        pert = SymbolSpec.isotropic(2, 1, f"1+{delta}*sin(2*pi*x)")
         op_pert = assemble(pert, grid)
         slope = (1.0 + delta) ** -0.25
         prof = TwistProfile.from_values(grid, slope * grid.node_coordinates()[:, 0], 2)
@@ -344,10 +345,10 @@ def test_criterion_9_property_suites(unit_m1_400, line_m1, line_m2):
         assert el.evaluate(el.parse(text, 1), [0.0]) == shunting_yard(text)
 
     # strong convexity verdicts for the worked symbols
-    iso4 = SymbolSpec.isotropic(2, 2, 1.0, domain=[(-1, 1), (-1, 1)])
+    iso4 = SymbolSpec.isotropic(2, 2, 1.0)
     rep = is_strongly_convex(iso4, [[0.0, 0.0]])
     assert rep.strongly_convex and rep.min_eigenvalue == pytest.approx(1 / 3, rel=1e-12)
-    axis4 = SymbolSpec.axis_powers(2, 2, domain=[(-1, 1), (-1, 1)])
+    axis4 = SymbolSpec.axis_powers(2, 2)
     rep = is_strongly_convex(axis4, [[0.3, -0.4]])
     assert rep.strongly_convex and rep.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
     rep = is_strongly_convex(SymbolSpec.isotropic(1, 1, 1.0), [[0.5]])

@@ -414,15 +414,16 @@ def test_lattice_csv_streamed_in_node_order(tmp_path, monkeypatch):
 
     write_csv = heatlab.cli.write_csv
     monkeypatch.setattr(heatlab.cli, "write_csv", recording_write_csv)
-    spec = SymbolSpec.isotropic(2, 2, "1", domain=[(0, 1), (0, 1)])
-    nodes = Grid.make(spec.domain.bounds, 24).node_coordinates().tolist()
+    spec = SymbolSpec.isotropic(2, 2, "1")
+    grid = Grid.make([(0.0, 1.0), (0.0, 1.0)], 24)  # LATTICE_CFG's domain and lattice_n
+    nodes = grid.node_coordinates().tolist()
     # a constant coefficient repeats values by reflection about the source,
     # centred or not, and each distinct value is formatted once
     for source in ((0.5, 0.5), (0.3, 0.6)):
         cfg = _write(tmp_path, LATTICE_CFG.replace("0.5, 0.5", "{}, {}".format(*source)))
         out = tmp_path / "out"
         assert main(["distance", "--config", cfg, "--out", str(out)]) == 0
-        values = distance_lattice_2d(spec, source, npts=24).values
+        values = distance_lattice_2d(spec, source, grid).values
         assert len(np.unique(values)) < values.size / 2
         ref = "x1,x2,d\n" + "".join(",".join(map(format_value, (x1, x2, v))) + "\n"
                                     for (x1, x2), v in zip(nodes, values.tolist()))
@@ -491,14 +492,16 @@ def test_failed_run_manifest_ends_in_its_error(tmp_path):
     ("twist", TWIST_CFG.replace("grid_n = 300", "grid_n = 2"), "operator.grid_n"),
     ("verify", VERIFY_M2_CFG.replace("grid_n = 200", "grid_n = 4"), "operator.grid_n"),
     ("twist", TWIST_CFG.replace('a = "1"', 'a = "2"'), "twist.phi"),
+    ("verify", WELL_M1_WIDE_CFG.replace("pair_max = 15", "pair_max = 17"), "verify.pair_max"),
 ], ids=["twist-on-2D", "verify-on-2D", "kernel-m1-grid-2", "kato-m1-grid-2", "twist-m1-grid-2",
-        "verify-m2-grid-4", "twist-infeasible-phi"])
+        "verify-m2-grid-4", "twist-infeasible-phi", "verify-pairs-leave-the-domain"])
 def test_config_that_cannot_assemble_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                               command, text, key):
     # these used to assemble first, or fail naming no key: "twist profiles
     # are 1D", "verdict pipelines are 1D", "grid too coarse: need N >= 5
     # interior points", "twist profile is infeasible for the symbol class at
-    # this M" (a = 2 makes A(x, phi') = 2 > 1)
+    # this M" (a = 2 makes A(x, phi') = 2 > 1); a verify pair longer than
+    # the domain used to snap both ends to the edge nodes and could PASS
     def refuse(*args, **kwargs):
         raise AssertionError("operator assembled")
 

@@ -24,8 +24,8 @@ from heatlab.kato import form_bound, kato_norm_curve, sample_potential
 from heatlab.symbols import SymbolSpec, as_field
 from heatlab.twist import TwistProfile, growth_fit, lower_bound_k, twisted_form
 
-SPEC_M1 = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0, 1)])
-SPEC_M2 = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
+SPEC_M1 = SymbolSpec.isotropic(1, 1, 1.0)
+SPEC_M2 = SymbolSpec.isotropic(2, 1, 1.0)
 
 
 def test_grid_geometry():
@@ -68,7 +68,7 @@ def test_assemble_variable_coefficient_hand_oracle():
     g = Grid.make((0.0, 1.0), 7)
     h = g.h[0]
     a = lambda x: 2.0 + np.sin(2 * np.pi * x)
-    spec = SymbolSpec.isotropic(1, 1, as_field("2+sin(2*pi*x)", 1), domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(1, 1, as_field("2+sin(2*pi*x)", 1))
     N = g.npts[0]
     D = np.zeros((N + 1, N))
     for j in range(N + 1):
@@ -105,7 +105,7 @@ def test_assemble_m2_biharmonic_row():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_assemble_records_bandwidth(m):
-    spec = SymbolSpec.isotropic(m, 1, 1.0, domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(m, 1, 1.0)
     op = assemble(spec, Grid.make((0.0, 1.0), 40))
     assert op.band.shape[0] - 1 == m
     H = op.operator_matrix()
@@ -182,7 +182,7 @@ def _lattice_unit(band):
 @pytest.mark.parametrize("m", [2, 3])
 def test_band_lowest_is_the_last_shift_that_factors(m):
     g = Grid.make((0.0, 1.0), 300)
-    spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(m, 1, "1+0.5*x")
     op = assemble(spec, g, potential=sample_potential("20*x^2", g))
     band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
     lo, q = band_lowest(band), _lattice_unit(band)
@@ -228,7 +228,7 @@ def test_band_lowest_bracket_never_moves_the_value(m):
     # above, below, of zero width or around the eigenvalue, or beyond the
     # Gershgorin bracket, costs factorizations only
     g = Grid.make((0.0, 1.0), 300)
-    spec = SymbolSpec.isotropic(m, 1, "1+0.5*x", domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(m, 1, "1+0.5*x")
     op = assemble(spec, g, potential=sample_potential("20*x^2", g))
     band = twisted_form(op, TwistProfile.from_expression(g, "x", m), 30.0)
     lo = band_lowest(band)
@@ -251,10 +251,10 @@ def test_assemble_mixed_parity_pair_2d():
     from heatlab.symbols import ConstantField, SymbolSpec as SS
 
     g = Grid.make([(0, 1), (0, 1)], (10, 10))
-    base = SS.isotropic(2, 2, 1.0, domain=[(0, 1), (0, 1)])
+    base = SS.isotropic(2, 2, 1.0)
     coeffs = dict(base.coefficients)
     coeffs[((2, 0), (1, 1))] = ConstantField(0.05)
-    spec = SS(2, 2, coeffs, base.domain)
+    spec = SS(2, 2, coeffs)
     op = assemble(spec, g)
     assert op.symmetry_defect() == 0.0
     assert np.linalg.eigvalsh(op.operator_matrix())[0] > 0.0
@@ -279,7 +279,7 @@ def _matrix_sampled_per_pair(spec, grid, potential=None):
     return form
 
 
-VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1), (0, 1)])
+VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)")
 
 
 @pytest.mark.parametrize("spec", [
@@ -287,7 +287,7 @@ VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1),
     SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("1+0.2*x1", 2),
                       ((0, 2), (0, 2)): as_field("2+x2*x1", 2),
                       ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2),
-                      ((1, 1), (1, 1)): as_field("1+0.2*x1", 2)}, VAR_ISO_2D.domain),
+                      ((1, 1), (1, 1)): as_field("1+0.2*x1", 2)}),
 ], ids=["iso", "cross"])
 def test_assemble_samples_shared_fields_once_same_form(spec):
     g = Grid.make([(0, 1), (0, 1)], (20, 20))
@@ -298,13 +298,13 @@ def test_assemble_samples_shared_fields_once_same_form(spec):
 
 # (symbol, grid, potential expression or None)
 _VIEW_CASES = {
-    "m1-well": (SymbolSpec.isotropic(1, 1, 1.0, domain=[(-8, 8)]), Grid.make((-8.0, 8.0), 800),
+    "m1-well": (SymbolSpec.isotropic(1, 1, 1.0), Grid.make((-8.0, 8.0), 800),
                 "-10*exp(-x^2)"),
-    "m2-free": (SymbolSpec.isotropic(2, 1, 1.0, domain=[(-4, 4)]), Grid.make((-4.0, 4.0), 1200),
+    "m2-free": (SymbolSpec.isotropic(2, 1, 1.0), Grid.make((-4.0, 4.0), 1200),
                 None),
-    "m2-quartic": (SymbolSpec.isotropic(2, 1, 1.0, domain=[(-4, 4)]),
+    "m2-quartic": (SymbolSpec.isotropic(2, 1, 1.0),
                    Grid.make((-4.0, 4.0), 800), "x^4"),
-    "m3-var": (SymbolSpec.isotropic(3, 1, "1+0.5*x", domain=[(0, 1)]), Grid.make((0.0, 1.0), 300),
+    "m3-var": (SymbolSpec.isotropic(3, 1, "1+0.5*x"), Grid.make((0.0, 1.0), 300),
                "20*x^2"),
     "2d-var": (VAR_ISO_2D, Grid.make([(0, 1), (0, 1)], (20, 20)), None),
 }
@@ -334,8 +334,8 @@ def test_assemble_samples_each_field_once_per_point_set(monkeypatch, point_evals
 
 def test_assemble_2d_laplacian_and_bilaplacian_structure():
     g = Grid.make([(0, 1), (0, 1)], (12, 12))
-    spec1 = SymbolSpec.isotropic(1, 2, 1.0, domain=[(0, 1), (0, 1)])
-    spec2 = SymbolSpec.isotropic(2, 2, 1.0, domain=[(0, 1), (0, 1)])
+    spec1 = SymbolSpec.isotropic(1, 2, 1.0)
+    spec2 = SymbolSpec.isotropic(2, 2, 1.0)
     L = assemble(spec1, g).operator_matrix()
     B = assemble(spec2, g).operator_matrix()
     # fourth-order isotropic assembly is exactly the square of the five-point form
@@ -371,12 +371,6 @@ def test_positive_potential_never_decreases_spectrum():
 
 def test_nonelliptic_symbol_rejected():
     g = Grid.make((0.0, 1.0), 9)
-    zero = SymbolSpec.isotropic(1, 1, 0.0, domain=[(0, 1)])
+    zero = SymbolSpec.isotropic(1, 1, 0.0)
     with pytest.raises(ValueError, match="elliptic"):
         assemble(zero, g)
-
-
-def test_huge_potential_warns():
-    g = Grid.make((0.0, 1.0), 9)
-    with pytest.warns(RuntimeWarning, match="potential"):
-        assemble(SPEC_M1, g, potential=np.full(9, 1e13))

@@ -55,7 +55,7 @@ def test_fit_window_filters_times():
 def test_distance_ablation_finsler_beats_euclidean():
     # variable coefficients: the Finsler distance restores the sharp constant,
     # the Euclidean distance under-estimates it
-    spec = SymbolSpec.isotropic(2, 1, "(1+x)^4", domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(2, 1, "(1+x)^4")
     op = eigendecompose(make_line_operator(2, n_pts=400, bounds=(0.0, 1.0),
                                            a="(1+x)^4"))
     nodes = op.grid.axis_nodes(0)
@@ -102,7 +102,7 @@ def test_verify_sharp_m1_passes():
 def test_verdict_is_recheckable_from_emitted_numbers():
     cfg = config_from_text(VERIFY_M1)
     v = verify_sharp_bound(cfg)
-    spec = SymbolSpec.isotropic(1, 1, cfg.operator.a, domain=cfg.operator.domain)
+    spec = SymbolSpec.isotropic(1, 1, cfg.operator.a)
     m, n = 1, 1
     sig = v.sigma_target - v.eps
     for t, x, y, K, d, u, bound in v.samples:

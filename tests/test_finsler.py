@@ -21,7 +21,9 @@ from heatlab.finsler import (
 )
 from heatlab.symbols import CoefficientField, SymbolSpec, as_field, eval_symbol
 
-SPEC_VAR = SymbolSpec.isotropic(2, 1, "(1+x)^4", domain=[(0, 1)])
+SPEC_VAR = SymbolSpec.isotropic(2, 1, "(1+x)^4")
+UNIT = ((0.0, 1.0),)
+UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 LN2 = float(np.log(2.0))
 
 
@@ -33,7 +35,7 @@ def test_length_element_1d():
 
 
 def test_length_element_isotropic_2d_is_euclidean():
-    iso = SymbolSpec.isotropic(2, 2, 1.0, domain=[(-1, 1), (-1, 1)])
+    iso = SymbolSpec.isotropic(2, 2, 1.0)
     p = LengthElement(iso)
     rng = np.random.default_rng(0)
     for _ in range(12):
@@ -57,20 +59,23 @@ def test_length_element_homogeneity_and_positivity():
 
 
 def test_degenerate_symbol_rejected():
-    bad = SymbolSpec.isotropic(1, 1, "x-0.5", domain=[(0, 1)])
+    bad = SymbolSpec.isotropic(1, 1, "x-0.5")
     with pytest.raises(ValueError, match="degenerate"):
         LengthElement(bad)([0.25], [1.0])
 
 
-SPEC_ISO_VAR = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(-3, 3), (-3, 3)])
-SPEC_AXIS = SymbolSpec.axis_powers(2, 2, (16.0, 1.0), domain=[(0, 1), (0, 1)])
+SPEC_ISO_VAR = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)")
+BOX_ISO_VAR = ((-3.0, 3.0), (-3.0, 3.0))
+SPEC_AXIS = SymbolSpec.axis_powers(2, 2, (16.0, 1.0))
 
 
-@pytest.mark.parametrize("spec", [SPEC_VAR, SPEC_ISO_VAR, SPEC_AXIS], ids=["1d", "iso-2d", "axis"])
-def test_length_element_batch_equals_scalar_calls(spec):
+@pytest.mark.parametrize("spec, bounds", [
+    (SPEC_VAR, UNIT), (SPEC_ISO_VAR, BOX_ISO_VAR), (SPEC_AXIS, UNIT_SQUARE),
+], ids=["1d", "iso-2d", "axis"])
+def test_length_element_batch_equals_scalar_calls(spec, bounds):
     p = LengthElement(spec)
     rng = np.random.default_rng(4)
-    lo, hi = np.array(spec.domain.bounds).T
+    lo, hi = np.array(bounds).T
     pts = lo + (hi - lo) * rng.uniform(0.05, 0.95, (40, spec.n))
     etas = rng.standard_normal((40, spec.n))
     batch = p(pts, etas)
@@ -88,7 +93,7 @@ def test_length_element_batch_equals_scalar_calls(spec):
 @pytest.mark.parametrize("m, weights", [(1, (3.0, 0.5)), (2, (16.0, 1.0)), (3, (2.0, 5.0))])
 def test_anisotropic_search_matches_dual_norm(m, weights):
     # p is the dual norm of (sum_i c_i xi_i^(2m))^(1/2m)
-    spec = SymbolSpec.axis_powers(m, 2, weights, domain=[(0, 1), (0, 1)])
+    spec = SymbolSpec.axis_powers(m, 2, weights)
     rng = np.random.default_rng(5)
     etas = rng.standard_normal((64, 2))
     q = 2 * m / (2 * m - 1)
@@ -99,8 +104,8 @@ def test_anisotropic_search_matches_dual_norm(m, weights):
 
 
 @pytest.mark.parametrize("spec", [
-    SymbolSpec.isotropic(2, 2, "x1-0.5", domain=[(0, 1), (0, 1)]),
-    SymbolSpec.axis_powers(2, 2, ("x1-0.5", 1.0), domain=[(0, 1), (0, 1)]),
+    SymbolSpec.isotropic(2, 2, "x1-0.5"),
+    SymbolSpec.axis_powers(2, 2, ("x1-0.5", 1.0)),
 ], ids=["isotropic", "axis"])
 def test_degenerate_point_in_batch_named(spec):
     pts = np.array([[0.7, 0.1], [0.25, 0.3], [0.9, 0.9]])
@@ -110,7 +115,7 @@ def test_degenerate_point_in_batch_named(spec):
 
 
 def test_length_element_rejects_bad_input():
-    p = LengthElement(SymbolSpec.isotropic(2, 2, "1/x1", domain=[(-1, 1), (-1, 1)]))
+    p = LengthElement(SymbolSpec.isotropic(2, 2, "1/x1"))
     with pytest.raises(ValueError, match="coefficient evaluation failed"):
         p(np.array([[0.5, 0.5], [0.0, 0.5]]), [1.0, 0.0])
     with pytest.raises(ValueError, match="one row per point"):
@@ -118,9 +123,9 @@ def test_length_element_rejects_bad_input():
 
 
 def test_distance_1d_values():
-    flat = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0, 1)])
+    flat = SymbolSpec.isotropic(1, 1, 1.0)
     assert distance_1d(flat, 0.2, 0.9) == pytest.approx(0.7, rel=1e-12)
-    spec16 = SymbolSpec.isotropic(2, 1, 16.0, domain=[(0, 1)])
+    spec16 = SymbolSpec.isotropic(2, 1, 16.0)
     assert distance_1d(spec16, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
     assert distance_1d(SPEC_VAR, 0.0, 1.0) == pytest.approx(LN2, abs=1e-8)
     assert distance_1d(SPEC_VAR, 0.5, 0.5) == 0.0
@@ -138,7 +143,7 @@ def test_distance_1d_maximizer_saturates_symbol():
 
 
 def test_dm_flat_symbol_exact_for_every_cap():
-    flat2 = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
+    flat2 = SymbolSpec.isotropic(2, 1, 1.0)
     for M in (0.05, 1.0, 40.0):
         r = distance_dm_1d(flat2, M, 0.0, 1.0)
         assert r.converged
@@ -146,7 +151,7 @@ def test_dm_flat_symbol_exact_for_every_cap():
 
 
 def test_dm_m1_has_no_derivative_caps():
-    flat1 = SymbolSpec.isotropic(1, 1, "4", domain=[(0, 1)])
+    flat1 = SymbolSpec.isotropic(1, 1, "4")
     r = distance_dm_1d(flat1, 1e-6, 0.0, 1.0)
     assert r.value == pytest.approx(0.5, rel=1e-9)
 
@@ -189,7 +194,7 @@ def test_dm_sign_convention():
     assert r.value == pytest.approx(-distance_dm_1d(SPEC_VAR, 1.0, 0.0, 1.0).value)
 
 
-SPEC_M3 = SymbolSpec.isotropic(3, 1, "2+cos(3*x)", domain=[(-4, 4)])
+SPEC_M3 = SymbolSpec.isotropic(3, 1, "2+cos(3*x)")
 
 
 def test_dm_m3_tight_cap_solved():
@@ -233,14 +238,14 @@ def _linprog_dm(spec, M, y1, y2, npoints=201):
 
 
 # centred pairs like the quartic-free verdict's, and the perfbench dm-m3 pairs
-SPEC_QUARTIC_FREE = SymbolSpec.isotropic(2, 1, "1", domain=[(-4, 4)])
+SPEC_QUARTIC_FREE = SymbolSpec.isotropic(2, 1, "1")
 VERIFY_PAIRS = [(-s / 2, s / 2) for s in np.linspace(0.2, 1.0, 40)]
 DM_M3_PAIRS = [(-0.5, 0.5), (-1.5, 0.3), (0.2, 1.7), (-2.0, -1.0)]
 
 
 @pytest.mark.parametrize("spec, M, pairs", [
     (SPEC_QUARTIC_FREE, 5.0, VERIFY_PAIRS),
-    (SymbolSpec.isotropic(2, 1, "1+0.2*sin(3*x)", domain=[(-4, 4)]), 5.0, VERIFY_PAIRS),
+    (SymbolSpec.isotropic(2, 1, "1+0.2*sin(3*x)"), 5.0, VERIFY_PAIRS),
     (SPEC_M3, 1.0, DM_M3_PAIRS),
     (SPEC_M3, 5.0, DM_M3_PAIRS),
 ], ids=["quartic-free", "verify-variable", "dm-m3-tight", "dm-m3"])
@@ -271,7 +276,7 @@ def test_dm_sequence_edge_cases(highs_solves):
     r = distance_dm_1d(SPEC_M3, 5.0, [0.3, -0.5, 0.5], [0.3, 0.5, -0.5])
     assert r.value[0] == 0.0 and r.value[2] == -r.value[1] != 0.0
     assert highs_solves["hot"] == [False, True]  # a zero-length pair needs no solve
-    r1 = distance_dm_1d(SymbolSpec.isotropic(1, 1, "4", domain=[(0, 1)]), 1.0, [0.0, 0.0], [1.0, 0.5])
+    r1 = distance_dm_1d(SymbolSpec.isotropic(1, 1, "4"), 1.0, [0.0, 0.0], [1.0, 0.5])
     assert r1.value.tolist() == pytest.approx([0.5, 0.25], rel=1e-12) and r1.iterations == 0
     with pytest.raises(ValueError, match="one length"):
         distance_dm_1d(SPEC_M3, 5.0, [0.0, 1.0], [1.0])
@@ -293,14 +298,13 @@ def test_dm_pair_not_optimal_reads_nan_and_next_starts_cold(highs_solves):
     assert one.feasibility_defect == one.dual_gap == math.inf and one.iterations > 0
 
 
-@pytest.mark.parametrize("spec", [
-    SPEC_VAR,
-    SPEC_M3,
-    SymbolSpec.isotropic(2, 1, "1+0.1*sin(2*pi*x)", domain=[(0, 1)]),
+@pytest.mark.parametrize("spec, lo, hi", [
+    (SPEC_VAR, 0.0, 1.0),
+    (SPEC_M3, -4.0, 4.0),
+    (SymbolSpec.isotropic(2, 1, "1+0.1*sin(2*pi*x)"), 0.0, 1.0),
 ], ids=["quartic-power", "m3-cos", "m2-sin"])
-def test_slope_caps_equal_per_point_reference(spec):
+def test_slope_caps_equal_per_point_reference(spec, lo, hi):
     # per point, Python float pow: np.power differs from it in the last ulp
-    lo, hi = spec.domain.bounds[0]
     xs = np.linspace(lo, hi, 2001)
     f, e = spec.isotropic_coefficient, -1.0 / (2 * spec.m)
     s = [f.at([x]) ** e for x in xs]
@@ -309,10 +313,11 @@ def test_slope_caps_equal_per_point_reference(spec):
 
 
 def test_lattice_distance_isotropic_2d():
-    iso = SymbolSpec.isotropic(2, 2, 1.0, domain=[(0, 1), (0, 1)])
-    fld = distance_lattice_2d(iso, (0.5, 0.5), npts=48)
+    iso = SymbolSpec.isotropic(2, 2, 1.0)
+    grid = Grid.make(UNIT_SQUARE, 48)
+    fld = distance_lattice_2d(iso, (0.5, 0.5), grid)
     src = np.array(fld.source)
-    eu = np.linalg.norm(Grid.make(iso.domain.bounds, 48).node_coordinates() - src, axis=1)
+    eu = np.linalg.norm(grid.node_coordinates() - src, axis=1)
     mask = (eu > 0.12) & (eu < 0.45)
     rel = (fld.values[mask] - eu[mask]) / eu[mask]
     assert rel.min() >= -1e-9          # converges from above
@@ -321,8 +326,8 @@ def test_lattice_distance_isotropic_2d():
 
 
 def test_lattice_distance_axis_anisotropy():
-    spec = SymbolSpec.axis_powers(2, 2, (16.0, 1.0), domain=[(0, 1), (0, 1)])
-    fld = distance_lattice_2d(spec, (0.5, 0.5), npts=39)  # h = 1/40, probes on nodes
+    spec = SymbolSpec.axis_powers(2, 2, (16.0, 1.0))
+    fld = distance_lattice_2d(spec, (0.5, 0.5), Grid.make(UNIT_SQUARE, 39))  # h = 1/40: on nodes
     ax, ay = fld.axes
     vals = fld.values.reshape(len(ax), len(ay))
     i, j = int(np.argmin(np.abs(ax - 0.5))), int(np.argmin(np.abs(ay - 0.5)))
@@ -335,12 +340,11 @@ def test_lattice_distance_axis_anisotropy():
     assert vals[i, j] == 0.0
 
 
-def _csgraph_lattice(spec, source, shape, weight):
+def _csgraph_lattice(grid, source, weight):
     """The 16-neighbour graph built edge by edge, solved by scipy's Dijkstra:
     each undirected edge gets one weight, at the midpoint of the move whose
     first nonzero component is positive, entered in both directions."""
-    nx, ny = shape
-    grid = Grid.make(spec.domain.bounds, shape)
+    nx, ny = grid.npts
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
     hx, hy = grid.h
     rows, cols, wts = [], [], []
@@ -367,24 +371,27 @@ def test_lattice_matches_csgraph_variable_isotropic():
         a = 1 + 0.3 * np.sin(mid[:1]) * np.cos(mid[1:])
         return (a ** -0.25 * np.hypot(*vec))[0]
 
-    fld = distance_lattice_2d(SPEC_ISO_VAR, (0.1, 0.2), npts=12)
-    ref = _csgraph_lattice(SPEC_ISO_VAR, (0.1, 0.2), (12, 12), weight)
+    grid = Grid.make(BOX_ISO_VAR, 12)
+    fld = distance_lattice_2d(SPEC_ISO_VAR, (0.1, 0.2), grid)
+    ref = _csgraph_lattice(grid, (0.1, 0.2), weight)
     assert np.array_equal(fld.values, ref)
 
 
 def test_lattice_matches_csgraph_axis_powers():
     p = LengthElement(SPEC_AXIS)
-    fld = distance_lattice_2d(SPEC_AXIS, (0.4, 0.6), npts=9)
-    ref = _csgraph_lattice(SPEC_AXIS, (0.4, 0.6), (9, 9), lambda mid, vec: p(mid, vec))
+    grid = Grid.make(UNIT_SQUARE, 9)
+    fld = distance_lattice_2d(SPEC_AXIS, (0.4, 0.6), grid)
+    ref = _csgraph_lattice(grid, (0.4, 0.6), lambda mid, vec: p(mid, vec))
     assert np.array_equal(fld.values, ref)
 
 
 def test_lattice_matches_csgraph_high_contrast():
     # a spans e^8 ~ 3000 across the square: many more phases than a flat a
-    spec = SymbolSpec.isotropic(2, 2, "exp(8*x1)", domain=[(0, 1), (0, 1)])
+    spec = SymbolSpec.isotropic(2, 2, "exp(8*x1)")
     p = LengthElement(spec)
-    fld = distance_lattice_2d(spec, (0.3, 0.7), npts=64)
-    ref = _csgraph_lattice(spec, (0.3, 0.7), (64, 64), p)
+    grid = Grid.make(UNIT_SQUARE, 64)
+    fld = distance_lattice_2d(spec, (0.3, 0.7), grid)
+    ref = _csgraph_lattice(grid, (0.3, 0.7), p)
     assert np.array_equal(fld.values, ref)
 
 
@@ -392,8 +399,9 @@ def test_lattice_matches_csgraph_high_contrast():
 def test_lattice_matches_csgraph_from_corner(corner):
     # from a corner node the moves off the grid point below index 0 or past the last node
     p = LengthElement(SPEC_ISO_VAR)
-    fld = distance_lattice_2d(SPEC_ISO_VAR, corner, npts=10)
-    ref = _csgraph_lattice(SPEC_ISO_VAR, corner, (10, 10), p)
+    grid = Grid.make(BOX_ISO_VAR, 10)
+    fld = distance_lattice_2d(SPEC_ISO_VAR, corner, grid)
+    ref = _csgraph_lattice(grid, corner, p)
     assert np.array_equal(fld.values, ref)
 
 
@@ -402,10 +410,10 @@ def test_lattice_matches_csgraph_on_thin_grids(shape):
     # few knight moves fit, and from a source on a grid edge many backward
     # moves read the table's padding or wrap into a neighbouring grid row
     p = LengthElement(SPEC_ISO_VAR)
-    grid = Grid.make(SPEC_ISO_VAR.domain.bounds, shape)
+    grid = Grid.make(BOX_ISO_VAR, shape)
     for source in [(0.5, -1.0), (-3.0, 0.0), (3.0, 0.0), (0.0, -3.0), (0.0, 3.0)]:
-        fld = distance_lattice_2d(SPEC_ISO_VAR, source, grid=grid)
-        ref = _csgraph_lattice(SPEC_ISO_VAR, source, shape, p)
+        fld = distance_lattice_2d(SPEC_ISO_VAR, source, grid)
+        ref = _csgraph_lattice(grid, source, p)
         assert np.isfinite(ref).all()
         assert np.array_equal(fld.values, ref)
 
@@ -413,11 +421,11 @@ def test_lattice_matches_csgraph_on_thin_grids(shape):
 def test_lattice_peak_memory_below_a_table_of_both_directions():
     # one weight per undirected edge is 8 doubles per node; a table with a
     # column for each of the 16 moves would alone take 16 doubles per node
-    spec = SymbolSpec.isotropic(2, 2, "1", domain=[(0, 1), (0, 1)])
-    distance_lattice_2d(spec, (0.5, 0.5), npts=8)  # first-call work outside the trace
+    spec = SymbolSpec.isotropic(2, 2, "1")
+    distance_lattice_2d(spec, (0.5, 0.5), Grid.make(UNIT_SQUARE, 8))  # first-call work untraced
     tracemalloc.start()
     try:
-        distance_lattice_2d(spec, (0.3, 0.6), npts=128)
+        distance_lattice_2d(spec, (0.3, 0.6), Grid.make(UNIT_SQUARE, 128))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -445,8 +453,7 @@ def _edge_weights_one_call_per_move(p, ax, ay, h):
 
 SPEC_CROSS = SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("2+0.2*x1", 2),
                                ((0, 2), (0, 2)): as_field("2-0.1*x2*x1", 2),
-                               ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2)},
-                        SPEC_ISO_VAR.domain)
+                               ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2)})
 
 
 @pytest.mark.parametrize("spec", [SPEC_ISO_VAR, SPEC_CROSS], ids=["iso-var", "cross"])
@@ -454,7 +461,7 @@ SPEC_CROSS = SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("2+0.2*x1", 2),
 def test_edge_table_in_row_blocks_equals_one_call_per_move(monkeypatch, spec, block):
     # 23 rows of 16 or 17 midpoints: one row per call, then blocks of 2 or 5
     # to 6 rows, each with a short last block on every move
-    grid = Grid.make(spec.domain.bounds, (23, 17))
+    grid = Grid.make(BOX_ISO_VAR, (23, 17))
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
     p = LengthElement(spec)
     ref, ref_pad = _edge_weights_one_call_per_move(p, ax, ay, grid.h)
@@ -479,9 +486,9 @@ class _Wave(CoefficientField):
 def test_edge_table_fill_adds_one_block_of_temporaries(a):
     # one call per move held its midpoints, a(x), its root and the positivity
     # mask over the whole grid: 2.0 MiB at 256 x 256
-    spec = SymbolSpec.isotropic(2, 2, a, domain=[(-3, 3), (-3, 3)])
+    spec = SymbolSpec.isotropic(2, 2, a)
     p = LengthElement(spec)
-    grid = Grid.make(spec.domain.bounds, (256, 256))
+    grid = Grid.make(BOX_ISO_VAR, (256, 256))
     ax, ay = grid.axis_nodes(0), grid.axis_nodes(1)
     _edge_weights(p, ax[:4], ay[:4], grid.h)  # first-call work outside the trace
     tracemalloc.start()
@@ -498,8 +505,8 @@ def test_distance_comparison_under_coefficient_gap():
     # length-element scaling: d_pert >= d_ref / (1 + c delta) with the
     # constant measured from max p_ref / p_pert over sample points
     delta = 0.1
-    ref = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
-    pert = SymbolSpec.isotropic(2, 1, f"1+{delta}*sin(2*pi*x)", domain=[(0, 1)])
+    ref = SymbolSpec.isotropic(2, 1, 1.0)
+    pert = SymbolSpec.isotropic(2, 1, f"1+{delta}*sin(2*pi*x)")
     d_ref = distance_dm_1d(ref, 1.0, 0.0, 1.0).value
     d_pert = distance_dm_1d(pert, 1.0, 0.0, 1.0).value
     ratios = [

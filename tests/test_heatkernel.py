@@ -95,7 +95,7 @@ def test_2d_spectral_kernel_factorizes():
 
     n1 = make_line_operator(1, n_pts=16, bounds=(0.0, 1.0))
     s1 = eigendecompose(n1)
-    spec2 = SymbolSpec.isotropic(1, 2, 1.0, domain=[(0, 1), (0, 1)])
+    spec2 = SymbolSpec.isotropic(1, 2, 1.0)
     op2 = assemble(spec2, Grid.make([(0, 1), (0, 1)], (16, 16)))
     s2 = eigendecompose(op2)
     t = 0.05

@@ -25,9 +25,7 @@ ALLOWED = {
 # defaulted parameters that no call in the library or the scripts passes
 ALLOWED_DEFAULTS = {
     "main.argv": "perfbench and the tests drive the CLI in process",
-    "distance_lattice_2d.grid": "the tests' non-square lattices",
     "SymbolSpec.axis_powers.weights": "axis_powers has no caller yet (see ALLOWED)",
-    "SymbolSpec.axis_powers.domain": "axis_powers has no caller yet (see ALLOWED)",
 }
 
 

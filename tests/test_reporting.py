@@ -27,9 +27,9 @@ def test_write_csv_cell_bytes(tmp_path):
 
 def test_lattice_csv_matches_row_by_row_reference(tmp_path):
     # nx != ny and negative coordinates: a swapped or transposed axis shows
-    spec = SymbolSpec.isotropic(1, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(-2.0, -0.5), (-1.0, 0.75)])
-    grid = Grid.make(spec.domain.bounds, (7, 5))
-    fld = distance_lattice_2d(spec, (-1.2, 0.1), grid=grid)
+    spec = SymbolSpec.isotropic(1, 2, "1+0.3*sin(x1)*cos(x2)")
+    grid = Grid.make([(-2.0, -0.5), (-1.0, 0.75)], (7, 5))
+    fld = distance_lattice_2d(spec, (-1.2, 0.1), grid)
     path = tmp_path / "distance.csv"
     write_csv(path, ("x1", "x2", "d"), grid_rows(fld.axes, fld.values))
     ref = "x1,x2,d\n" + "".join(",".join(format_value(c) for c in (p[0], p[1], v)) + "\n"

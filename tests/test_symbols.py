@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from heatlab import exprlang
 from heatlab.discretize import Grid, _ellipticity_samples, assemble
 from heatlab.symbols import (
+    CoefficientField,
     ConstantField,
     ExprField,
     SymbolSpec,
@@ -28,8 +29,8 @@ from heatlab.symbols import (
     symbol_sum,
 )
 
-ISO4_2D = SymbolSpec.isotropic(2, 2, 1.0, domain=[(-1, 1), (-1, 1)])
-AXIS4_2D = SymbolSpec.axis_powers(2, 2, domain=[(-1, 1), (-1, 1)])
+ISO4_2D = SymbolSpec.isotropic(2, 2, 1.0)
+AXIS4_2D = SymbolSpec.axis_powers(2, 2)
 
 
 def test_multi_index_enumeration_descending_lex():
@@ -129,6 +130,22 @@ def test_strong_convexity_worked_examples():
     assert rep3.witness_point == tuple(pts[int(np.argmin(ratio))])
 
 
+class _NanBeyondHalf(CoefficientField):
+    """1 where x1 <= 0.5, NaN beyond: values ExprField and ConstantField refuse."""
+
+    def at(self, x):
+        return 1.0 if x[0] <= 0.5 else float("nan")
+
+
+def test_strong_convexity_refuses_a_non_finite_form():
+    # eigvalsh does not raise on NaN: such a form used to read as not
+    # strongly convex, with min eigenvalue 0, instead of having no verdict
+    spec = SymbolSpec.isotropic(1, 2, _NanBeyondHalf())
+    pts = np.array([[0.25, 0.25], [0.75, 0.25], [0.9, 0.9]])
+    with pytest.raises(ValueError, match=re.escape(f"non-finite gamma form at x={pts[1]}")):
+        is_strongly_convex(spec, pts)
+
+
 def test_psd_gamma_form_gives_nonnegative_pairing():
     # if (a_{alpha+beta}) is PSD then sum a_{alpha+beta} xi^alpha xi^beta >= 0
     rng = np.random.default_rng(11)
@@ -206,24 +223,25 @@ def _ellipticity_per_pair(spec, pts, sphere_samples):
     return best
 
 
-VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)", domain=[(0, 1), (0, 1)])
+VAR_ISO_2D = SymbolSpec.isotropic(2, 2, "1+0.3*sin(x1)*cos(x2)")
+UNIT_SQUARE = [(0.0, 1.0), (0.0, 1.0)]
 
 
-@pytest.mark.parametrize("spec", [
-    SymbolSpec.isotropic(2, 1, "2+cos(3*x)", domain=[(-2, 2)]),
-    VAR_ISO_2D,
-    SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("1+0.2*x1", 2),
-                      ((0, 2), (0, 2)): as_field("2-x2*x1", 2),
-                      ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2)}, VAR_ISO_2D.domain),
-    SymbolSpec.isotropic(1, 3, "1+0.5*x1*x2*x3", domain=[(0, 1)] * 3),
+@pytest.mark.parametrize("spec, bounds", [
+    (SymbolSpec.isotropic(2, 1, "2+cos(3*x)"), [(-2.0, 2.0)]),
+    (VAR_ISO_2D, UNIT_SQUARE),
+    (SymbolSpec(2, 2, {((2, 0), (2, 0)): as_field("1+0.2*x1", 2),
+                       ((0, 2), (0, 2)): as_field("2-x2*x1", 2),
+                       ((2, 0), (0, 2)): as_field("0.3*cos(x1)", 2)}), UNIT_SQUARE),
+    (SymbolSpec.isotropic(1, 3, "1+0.5*x1*x2*x3"), [(0.0, 1.0)] * 3),
 ], ids=["1d", "2d-iso", "2d-cross", "3d"])
-def test_ellipticity_equals_per_pair_evaluation(spec):
-    pts = _ellipticity_samples(Grid.make(spec.domain.bounds, 20))
+def test_ellipticity_equals_per_pair_evaluation(spec, bounds):
+    pts = _ellipticity_samples(Grid.make(bounds, 20))
     assert ellipticity_constant(spec, pts) == _ellipticity_per_pair(spec, pts, 64)
 
 
 def test_ellipticity_evaluates_coefficients_once_per_point(point_evals):
-    pts = _ellipticity_samples(Grid.make(VAR_ISO_2D.domain.bounds, 20))
+    pts = _ellipticity_samples(Grid.make(UNIT_SQUARE, 20))
     ellipticity_constant(VAR_ISO_2D, pts)
     assert point_evals["at"] == len(pts)  # base a once for a and 2a, 81 points, any direction count
 
@@ -231,12 +249,12 @@ def test_ellipticity_evaluates_coefficients_once_per_point(point_evals):
 def test_symmetric_pair_closure_and_validation():
     f = ConstantField(2.0)
     a, b = (2, 0), (0, 2)
-    spec = SymbolSpec(2, 2, {(a, b): f}, None)
+    spec = SymbolSpec(2, 2, {(a, b): f})
     assert spec.coefficients[(b, a)] is f
     with pytest.raises(ValueError, match="alpha"):
-        SymbolSpec(2, 2, {((1, 0), (0, 2)): f}, None)
+        SymbolSpec(2, 2, {((1, 0), (0, 2)): f})
     with pytest.raises(ValueError):
-        SymbolSpec(0, 1, {}, None)
+        SymbolSpec(0, 1, {})
 
 
 @pytest.mark.parametrize("text", ["1", "2.5", "pi", "2*2", "2*pi", "sqrt(2)", "-exp(0)"])
@@ -297,7 +315,7 @@ def test_at_many_equals_at(fld):
 
 def test_assemble_constant_text_equals_float():
     grid = Grid.make((0.0, 1.0), 60)
-    specs = [SymbolSpec.isotropic(2, 1, a, domain=[(0, 1)]) for a in ("1", 1.0)]
+    specs = [SymbolSpec.isotropic(2, 1, a) for a in ("1", 1.0)]
     assert isinstance(specs[0].isotropic_coefficient, ConstantField)
     ops = [assemble(spec, grid) for spec in specs]
     diff = ops[0].matrix != ops[1].matrix

@@ -21,7 +21,7 @@ from heatlab.twist import (
 
 
 # the symbol of make_line_operator(1, bounds=(0.0, 1.0))
-UNIT_M1_SPEC = SymbolSpec.isotropic(1, 1, 1.0, domain=[(0.0, 1.0)])
+UNIT_M1_SPEC = SymbolSpec.isotropic(1, 1, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ SWEEP_POTENTIAL = "20*x^2"
 
 def _sweep_pieces():
     g = Grid.make((0.0, 1.0), 300)
-    spec = SymbolSpec.isotropic(2, 1, "1+0.5*x", domain=[(0, 1)])
+    spec = SymbolSpec.isotropic(2, 1, "1+0.5*x")
     v = sample_potential(SWEEP_POTENTIAL, g)
     free, with_v = assemble(spec, g), assemble(spec, g, potential=v)
     return free, with_v, TwistProfile.from_expression(g, "x", 2), np.geomspace(3.0, 30.0, 12)
@@ -276,9 +276,9 @@ def test_perturbed_target_of_a_zero_gap_is_sigma_m():
 def test_growth_fit_drift_sign_symmetry():
     grid = Grid.make((0.0, 1.0), 400)
     delta = 0.1
-    ref = SymbolSpec.isotropic(2, 1, 1.0, domain=[(0, 1)])
-    up = SymbolSpec.isotropic(2, 1, f"1+{delta}*sin(2*pi*x)", domain=[(0, 1)])
-    dn = SymbolSpec.isotropic(2, 1, f"1-{delta}*sin(2*pi*x)", domain=[(0, 1)])
+    ref = SymbolSpec.isotropic(2, 1, 1.0)
+    up = SymbolSpec.isotropic(2, 1, f"1+{delta}*sin(2*pi*x)")
+    dn = SymbolSpec.isotropic(2, 1, f"1-{delta}*sin(2*pi*x)")
     slope = (1.0 + delta) ** -0.25
     prof = TwistProfile.from_values(grid, slope * grid.node_coordinates()[:, 0], 2)
     lams = np.geomspace(20.0, 200.0, 30)
